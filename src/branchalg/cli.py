@@ -31,12 +31,7 @@ class EngineError(Exception):
 def _load_model(spec: str):
     if spec == "branchrel":
         return branchrel.model_handle()
-    try:
-        with open(spec) as fh:
-            structure = finra_atoms.parse_structure(fh.read(), label=spec)
-    except OSError as exc:
-        raise EngineError(f"cannot read structure file {spec!r}: {exc}") from None
-    return structure.handle()
+    return _load_structure(spec).handle()
 
 
 def _load_structure(spec: str) -> finra_atoms.AtomStructure:
@@ -195,11 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-jlm", help="product-formula failures")
     p.add_argument("target", help="signature or structure file")
-    p.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="exhaustive atom quantification (the default)",
-    )
     p.add_argument("--elements", action="store_true")
     p.add_argument("--sample", type=int, default=0, metavar="N")
     p.add_argument("--seed", type=int, default=0)

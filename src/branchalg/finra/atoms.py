@@ -109,18 +109,6 @@ class AtomStructure:
 
     # element operations (elements are ints)
 
-    def comp(self, x: int, y: int) -> int:
-        return int(self.tables[0][x, y])
-
-    def cnv(self, x: int) -> int:
-        return int(self.tables[1][x])
-
-    def meet(self, x: int, y: int) -> int:
-        return x & y
-
-    def join(self, x: int, y: int) -> int:
-        return x | y
-
     def compl(self, x: int) -> int:
         return x ^ self.top
 
@@ -165,24 +153,56 @@ class AtomStructure:
         return mask
 
     def handle(self):
-        from ..model import ModelHandle
-
-        return ModelHandle(
-            name=self.label or "finra",
-            meet=self.meet,
-            comp=self.comp,
-            conv=self.cnv,
-            zero=0,
-            top=self.top,
-            ident=self.ident,
-            equal=lambda x, y: x == y,
-            leq=self.leq,
-            join=self.join,
-            compl=self.compl,
-            elements=self.elements,
-            sample_pool=self.elements,
-            format_element=self.format_element,
+        comp, conv = self.tables
+        return table_handle(
+            comp, conv, self.ident, self.label or "finra", self.format_element
         )
+
+
+def table_handle(comp, conv, ident=None, name="finra", format_element=str):
+    """Model handle of the algebra with these element tables.
+
+    Elements are atom-set bitmasks, so meet, join and complement are bit
+    operations; every operation takes ints or, elementwise, int64 arrays of
+    elements.  The identity is found from the table when not given.
+    """
+    from ..model import ModelHandle
+
+    comp = np.ascontiguousarray(comp, dtype=np.int64)
+    conv = np.ascontiguousarray(conv, dtype=np.int64)
+    nel = len(conv)
+    top = nel - 1
+    if ident is None:
+        ident = int(np.flatnonzero((comp == np.arange(nel)).all(axis=1))[0])
+
+    def elements():
+        return list(range(nel))
+
+    def gather(table):
+        def op(*index):
+            out = table[index]
+            return out if isinstance(out, np.ndarray) else int(out)
+
+        return op
+
+    return ModelHandle(
+        name=name,
+        meet=lambda x, y: x & y,
+        comp=gather(comp),
+        conv=gather(conv),
+        zero=0,
+        top=top,
+        ident=ident,
+        equal=lambda x, y: x == y,
+        leq=lambda x, y: (x & y) == x,
+        join=lambda x, y: x | y,
+        compl=lambda x: x ^ top,
+        elements=elements,
+        sample_pool=elements,
+        format_element=format_element,
+        atoms=lambda: [1 << i for i in range(top.bit_length())],
+        tables=(comp, conv),
+    )
 
 
 def from_cycles(
@@ -306,12 +326,20 @@ def parse_structure(text: str, label: str = "") -> AtomStructure:
         conv = tuple(int(c) for c in header["converse"].split(","))
     except (KeyError, ValueError) as exc:
         raise AtomStructureError(f"bad header: {exc}") from None
+    if len(conv) != n or not all(0 <= c < n for c in conv):
+        raise AtomStructureError(
+            f"converse must map each of the {n} atoms into 0..{n - 1}"
+        )
     cycles = []
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] != "cycle" or len(parts) != 4:
+        numeric = all(p.isdecimal() for p in parts[1:])
+        if parts[0] != "cycle" or len(parts) != 4 or not numeric:
             raise AtomStructureError(f"bad cycle line: {ln!r}")
-        cycles.append(tuple(int(p) for p in parts[1:]))
+        cycle = tuple(int(p) for p in parts[1:])
+        if max(cycle) >= n:
+            raise AtomStructureError(f"cycle atom out of range 0..{n - 1}: {ln!r}")
+        cycles.append(cycle)
     names = tuple(_default_names(n, conv, identity))
     return from_cycles(names, conv, identity, cycles, label=label)
 
@@ -323,7 +351,9 @@ def _default_names(n, conv, identity):
         if i in identity:
             names[i] = "1'" if len(identity) == 1 else f"e{i}"
         elif not names[i]:
-            ch = next(letters)
+            ch = next(letters, None)
+            if ch is None:
+                raise AtomStructureError("more than 8 diversity letters needed")
             names[i] = ch
             if conv[i] != i:
                 names[conv[i]] = ch + "~"

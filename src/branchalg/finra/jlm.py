@@ -1,22 +1,22 @@
 """Checks of the three product-decomposition formulas and the guarded
 nine-variable implication.
 
-The published failure counts for the formulas quantify their variables over
-the atoms of each structure, and the atom-level check is what reproduces
-those counts; it is the default here.  Element-level quantification is
-strictly stronger for these formulas (one four-atom structure witnesses the
-difference) and is available as mode="elements", backed by the compiled
-kernels.
+Every check runs the J, L, M and K laws of the catalog through the block
+evaluator in model.search.  The published failure counts for the formulas
+quantify their variables over the atoms of each structure; that is the
+default mode here.  Element-level quantification is strictly stronger for J
+(one structure over three symmetric atoms witnesses the difference) and is
+available as mode="elements".  There model.reducible lets every variable
+except a and b of J range over atoms, so for L and M the element mode is the
+atom mode.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .. import model
+from ..laws import product_formula
 from . import kernels
 from .atoms import AtomStructure
 from .enumeration import enumerate_integral
@@ -43,7 +43,7 @@ class SizeCapExceeded(Exception):
 class JlmRecord:
     label: str
     mode: str
-    failures: dict[str, tuple | None] = field(default_factory=dict)
+    failures: dict[str, dict[str, int] | None] = field(default_factory=dict)
 
     @property
     def failed(self) -> tuple[str, ...]:
@@ -57,69 +57,18 @@ class JlmRecord:
         return f"JLM {self.label} mode={self.mode} {cols}"
 
 
-def _atom_violation(s: AtomStructure, formula: str):
-    comp, conv = s.tables
-    atoms = s.atoms()
-    C = comp
-    V = conv
-
-    def leq(x, y):
-        return (x & y) == x
-
-    if formula == "J":
-        for a, b, u, v, x, y in itertools.product(atoms, repeat=6):
-            hyp = C[V[u], x] & C[v, V[y]]
-            if not leq(hyp, C[V[a], b]):
-                continue
-            lhs = C[u, v] & C[x, y]
-            rhs = C[C[u, V[a]] & C[x, V[b]], C[a, v] & C[b, y]]
-            if not leq(lhs, rhs):
-                return (a, b, u, v, x, y)
-        return None
-    if formula == "L":
-        for u, v, w, x, y, z in itertools.product(atoms, repeat=6):
-            lhs = C[u, v] & C[w, x] & C[y, z]
-            if lhs == 0:
-                continue
-            inner = (
-                C[V[u], w]
-                & C[v, V[x]]
-                & C[C[V[u], y] & C[v, V[z]], C[V[y], w] & C[z, V[x]]]
-            )
-            if not leq(lhs, C[C[u, inner], x]):
-                return (u, v, w, x, y, z)
-        return None
-    if formula == "M":
-        for u, v, w, p, q, r, s_ in itertools.product(atoms, repeat=7):
-            lhs = u & C[v & C[w, p], q & C[r, s_]]
-            if lhs == 0:
-                continue
-            inner = (
-                C[C[V[w], u] & C[p, q], V[s_]]
-                & C[p, r]
-                & C[V[w], C[u, V[s_]] & C[v, r]]
-            )
-            if not leq(lhs, C[C[w, inner], s_]):
-                return (u, v, w, p, q, r, s_)
-        return None
-    raise ValueError(f"unknown formula {formula!r}")
-
-
 def check_jlm(
     s: AtomStructure, mode: str = "atoms", samples: int = 10_000, seed: int = 0
 ) -> JlmRecord:
-    """Which of the three formulas fail in the structure.
+    """Which of the three formulas fail in the structure; each failure is
+    recorded as its first violating assignment {variable: bitmask}.
 
     mode="atoms" quantifies over atoms (the published-table convention);
-    mode="elements" over all elements of the induced algebra (kernel-backed,
-    capped at four atoms); mode="sample" draws seeded random element
-    assignments, for structures beyond the exhaustive cap.
+    mode="elements" over all elements of the induced algebra (capped at four
+    atoms); mode="sample" draws seeded random element assignments, for
+    structures beyond the exhaustive cap.
     """
     rec = JlmRecord(label=s.label or "ra", mode=mode)
-    if mode == "atoms":
-        for f in FORMULAS:
-            rec.failures[f] = _atom_violation(s, f)
-        return rec
     if mode == "elements":
         if s.n_atoms > 4:
             raise SizeCapExceeded(
@@ -129,53 +78,18 @@ def check_jlm(
         for f in FORMULAS:
             rec.failures[f] = kernels.find_violation(comp, conv, f)
         return rec
-    if mode == "sample":
-        comp, conv = s.tables
-        rng = random.Random(seed)
-        nel = s.n_elements
-        for f in FORMULAS:
-            arity = 7 if f == "M" else 6
-            rec.failures[f] = None
-            for _ in range(samples):
-                assign = tuple(rng.randrange(nel) for _ in range(arity))
-                if _formula_violated(comp, conv, f, assign):
-                    rec.failures[f] = assign
-                    break
-        return rec
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _formula_violated(C, V, formula: str, assign) -> bool:
-    def leq(x, y):
-        return (x & y) == x
-
-    if formula == "J":
-        a, b, u, v, x, y = assign
-        hyp = C[V[u], x] & C[v, V[y]]
-        if not leq(hyp, C[V[a], b]):
-            return False
-        lhs = C[u, v] & C[x, y]
-        rhs = C[C[u, V[a]] & C[x, V[b]], C[a, v] & C[b, y]]
-        return not leq(lhs, rhs)
-    if formula == "L":
-        u, v, w, x, y, z = assign
-        lhs = C[u, v] & C[w, x] & C[y, z]
-        inner = (
-            C[V[u], w]
-            & C[v, V[x]]
-            & C[C[V[u], y] & C[v, V[z]], C[V[y], w] & C[z, V[x]]]
-        )
-        return not leq(lhs, C[C[u, inner], x])
-    if formula == "M":
-        u, v, w, p, q, r, s_ = assign
-        lhs = u & C[v & C[w, p], q & C[r, s_]]
-        inner = (
-            C[C[V[w], u] & C[p, q], V[s_]]
-            & C[p, r]
-            & C[V[w], C[u, V[s_]] & C[v, r]]
-        )
-        return not leq(lhs, C[C[w, inner], s_])
-    raise ValueError(f"unknown formula {formula!r}")
+    if mode not in ("atoms", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    m = s.handle()
+    for f in FORMULAS:
+        law = product_formula(f)
+        if mode == "atoms":
+            every = law.quantified_variables(m)
+            found = model.search(m, law, model.Exhaustive(), atom_vars=every)
+        else:
+            found = model.search(m, law, model.Sample(samples, seed))
+        rec.failures[f] = found[1]
+    return rec
 
 
 def profile_structures(structures, mode: str = "atoms") -> tuple[int, ...]:
@@ -228,51 +142,11 @@ class KReport:
 
 
 def check_k(s: AtomStructure, samples: int = 100_000, seed: int = 0) -> KReport:
-    """Sampled check of the nine-variable guarded implication, with the
-    guarded element instantiated as u;v & x;y (the provable case).
-
-    Hypotheses: a, b functional with a;1 = b;1 and unique pairing,
-    conv(a);1;b = conv(a);b, c and d functional, u;v & x;y below conv(c);d,
-    and conv(u);x & v;conv(y) below conv(a);b.  Conclusion: the pairing
-    equality for u, v, x, y over a, b.  Deterministic for a fixed seed.
+    """Law K on `samples` seeded element assignments: the pairing equality
+    for u, v, x, y over a, b under its nine hypotheses, with the guarded
+    element instantiated as u;v & x;y (the provable case).  Deterministic
+    for a fixed seed.
     """
-    comp, conv = s.tables
-    nel = s.n_elements
-    rng = random.Random(seed)
-    names = ("a", "b", "c", "d", "u", "v", "x", "y")
-    ident = s.ident
-    top = s.top
-    C = comp
-    V = conv
-
-    def leq(x, y):
-        return (x & y) == x
-
-    batch = 4096
-    done = 0
-    while done < samples:
-        take = min(batch, samples - done)
-        vals = np.array(
-            [[rng.randrange(nel) for _ in names] for _ in range(take)], dtype=np.int64
-        )
-        a, b, c, d, u, v, x, y = (vals[:, i] for i in range(8))
-        hyp = (C[V[a], a] & ident) == C[V[a], a]
-        hyp &= (C[V[b], b] & ident) == C[V[b], b]
-        hyp &= C[a, top] == C[b, top]
-        hyp &= ((C[a, V[a]] & C[b, V[b]]) & ident) == (C[a, V[a]] & C[b, V[b]])
-        hyp &= C[C[V[a], top], b] == C[V[a], b]
-        hyp &= (C[V[c], c] & ident) == C[V[c], c]
-        hyp &= (C[V[d], d] & ident) == C[V[d], d]
-        t = C[u, v] & C[x, y]
-        hyp &= (t & C[V[c], d]) == t
-        hyp9 = C[V[u], x] & C[v, V[y]]
-        hyp &= (hyp9 & C[V[a], b]) == hyp9
-        lhs = t
-        rhs = C[C[u, V[a]] & C[x, V[b]], C[a, v] & C[b, y]]
-        bad = hyp & (lhs != rhs)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            ce = {nm: int(vals[i, j]) for j, nm in enumerate(names)}
-            return KReport(s.label or "ra", done + i + 1, seed, ce)
-        done += take
-    return KReport(s.label or "ra", samples, seed, None)
+    law = product_formula("K")
+    tested, ce = model.search(s.handle(), law, model.Sample(samples, seed))
+    return KReport(s.label or "ra", tested, seed, ce)

@@ -1,52 +1,20 @@
-"""Hot numeric kernels with JIT and pure-numpy implementations.
-
-Two jobs dominate runtime: the associativity filter over candidate atom
+"""Hot numeric kernels: the associativity filter over candidate atom
 structures during enumeration, and the element-level checks of the three
-product-decomposition formulas (millions to hundreds of millions of tuple
-evaluations per structure).  Both ship in two functionally identical
-flavours: tight loops compiled with numba, and vectorized numpy.
+product-decomposition formulas.
 
-The BRANCHALG_KERNEL environment variable selects the backend: "numba",
-"numpy", or "auto" (default; numba when importable).
+The formula checks run the J, L and M laws of the catalog through the block
+evaluator in model.search; reference_violation is a plain brute force kept
+as the test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
-ENV_FLAG = "BRANCHALG_KERNEL"
-
-_numba_mod = None
-
-
-def _try_numba():
-    global _numba_mod
-    if _numba_mod is None:
-        try:
-            import numba
-
-            _numba_mod = numba
-        except ImportError:
-            _numba_mod = False
-    return _numba_mod
-
-
-def backend() -> str:
-    """Resolve the active kernel backend from the environment."""
-    choice = os.environ.get(ENV_FLAG, "auto")
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{ENV_FLAG} must be auto, numba, or numpy, not {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if _try_numba():
-        return "numba"
-    if choice == "numba":
-        raise RuntimeError(f"{ENV_FLAG}=numba but numba is not importable")
-    return "numpy"
-
+from .. import laws, model
+from .atoms import table_handle
 
 # --- associativity filter --------------------------------------------------
 
@@ -67,14 +35,10 @@ def associative_candidates(n: int, forced, orbits, chunk: int = 1 << 20):
         for x, y, z in orbit:
             contrib[i, x, y] |= 1 << z
     total = 1 << n_orbits
-    use = backend()
     survivors: list[int] = []
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        if use == "numba":
-            mask = _assoc_chunk_numba(base, contrib, start, stop, n)
-        else:
-            mask = _assoc_chunk_numpy(base, contrib, start, stop, n)
+        mask = _assoc_chunk_numpy(base, contrib, start, stop, n)
         survivors.extend(start + i for i in np.flatnonzero(mask))
     out = []
     for bits in survivors:
@@ -109,308 +73,19 @@ def _assoc_chunk_numpy(base, contrib, start, stop, n):
     return ok
 
 
-def _assoc_chunk_numba(base, contrib, start, stop, n):
-    fn = _get_numba()["assoc"]
-    return fn(
-        base.astype(np.uint32),
-        contrib.astype(np.uint32),
-        np.int64(start),
-        np.int64(stop),
-        np.int64(n),
-    )
-
-
 # --- element-level product-formula checks ----------------------------------
-#
-# Variables range over all elements of the algebra.  Each function returns
-# the first violating assignment as a tuple of element bitmasks, or None.
 
 
 def find_violation(comp: np.ndarray, conv: np.ndarray, formula: str):
-    comp = np.ascontiguousarray(comp, dtype=np.int64)
-    conv = np.ascontiguousarray(conv, dtype=np.int64)
-    use = backend()
-    table = _NUMBA_DISPATCH if use == "numba" else _NUMPY_DISPATCH
-    try:
-        fn = table[formula]
-    except KeyError:
-        raise ValueError(f"unknown formula {formula!r}") from None
-    out = fn(comp, conv)
-    if out is None:
-        return None
-    return tuple(int(v) for v in out)
+    """First violation of formula J, L or M over the elements of the algebra
+    with these tables, as {variable: bitmask}, or None.
 
-
-def _j_numpy(C, V):
-    nel = C.shape[0]
-    els = np.arange(nel)
-    gv, gy = np.meshgrid(els, els, indexing="ij")
-    VV, YY = gv.ravel(), gy.ravel()
-    VY = C[VV, V[YY]]
-    for a in range(nel):
-        ca = V[a]
-        for b in range(nel):
-            ab = C[ca, b]
-            for u in range(nel):
-                cu = V[u]
-                UV = C[u, VV]
-                ua = C[u, ca]
-                AV = C[a, VV]
-                for x in range(nel):
-                    hyps = C[cu, x] & VY
-                    hyp = (hyps & ab) == hyps
-                    if not hyp.any():
-                        continue
-                    lhs = UV & C[x, YY]
-                    rhs = C[ua & C[x, V[b]], AV & C[b, YY]]
-                    bad = hyp & ((lhs & rhs) != lhs)
-                    if bad.any():
-                        i = int(np.flatnonzero(bad)[0])
-                        return (a, b, u, int(VV[i]), x, int(YY[i]))
-    return None
-
-
-def _l_numpy(C, V):
-    nel = C.shape[0]
-    els = np.arange(nel)
-    gw, gx = np.meshgrid(els, els, indexing="ij")
-    WW, XX = gw.ravel(), gx.ravel()
-    WX = C[WW, XX]
-    for u in range(nel):
-        cu = V[u]
-        CUW = C[cu, WW]
-        for v in range(nel):
-            t0 = C[u, v]
-            lhs12 = t0 & WX
-            if not lhs12.any():
-                continue
-            i1 = CUW & C[v, V[XX]]
-            for y in range(nel):
-                p1 = C[cu, y]
-                p2 = C[V[y], WW]
-                for z in range(nel):
-                    lhs = lhs12 & C[y, z]
-                    mask = lhs != 0
-                    if not mask.any():
-                        continue
-                    inner = i1 & C[p1 & C[v, V[z]], p2 & C[z, V[XX]]]
-                    rhs = C[C[u, inner], XX]
-                    bad = mask & ((lhs & rhs) != lhs)
-                    if bad.any():
-                        i = int(np.flatnonzero(bad)[0])
-                        return (u, v, int(WW[i]), int(XX[i]), y, z)
-    return None
-
-
-def _m_numpy(C, V):
-    nel = C.shape[0]
-    els = np.arange(nel)
-    gq, gu, gs = np.meshgrid(els, els, els, indexing="ij")
-    QQ, UU, SS = gq.ravel(), gu.ravel(), gs.ravel()
-    CS = V[SS]
-    R2 = C[UU, CS]
-    for w in range(nel):
-        cw = V[w]
-        H1 = C[cw, UU]
-        for p in range(nel):
-            a0 = C[w, p]
-            F1 = C[p, QQ]
-            for v in range(nel):
-                a2 = v & a0
-                if a2 == 0:
-                    continue
-                for r in range(nel):
-                    b1 = C[p, r]
-                    e1 = C[v, r]
-                    lhs = UU & C[a2, QQ & C[r, SS]]
-                    mask = lhs != 0
-                    if not mask.any():
-                        continue
-                    r1 = C[H1 & F1, CS]
-                    r3 = C[cw, R2 & e1]
-                    rhs = C[C[w, r1 & b1 & r3], SS]
-                    bad = mask & ((lhs & rhs) != lhs)
-                    if bad.any():
-                        i = int(np.flatnonzero(bad)[0])
-                        return (int(UU[i]), v, w, p, int(QQ[i]), r, int(SS[i]))
-    return None
-
-
-_NUMPY_DISPATCH = {"J": _j_numpy, "L": _l_numpy, "M": _m_numpy}
-
-
-_numba_cache: dict | None = None
-
-
-def _get_numba():
-    global _numba_cache
-    if _numba_cache is not None:
-        return _numba_cache
-    numba = _try_numba()
-    if not numba:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    njit = numba.njit
-
-    @njit(cache=True)
-    def assoc(base, contrib, start, stop, n):
-        count = stop - start
-        n_orbits = contrib.shape[0]
-        out = np.zeros(count, dtype=np.bool_)
-        comp = np.zeros((n, n), dtype=np.uint32)
-        for idx in range(count):
-            bits = start + idx
-            for x in range(n):
-                for y in range(n):
-                    comp[x, y] = base[x, y]
-            for i in range(n_orbits):
-                if (bits >> i) & 1:
-                    for x in range(n):
-                        for y in range(n):
-                            comp[x, y] |= contrib[i, x, y]
-            good = True
-            for x in range(n):
-                for y in range(n):
-                    cxy = comp[x, y]
-                    for z in range(n):
-                        lhs = np.uint32(0)
-                        rhs = np.uint32(0)
-                        cyz = comp[y, z]
-                        for w in range(n):
-                            if (cxy >> w) & 1:
-                                lhs |= comp[w, z]
-                            if (cyz >> w) & 1:
-                                rhs |= comp[x, w]
-                        if lhs != rhs:
-                            good = False
-                            break
-                    if not good:
-                        break
-                if not good:
-                    break
-            out[idx] = good
-        return out
-
-    @njit(cache=True)
-    def j_kernel(C, V):
-        nel = C.shape[0]
-        for a in range(nel):
-            ca = V[a]
-            for b in range(nel):
-                ab = C[ca, b]
-                cb = V[b]
-                for u in range(nel):
-                    cu = V[u]
-                    ua = C[u, ca]
-                    for x in range(nel):
-                        h1 = C[cu, x]
-                        xb = C[x, cb]
-                        for v in range(nel):
-                            uv = C[u, v]
-                            av = C[a, v]
-                            for y in range(nel):
-                                hyp = h1 & C[v, V[y]]
-                                if (hyp & ab) != hyp:
-                                    continue
-                                lhs = uv & C[x, y]
-                                if lhs == 0:
-                                    continue
-                                rhs = C[ua & xb, av & C[b, y]]
-                                if (lhs & rhs) != lhs:
-                                    return np.array(
-                                        [a, b, u, v, x, y], dtype=np.int64
-                                    )
-        return np.array([-1], dtype=np.int64)
-
-    @njit(cache=True)
-    def l_kernel(C, V):
-        nel = C.shape[0]
-        for u in range(nel):
-            cu = V[u]
-            for v in range(nel):
-                t0 = C[u, v]
-                if t0 == 0:
-                    continue
-                for w in range(nel):
-                    h1 = C[cu, w]
-                    for x in range(nel):
-                        lhs12 = t0 & C[w, x]
-                        if lhs12 == 0:
-                            continue
-                        cx = V[x]
-                        i1 = h1 & C[v, cx]
-                        for y in range(nel):
-                            p1 = C[cu, y]
-                            p2 = C[V[y], w]
-                            for z in range(nel):
-                                lhs = lhs12 & C[y, z]
-                                if lhs == 0:
-                                    continue
-                                inner = i1 & C[
-                                    p1 & C[v, V[z]], p2 & C[z, cx]
-                                ]
-                                rhs = C[C[u, inner], x]
-                                if (lhs & rhs) != lhs:
-                                    return np.array(
-                                        [u, v, w, x, y, z], dtype=np.int64
-                                    )
-        return np.array([-1], dtype=np.int64)
-
-    @njit(cache=True)
-    def m_kernel(C, V):
-        nel = C.shape[0]
-        for w in range(nel):
-            cw = V[w]
-            for p in range(nel):
-                a0 = C[w, p]
-                for v in range(nel):
-                    a2 = v & a0
-                    if a2 == 0:
-                        continue
-                    for r in range(nel):
-                        b1 = C[p, r]
-                        e1 = C[v, r]
-                        for q in range(nel):
-                            f1 = C[p, q]
-                            for u in range(nel):
-                                h1 = C[cw, u]
-                                h2 = (h1 & f1)
-                                for s in range(nel):
-                                    lhs = u & C[a2, q & C[r, s]]
-                                    if lhs == 0:
-                                        continue
-                                    cs = V[s]
-                                    r1 = C[h2, cs]
-                                    r3 = C[cw, C[u, cs] & e1]
-                                    rhs = C[C[w, r1 & b1 & r3], s]
-                                    if (lhs & rhs) != lhs:
-                                        return np.array(
-                                            [u, v, w, p, q, r, s],
-                                            dtype=np.int64,
-                                        )
-        return np.array([-1], dtype=np.int64)
-
-    _numba_cache = {
-        "assoc": assoc,
-        "J": lambda C, V: _unpack(j_kernel(C, V)),
-        "L": lambda C, V: _unpack(l_kernel(C, V)),
-        "M": lambda C, V: _unpack(m_kernel(C, V)),
-    }
-    return _numba_cache
-
-
-def _unpack(arr):
-    return None if arr[0] == -1 else tuple(int(v) for v in arr)
-
-
-class _NumbaDispatch(dict):
-    def __missing__(self, key):
-        return _get_numba()[key]
-
-    def __getitem__(self, key):
-        return _get_numba()[key]
-
-
-_NUMBA_DISPATCH = _NumbaDispatch()
+    Variables that model.reducible admits range over the atoms alone, which
+    finds a violation whenever one over all elements exists.
+    """
+    law = laws.product_formula(formula)
+    m = table_handle(comp, conv)
+    return model.search(m, law, model.Exhaustive(), model.reducible(law))[1]
 
 
 # --- reference (slow, obviously correct) versions for cross-checks ---------
@@ -418,7 +93,7 @@ _NUMBA_DISPATCH = _NumbaDispatch()
 
 def reference_violation(comp, conv, formula: str, limit_elems=None):
     """Plain-python brute force over all element assignments; used by tests
-    to validate both fast paths on small algebras."""
+    to validate the evaluator on small algebras."""
     C = comp
     V = conv
     nel = C.shape[0] if limit_elems is None else limit_elems

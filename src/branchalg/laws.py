@@ -13,6 +13,8 @@ fixed generators, while finite models quantify them like ordinary variables.
 
 from __future__ import annotations
 
+import functools
+
 from .model import Law
 from .terms import ID, TOP, Conv, Meet, Term, comp, conv, parse_term
 from .thompson import GENERATORS, defer0, defer1, fkc, nabla, otimes
@@ -596,6 +598,16 @@ def law_catalog() -> list[Law]:
         + _parallel_laws()
         + _presentation_laws()
     )
+
+
+@functools.cache
+def product_formula(name: str) -> Law:
+    """Law J, L, M or K, built once per process (law_by_id rebuilds the
+    whole catalog on every call)."""
+    for law in _product_formulas():
+        if law.id == name:
+            return law
+    raise ValueError(f"unknown formula {name!r}")
 
 
 def law_by_id(law_id: str) -> Law:

@@ -4,19 +4,28 @@ A ModelHandle packages the operations of a concrete algebra (the tree-relation
 model or a finite algebra given by atom tables).  Laws are universally
 quantified implications between term equations; they are checked semantically,
 either over every assignment (finite models) or over seeded samples.
+
+One term compiler serves every model.  A finite model's operations are
+gathers on its composition and converse tables, so the same compiled term
+evaluates a whole block of assignments at once when its variables are bound
+to int64 arrays; a handle that carries tables is checked that way.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
+
+import numpy as np
 
 from . import terms
 from .terms import Term
 
 EXHAUSTIVE_CAP = 1 << 20
+BLOCK = 1 << 12  # assignments evaluated together on a finite model
 
 
 class ModelError(Exception):
@@ -53,6 +62,10 @@ class ModelHandle:
     elements: Callable[[], list] | None = None
     sample_pool: Callable[[], list] | None = None
     format_element: Callable[[Any], str] = repr
+    atoms: Callable[[], list] | None = None
+    # (comp, conv) element tables of a finite model whose operations also
+    # work elementwise on int64 arrays; laws are then checked in blocks
+    tables: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def eval_term(m: ModelHandle, t: Term, env: dict[str, Any]) -> Any:
@@ -202,34 +215,38 @@ def check_law(m: ModelHandle, law: Law, strategy) -> LawReport:
     if not names:
         strategy = Exhaustive()
     if isinstance(strategy, Exhaustive):
-        if not names:
-            assignments = [()]
-            label = "exhaustive"
-            return _run_assignments(m, law, names, assignments, label)
-        if m.elements is None:
+        if names and m.elements is None:
             raise StrategyUnavailableError(
                 f"model {m.name} has no element iterator for exhaustive checking"
             )
-        elems = list(m.elements())
-        total = len(elems) ** len(names) if names else 1
+        total = len(m.elements()) ** len(names) if names else 1
         if total > strategy.cap:
             raise StrategyUnavailableError(
                 f"law {law.id}: {total} assignments exceed the exhaustive cap"
             )
-        assignments = itertools.product(elems, repeat=len(names))
         label = "exhaustive"
     elif isinstance(strategy, Sample):
         if m.sample_pool is None:
             raise StrategyUnavailableError(f"model {m.name} has no sample pool")
-        pool = list(m.sample_pool())
-        rng = random.Random(strategy.seed)
-        assignments = (
-            tuple(rng.choice(pool) for _ in names) for _ in range(strategy.n)
-        )
         label = f"sample(n={strategy.n},seed={strategy.seed})"
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _run_assignments(m, law, names, assignments, label)
+    if m.tables is None:
+        return _run_assignments(m, law, names, _assignments(m, names, strategy), label)
+    tested, env = search(m, law, strategy)
+    ce = None if env is None else {k: m.format_element(v) for k, v in env.items()}
+    return LawReport(law.id, label, tested, env is None, ce)
+
+
+def _assignments(m: ModelHandle, names, strategy):
+    """The strategy's assignments as tuples: every one in itertools.product
+    order, or seeded draws from the sample pool."""
+    if isinstance(strategy, Exhaustive):
+        pool = list(m.elements()) if names else []
+        return itertools.product(pool, repeat=len(names))
+    pool = list(m.sample_pool())
+    rng = random.Random(strategy.seed)
+    return (tuple(rng.choice(pool) for _ in names) for _ in range(strategy.n))
 
 
 def _run_assignments(m, law, names, assignments, label) -> LawReport:
@@ -247,6 +264,125 @@ def _run_assignments(m, law, names, assignments, label) -> LawReport:
                     ce = {k: m.format_element(v) for k, v in env.items()}
                     return LawReport(law.id, label, tested, False, ce)
     return LawReport(law.id, label, tested, True)
+
+
+def search(
+    m: ModelHandle, law: Law, strategy, atom_vars=frozenset()
+) -> tuple[int, dict[str, int] | None]:
+    """First counterexample to a law on a finite model, evaluated a block of
+    assignments at a time.
+
+    Walks the same assignments in the same order as the per-assignment check;
+    exhaustive search lets the variables in atom_vars range over the atoms
+    only (see reducible) and ignores the cap, which check_law enforces.
+    Returns how many assignments were tested, up to and including the
+    counterexample, and the counterexample as {variable: element}, or None.
+    """
+    names = law.quantified_variables(m)
+    if isinstance(strategy, Exhaustive):
+        pools = [m.atoms() if v in atom_vars else m.elements() for v in names]
+        blocks = _product_blocks(pools)
+    else:
+        blocks = _chunks(_assignments(m, names, strategy), len(names))
+    hyps = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.hypotheses]
+    concls = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.conclusions]
+    rel = {"=": m.equal, "<=": m.leq}
+
+    tested = 0
+    for block in blocks:
+        rows = np.arange(block.shape[1])
+        env = dict(zip(names, block))
+        for fl, op, fr in hyps:
+            keep = np.broadcast_to(rel[op](fl(env), fr(env)), rows.shape)
+            rows = rows[keep]
+            env = {k: v[keep] for k, v in env.items()}
+        if rows.size:
+            bad = np.zeros(rows.shape, dtype=bool)
+            for fl, op, fr in concls:
+                bad |= ~np.broadcast_to(rel[op](fl(env), fr(env)), rows.shape)
+            if bad.any():
+                i = int(rows[bad.argmax()])
+                return tested + i + 1, {k: int(v[i]) for k, v in zip(names, block)}
+        tested += block.shape[1]
+    return tested, None
+
+
+def _product_blocks(pools):
+    """Every assignment drawing variable i from pools[i], in itertools.product
+    order, as (len(pools), rows) int64 blocks of at most BLOCK rows."""
+    if not pools:
+        yield np.zeros((0, 1), dtype=np.int64)
+        return
+    pools = [np.asarray(p, dtype=np.int64) for p in pools]
+    sizes = tuple(len(p) for p in pools)
+    total = int(np.prod(sizes))
+    for start in range(0, total, BLOCK):
+        digits = np.unravel_index(np.arange(start, min(start + BLOCK, total)), sizes)
+        yield np.stack([p[d] for p, d in zip(pools, digits)])
+
+
+def _chunks(assignments, k: int):
+    it = iter(assignments)
+    while chunk := list(itertools.islice(it, BLOCK)):
+        yield np.array(chunk, dtype=np.int64).reshape(len(chunk), k).T
+
+
+def reducible(law: Law) -> frozenset[str]:
+    """Variables of a law that may range over the atoms alone, on a finite
+    algebra whose elements are sets of atoms.
+
+    The generator symbols a and b count as variables.  A variable v
+    qualifies when the law is a J-signature law and
+
+    1. every conclusion is a `<=` whose left side contains v exactly once;
+    2. every hypothesis that mentions v is a `<=` with v only on its left.
+
+    Proof.  Composition, meet and converse are completely additive and
+    strict in each argument (Jonsson and Tarski, Boolean algebras with
+    operators, 1951), so a J-term in which v occurs once is additive and
+    strict in v, and every J-term is monotone in v.  Let an assignment s
+    violate the law: every hypothesis holds and some conclusion L <= R
+    fails.  L contains v, so s(v) = 0 would make L = 0 and the conclusion
+    true; hence s(v) is a join of atoms t_1..t_n with n >= 1, and
+    L(s) = L(s[v:=t_1]) + ... + L(s[v:=t_n]).  Were every L(s[v:=t_i])
+    below R(s[v:=t_i]), which is below R(s) by monotonicity, L(s) would be
+    below R(s); so some atom t_i has L(s[v:=t_i]) not below R(s[v:=t_i]).
+    A hypothesis mentioning v reads H <= G with v in H only, and
+    H(s[v:=t_i]) <= H(s) <= G; the other hypotheses do not see v.  So
+    s[v:=t_i] violates the law too.  The step keeps every other variable's
+    value, so all qualifying variables may be restricted at once.
+
+    Rule 1 cannot be weakened to "conclusions that mention v": with the
+    conclusion w <= v in the one-atom algebra, w = 1, v = 0 is a violation
+    that no atom value of v reproduces.
+    """
+    if law.signature != "J":
+        return frozenset()
+    out = set(law.variables)
+    if law._mentions_generators():
+        out |= {"a", "b"}
+    for lhs, op, _ in law.conclusions:
+        left = Counter(_leaves(lhs))
+        out = {v for v in out if op == "<=" and left[v] == 1}
+    for lhs, op, rhs in law.hypotheses:
+        left, right = Counter(_leaves(lhs)), Counter(_leaves(rhs))
+        out = {v for v in out if not right[v] and (op == "<=" or not left[v])}
+    return frozenset(out)
+
+
+def _leaves(t: Term):
+    """Variable names at the leaves of a term, generators as a and b."""
+    if isinstance(t, terms.Var):
+        yield t.name
+    elif isinstance(t, terms.GenA):
+        yield "a"
+    elif isinstance(t, terms.GenB):
+        yield "b"
+    elif isinstance(t, (terms.Conv, terms.Compl)):
+        yield from _leaves(t.child)
+    elif isinstance(t, (terms.Comp, terms.Meet, terms.Join)):
+        yield from _leaves(t.left)
+        yield from _leaves(t.right)
 
 
 def is_functional(m: ModelHandle, e) -> bool:

@@ -153,11 +153,6 @@ def verify_generator_forms() -> list[str]:
     return bad
 
 
-_mismatched = verify_generator_forms()
-if _mismatched:  # import-time guard: the two constructions must agree
-    raise AssertionError(f"generator forms disagree: {_mismatched}")
-
-
 # --- suites ---------------------------------------------------------------
 
 

@@ -157,3 +157,20 @@ def test_missing_file_is_engine_error(capsys):
 def test_usage_exit_code(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+
+
+MALFORMED = {
+    "cycle-out-of-range": "atoms=2 identity=0 converse=0,1\ncycle 0 0 5\n",
+    "short-converse": "atoms=3 identity=0 converse=0,1\n",
+    "nine-letters": "atoms=10 identity=0 converse=" + ",".join(map(str, range(10))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("command", [["check-jlm"], ["check-law", "p2", "--model"]])
+def test_malformed_structure_file_is_usage_error(capsys, tmp_path, case, command):
+    path = tmp_path / f"{case}.ra"
+    path.write_text(MALFORMED[case])
+    code, out, err = run(capsys, [*command, str(path)])
+    assert code == 2
+    assert out == "" and err.startswith("error:")

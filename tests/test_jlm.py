@@ -1,9 +1,11 @@
 import pytest
 
+from branchalg import laws, model
 from branchalg.finra import check_jlm, check_k
 from branchalg.finra import kernels
 from branchalg.finra.atoms import from_cycles
-from branchalg.finra.jlm import SizeCapExceeded, profile_structures
+from branchalg.finra.jlm import FORMULAS, SizeCapExceeded, profile_structures
+from branchalg.terms import parse_term
 
 EXPECTED = {
     "1'abb~": (5, 0, 2, 0, 0, 0, 2, 28),
@@ -11,10 +13,21 @@ EXPECTED = {
     "1'aa~bb~": (9, 0, 4, 1, 1, 0, 8, 60),
 }
 
+EXPECTED_ELEMENTS = {
+    "1'abb~": (5, 0, 2, 0, 0, 0, 2, 28),
+    "1'abc": (5, 2, 3, 0, 1, 0, 6, 48),
+}
+
 
 @pytest.mark.parametrize("signature", ["1'abb~", "1'abc"])
 def test_atom_profiles_match_published_counts(enumerated, signature):
     assert profile_structures(enumerated(signature)) == EXPECTED[signature]
+
+
+@pytest.mark.parametrize("signature", ["1'abb~", "1'abc"])
+def test_element_profiles(enumerated, signature):
+    got = profile_structures(enumerated(signature), mode="elements")
+    assert got == EXPECTED_ELEMENTS[signature]
 
 
 @pytest.mark.slow
@@ -44,7 +57,7 @@ def test_element_mode_is_strictly_stronger(enumerated):
     s, assignment = witnesses[0]
     # the reported assignment is a genuine element-level violation
     comp, conv = s.tables
-    a, b, u, v, x, y = assignment
+    a, b, u, v, x, y = (assignment[k] for k in ("a", "b", "u", "v", "x", "y"))
     hyp = comp[conv[u], x] & comp[v, conv[y]]
     assert (hyp & comp[conv[a], b]) == hyp
     lhs = comp[u, v] & comp[x, y]
@@ -53,7 +66,7 @@ def test_element_mode_is_strictly_stronger(enumerated):
     ]
     assert (lhs & rhs) != lhs
     # at least one variable is a proper join of atoms
-    assert any(bin(val).count("1") > 1 for val in assignment)
+    assert any(bin(val).count("1") > 1 for val in assignment.values())
 
 
 def test_kernels_agree_with_reference_on_small_algebras(enumerated):
@@ -66,30 +79,7 @@ def test_kernels_agree_with_reference_on_small_algebras(enumerated):
             assert (ref is None) == (got is None), (s.label, formula)
 
 
-@pytest.mark.parametrize("formula", ["J", "L", "M"])
-def test_numba_and_numpy_paths_agree(enumerated, formula, monkeypatch):
-    if not kernels._try_numba():
-        pytest.skip("numba unavailable")
-    for s in enumerated("1'abb~")[:4]:
-        comp, conv = s.tables
-        monkeypatch.setenv(kernels.ENV_FLAG, "numpy")
-        v_np = kernels.find_violation(comp, conv, formula)
-        monkeypatch.setenv(kernels.ENV_FLAG, "numba")
-        v_nb = kernels.find_violation(comp, conv, formula)
-        assert (v_np is None) == (v_nb is None), (s.label, formula, v_np, v_nb)
-
-
-def test_backend_selection(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_FLAG, "numpy")
-    assert kernels.backend() == "numpy"
-    monkeypatch.setenv(kernels.ENV_FLAG, "bogus")
-    with pytest.raises(ValueError):
-        kernels.backend()
-
-
 def test_sample_mode_sound_and_deterministic(enumerated):
-    from branchalg.finra.jlm import _formula_violated
-
     clean = [s for s in enumerated("1'abb~") if not check_jlm(s).failed][0]
     rec = check_jlm(clean, mode="sample", samples=5_000, seed=1)
     assert rec.failed == ()  # sampling never refutes a passing structure
@@ -98,10 +88,10 @@ def test_sample_mode_sound_and_deterministic(enumerated):
     r1 = check_jlm(failing, mode="sample", samples=5_000, seed=7)
     r2 = check_jlm(failing, mode="sample", samples=5_000, seed=7)
     assert r1.failures == r2.failures
-    comp, conv = failing.tables
+    m = failing.handle()
     for formula, assign in r1.failures.items():
         if assign is not None:
-            assert _formula_violated(comp, conv, formula, assign)
+            assert model.rerun_counterexample(m, laws.law_by_id(formula), assign)
 
 
 def test_element_mode_size_cap(enumerated):
@@ -138,3 +128,73 @@ def test_check_k_passes_on_enumerated_representables(enumerated):
     clean = [s for s in enumerated("1'abb~") if not check_jlm(s).failed]
     for s in clean[:3]:
         assert check_k(s, samples=20_000, seed=0).passed
+
+
+def test_reducible_on_the_formula_laws():
+    get = laws.product_formula
+    assert model.reducible(get("J")) == {"u", "v", "x", "y"}
+    assert model.reducible(get("L")) == set(get("L").variables)
+    assert model.reducible(get("M")) == set(get("M").variables)
+    assert model.reducible(get("K")) == frozenset()
+
+
+def _rel(spec):
+    op = "<=" if "<=" in spec else "="
+    lhs, rhs = spec.split(op, 1)
+    return (parse_term(lhs), op, parse_term(rhs))
+
+
+def _law(hyps, concls, signature="J"):
+    return model.Law(
+        id="synthetic",
+        variables=("x", "y"),
+        hypotheses=tuple(_rel(h) for h in hyps),
+        conclusions=tuple(_rel(c) for c in concls),
+        signature=signature,
+    )
+
+
+def test_reducible_admits_a_left_only_variable():
+    # x is once on the conclusion's left and only on the hypothesis' left;
+    # y sits on the hypothesis' right
+    assert model.reducible(_law(["conv(x);x <= y"], ["x;y <= 1"])) == {"x"}
+
+
+@pytest.mark.parametrize(
+    "hyps, concls, signature",
+    [
+        (["conv(x);x <= y"], ["x;y <= 1"], "RA"),  # not a J-signature law
+        (["conv(x);x <= y"], ["x;y = 1"], "J"),  # conclusion is an equation
+        (["conv(x);x <= y"], ["x;x;y <= 1"], "J"),  # twice on the left
+        (["conv(x);x <= y"], ["x;y <= 1", "y <= x"], "J"),  # missing on a left
+        (["conv(x);x = y"], ["x;y <= 1"], "J"),  # hypothesis is an equation
+        (["conv(x);x <= y", "y <= x"], ["x;y <= 1"], "J"),  # on a hypothesis' right
+    ],
+)
+def test_reducible_rejects(hyps, concls, signature):
+    assert "x" not in model.reducible(_law(hyps, concls, signature))
+
+
+def _assert_reduction_agrees(structures, formulas):
+    for s in structures:
+        m = s.handle()
+        for f in formulas:
+            law = laws.product_formula(f)
+            full = model.search(m, law, model.Exhaustive())[1]
+            reduced = kernels.find_violation(*s.tables, f)
+            assert (full is None) == (reduced is None), (s.label, f)
+            if reduced is not None:
+                assert model.rerun_counterexample(m, law, reduced)
+
+
+def test_reduced_and_full_quantification_agree(enumerated):
+    # every structure with at most three atoms
+    sigs = ("1'", "1'a", "1'aa~", "1'ab")
+    _assert_reduction_agrees([s for sig in sigs for s in enumerated(sig)], FORMULAS)
+
+
+@pytest.mark.slow
+def test_reduced_and_full_quantification_agree_on_four_atoms(enumerated):
+    # J and L only: full quantification of M takes 16**7 assignments each
+    structures = enumerated("1'abb~") + enumerated("1'abc")
+    _assert_reduction_agrees(structures, ("J", "L"))

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from branchalg import branchrel, laws, model, terms
@@ -145,17 +148,76 @@ def test_j_signature_rejects_union():
 
 
 def test_product_formula_counterexample_refails(enumerated):
-    # the atom-level violations found by the profile machinery are genuine
-    # counterexamples to the formula laws
-    for s in enumerated("1'abb~"):
-        rec = check_jlm(s, mode="atoms")
-        if rec.failures["J"] is not None:
-            a, b, u, v, x, y = rec.failures["J"]
-            m = s.handle()
-            env = {"a": a, "b": b, "u": u, "v": v, "x": x, "y": y}
-            assert model.rerun_counterexample(m, laws.law_by_id("J"), env)
-            return
-    pytest.fail("expected at least one structure failing the J formula")
+    # every atom- and element-level violation found by the profile machinery
+    # is a genuine counterexample to the formula law
+    found = 0
+    for s in enumerated("1'abb~") + enumerated("1'abc"):
+        m = s.handle()
+        for mode in ("atoms", "elements"):
+            rec = check_jlm(s, mode=mode)
+            for f in rec.failed:
+                env = rec.failures[f]
+                assert model.rerun_counterexample(m, laws.law_by_id(f), env)
+                found += 1
+    assert found > 0
+
+
+# laws that fail in most algebras, so that counterexamples get compared too
+FALSE_LAWS = [
+    model.Law(
+        id="false-leq",
+        variables=("x", "y"),
+        hypotheses=((parse_term("x;y"), "<=", parse_term("y;x")),),
+        conclusions=((parse_term("x"), "<=", parse_term("conv(y)")),),
+        signature="RA",
+    ),
+    model.Law(
+        id="false-eq",
+        variables=("x",),
+        hypotheses=(),
+        conclusions=(
+            (parse_term("x"), "<=", parse_term("1")),
+            (parse_term("a;x"), "=", parse_term("x;b")),
+        ),
+    ),
+    model.Law(  # first fails after more than one block of assignments
+        id="false-late",
+        variables=tuple("pqrstuv"),
+        hypotheses=(),
+        conclusions=(
+            (parse_term("p & q & r & s & t & u & v"), "<=", parse_term("0")),
+        ),
+    ),
+]
+
+
+def test_block_evaluation_matches_scalar_exhaustively(enumerated):
+    m = enumerated("1'a")[1].handle()
+    elems = list(m.elements())
+    failures = 0
+    for law in laws.law_catalog() + FALSE_LAWS:
+        names = law.quantified_variables(m)
+        want = model._run_assignments(
+            m, law, names, itertools.product(elems, repeat=len(names)), "exhaustive"
+        )
+        assert check_law(m, law, Exhaustive()) == want, law.id
+        failures += not want.passed
+    assert failures >= len(FALSE_LAWS)
+
+
+def test_block_evaluation_matches_scalar_on_samples(enumerated):
+    m = enumerated("1'abb~")[9].handle()
+    pool = list(m.sample_pool())
+    failures = 0
+    for law in laws.law_catalog() + FALSE_LAWS:
+        names = law.quantified_variables(m)
+        rng = random.Random(0)
+        draws = (tuple(rng.choice(pool) for _ in names) for _ in range(200))
+        label = "sample(n=200,seed=0)"
+        want = model._run_assignments(m, law, names, draws, label)
+        assert check_law(m, law, Sample(200, 0)) == want, law.id
+        failures += not want.passed
+    assert failures >= len(FALSE_LAWS)
 
 
 def test_law_report_line_format(fmodel):
