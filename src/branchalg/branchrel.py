@@ -32,21 +32,6 @@ Endpoint = tuple[str, str]  # (side, address), sides "L"/"R", address over "01"
 Constraint = tuple[Endpoint, Endpoint]
 
 
-class ProjectionIncomplete(Exception):
-    """Composition failed to close its projection onto a finite generator set.
-
-    Carries the partial generator set for diagnosis.  The repair loop makes
-    this a loud error instead of a silent wrong answer.
-    """
-
-    def __init__(self, partial: frozenset[Constraint]):
-        super().__init__(
-            f"projection repair loop exceeded its iteration cap "
-            f"({len(partial)} partial constraints)"
-        )
-        self.partial = partial
-
-
 def _orient(c: Constraint) -> Constraint:
     p, q = c
     return (p, q) if _ep_key(p) <= _ep_key(q) else (q, p)
@@ -322,27 +307,56 @@ def converse(r: BranchRelation) -> BranchRelation:
     )
 
 
-_REPAIR_CAP = 64
-
-
-def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
-    """Relative product: project the shared middle tree out of r1 and r2.
-
-    The combined three-tag constraint system is saturated; a breadth-first
-    walk of its class graph from the two outer roots yields a finite
-    generating set for the projected relation (canonical names along a BFS
-    tree, one constraint per cross edge).  A verification loop re-derives the
-    directly-observed outer constraints from the result and repairs any gap,
-    giving up loudly after a fixed number of rounds.
-    """
-    if r1.is_zero or r2.is_zero:
-        return ZERO
+def _product_engine(r1: BranchRelation, r2: BranchRelation) -> ClosureEngine:
+    """The saturated three-tag system of r1 and r2 over one shared middle:
+    r1's input is tag s, its output the middle m, and r2 maps m to t."""
     eng = ClosureEngine()
     for c in r1.constraints:
         eng.add_constraint(c, {"L": "s", "R": "m"})
     for c in r2.constraints:
         eng.add_constraint(c, {"L": "m", "R": "t"})
     eng.saturate()
+    return eng
+
+
+def entails_product(r1: BranchRelation, r2: BranchRelation, c: Constraint) -> bool:
+    """Oracle for compose: is the outer constraint c (side L the input of r1,
+    side R the output of r2) derivable in the three-tag closure?"""
+    if r1.is_zero or r2.is_zero:
+        raise ValueError("entails_product is undefined on the zero relation")
+    tag = {"L": "s", "R": "t"}
+    (t1, a1), (t2, a2) = c
+    return _product_engine(r1, r2).same((tag[t1], a1), (tag[t2], a2))
+
+
+def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
+    """Relative product: project the shared middle tree out of r1 and r2.
+
+    A breadth-first walk of the saturated three-tag system E3 from the outer
+    roots names each class by the first outer config to reach it (L.u for
+    (s, u), R.u for (t, u)).  Each other child edge, class n along d to
+    class c, emits `name[n].d = name[c]`; roots in one class emit `L.^=R.^`.
+
+    Soundness.  name[n] lies in n and a class's d-child holds x.d for each
+    x in it (right append), so E3 derives every emitted constraint, and so
+    everything their closure E2 derives.
+
+    Completeness.  Let N(x) be name[c] for the class c of the outer config
+    x if the engine holds it, else N(x').d for x = x'.d.  By induction on
+    the address length E2 derives x = N(x): a root is its own name or joined
+    to L.^ by the root constraint; for x = x'.d, right append gives
+    x = N(x').d, which is name[c] by the tree or cross edge (the walk
+    reaches c, as node() does, along child links from the root).  A child
+    the engine lacks is fresh: with no children it never meets pair
+    reconstruction, and it holds exactly the y'.d with y' in the class of
+    x', so it is identified only through its parent.  Configs of one E3
+    class thus share N, and E2 derives their equality.
+
+    `entails_product` decides E3 directly; the tests check compose with it.
+    """
+    if r1.is_zero or r2.is_zero:
+        return ZERO
+    eng = _product_engine(r1, r2)
 
     out: list[Constraint] = []
     name: dict[int, Endpoint] = {}
@@ -371,40 +385,7 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
             else:
                 name[c] = nm
                 queue.append(c)
-
-    result = _rel(out)
-    # verification / repair: every outer-config identification visible in the
-    # three-tag closure must be recoverable from the projected system alone
-    direct = _direct_outer_pairs(eng, r1, r2)
-    for _ in range(_REPAIR_CAP):
-        check = _engine_for(result)
-        missing = [c for c in direct if not check.same(c[0], c[1])]
-        if not missing:
-            return result
-        result = BranchRelation(
-            False, result.constraints | frozenset(_orient(c) for c in missing)
-        )
-    raise ProjectionIncomplete(result.constraints)
-
-
-def _direct_outer_pairs(eng: ClosureEngine, r1, r2) -> list[Constraint]:
-    side_of = {"s": "L", "t": "R"}
-    configs: list[tuple[str, str]] = []
-    for c in r1.constraints:
-        for tag, addr in c:
-            if tag == "L":
-                configs.append(("s", addr))
-    for c in r2.constraints:
-        for tag, addr in c:
-            if tag == "R":
-                configs.append(("t", addr))
-    configs = sorted(set(configs))
-    reps = [(eng.find(eng.node(t, a)), t, a) for t, a in configs]
-    pairs = []
-    for (ra, ta, aa), (rb, tb, ab) in itertools.combinations(reps, 2):
-        if ra == rb:
-            pairs.append(((side_of[ta], aa), (side_of[tb], ab)))
-    return pairs
+    return _rel(out)
 
 
 # --- finite semantic model ------------------------------------------------

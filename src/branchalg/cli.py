@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from . import branchrel, laws, model, terms, thompson
-from .branchrel import ProjectionIncomplete
 from .finra import (
     NotTabular,
     UnsupportedSignatureError,
@@ -105,19 +104,15 @@ def cmd_check_jlm(args) -> int:
     except UnsupportedSignatureError:
         structures = None
     if structures is not None:
-        buckets = {}
-        for s in structures:
-            rec = check_jlm(s, mode=mode, **kw)
-            buckets[rec.failed] = buckets.get(rec.failed, 0) + 1
-        from .finra.jlm import PROFILE_COLUMNS, profile_tsv
-
-        profile = tuple(buckets.get(c, 0) for c in PROFILE_COLUMNS)
-        cols = ["JLM", "JL", "JM", "LM", "J", "L", "M", "none"]
+        profile = finra_jlm.count_profile(
+            check_jlm(s, mode=mode, **kw) for s in structures
+        )
         print(f"total={len(structures)}")
-        print(" ".join(f"fail:{c}={v}" for c, v in zip(cols, profile)))
+        print(finra_jlm.profile_line(profile))
         if args.tsv:
+            row = {args.target: (len(structures), profile)}
             with open(args.tsv, "w") as fh:
-                fh.write(profile_tsv({args.target: (len(structures), profile)}))
+                fh.write(finra_jlm.profile_tsv(row))
         return 0
     s = _load_structure(args.target)
     rec = check_jlm(s, mode=mode, **kw)
@@ -225,7 +220,6 @@ def main(argv=None) -> int:
         model.ModelError,
         EngineError,
         NotTabular,
-        ProjectionIncomplete,
         UnsupportedSignatureError,
         finra_atoms.AtomStructureError,
         finra_jlm.SizeCapExceeded,

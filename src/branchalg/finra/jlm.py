@@ -19,7 +19,6 @@ from .. import model
 from ..laws import product_formula
 from . import kernels
 from .atoms import AtomStructure
-from .enumeration import enumerate_integral
 
 FORMULAS = ("J", "L", "M")
 
@@ -33,6 +32,7 @@ PROFILE_COLUMNS = (
     ("M",),
     (),
 )
+PROFILE_NAMES = tuple("".join(c) or "none" for c in PROFILE_COLUMNS)
 
 
 class SizeCapExceeded(Exception):
@@ -92,27 +92,26 @@ def check_jlm(
     return rec
 
 
-def profile_structures(structures, mode: str = "atoms") -> tuple[int, ...]:
-    """Failure profile over a list of structures: counts per failure set, in
-    the published column order JLM, JL, JM, LM, J, L, M, none."""
+def count_profile(records) -> tuple[int, ...]:
+    """Failure profile of JLM records: counts per failure set, in the
+    published column order JLM, JL, JM, LM, J, L, M, none."""
     buckets: dict[tuple[str, ...], int] = {c: 0 for c in PROFILE_COLUMNS}
-    for s in structures:
-        rec = check_jlm(s, mode=mode)
+    for rec in records:
         buckets[rec.failed] += 1
     return tuple(buckets[c] for c in PROFILE_COLUMNS)
 
 
-def profile_signature(
-    signature: str, mode: str = "atoms", stretch: bool = False
-) -> tuple[int, tuple[int, ...]]:
-    structures = enumerate_integral(signature, stretch=stretch)
-    return len(structures), profile_structures(structures, mode=mode)
+def profile_line(profile: tuple[int, ...]) -> str:
+    return " ".join(f"fail:{c}={v}" for c, v in zip(PROFILE_NAMES, profile))
+
+
+def profile_structures(structures, mode: str = "atoms") -> tuple[int, ...]:
+    """Failure profile of `check_jlm` over a list of structures."""
+    return count_profile(check_jlm(s, mode=mode) for s in structures)
 
 
 def profile_tsv(rows: dict[str, tuple[int, tuple[int, ...]]]) -> str:
-    head = "signature\ttotal\t" + "\t".join(
-        "fail:" + ("".join(c) or "none") for c in PROFILE_COLUMNS
-    )
+    head = "signature\ttotal\t" + "\t".join("fail:" + c for c in PROFILE_NAMES)
     lines = [head]
     for sig, (total, prof) in rows.items():
         lines.append(f"{sig}\t{total}\t" + "\t".join(str(v) for v in prof))

@@ -189,10 +189,16 @@ def conv(t: Term) -> Term:
 _ATOMS = {"a": A, "b": B, "id": ID, "0": ZERO, "1": TOP}
 
 
+# deepest tree and parenthesis nesting parse_term accepts; the parser, printer
+# and evaluators recurse per level and stay far inside Python's limit
+MAX_DEPTH = 100
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -229,7 +235,8 @@ def parse_term(text: str, signature: str = "RA") -> Term:
     """Parse the ASCII term grammar.
 
     With signature="J" the union and complement operators are rejected with
-    RaOnlyOperatorError.
+    RaOnlyOperatorError.  A term deeper than MAX_DEPTH is rejected with
+    TermSyntaxError.
     """
     if signature not in ("RA", "J"):
         raise ValueError(f"unknown signature {signature!r}")
@@ -238,7 +245,23 @@ def parse_term(text: str, signature: str = "RA") -> Term:
     sc.skip_ws()
     if sc.pos != len(text):
         raise TermSyntaxError("trailing input", sc.pos)
+    # each level spells at least one character: only long texts can be deep
+    if len(text) > MAX_DEPTH and _height(t) > MAX_DEPTH:
+        raise TermSyntaxError(f"term nested deeper than {MAX_DEPTH} levels", 0)
     return t
+
+
+def _height(t: Term) -> int:
+    """Levels of the syntax tree, counted without recursion."""
+    out, stack = 0, [(t, 1)]
+    while stack:
+        t, h = stack.pop()
+        out = max(out, h)
+        if isinstance(t, (Conv, Compl)):
+            stack.append((t.child, h + 1))
+        elif isinstance(t, (Comp, Meet, Join)):
+            stack += [(t.left, h + 1), (t.right, h + 1)]
+    return out
 
 
 def _parse_sum(sc: _Scanner, sig: str) -> Term:
@@ -273,15 +296,9 @@ def _parse_unary(sc: _Scanner, sig: str) -> Term:
         sc.take("-")
         if sig == "J":
             raise RaOnlyOperatorError("-", pos)
-        sc.expect("(")
-        t = _parse_sum(sc, sig)
-        sc.expect(")")
-        return Compl(t)
+        return Compl(_parse_group(sc, sig))
     if c == "(":
-        sc.take("(")
-        t = _parse_sum(sc, sig)
-        sc.expect(")")
-        return t
+        return _parse_group(sc, sig)
     if c in ("0", "1"):
         sc.pos += 1
         return _ATOMS[c]
@@ -290,13 +307,22 @@ def _parse_unary(sc: _Scanner, sig: str) -> Term:
     if name is None:
         raise TermSyntaxError("expected a term", sc.pos)
     if name == "conv":
-        sc.expect("(")
-        t = _parse_sum(sc, sig)
-        sc.expect(")")
-        return Conv(t)
+        return Conv(_parse_group(sc, sig))
     if name in _ATOMS:
         return _ATOMS[name]
     return Var(name)
+
+
+def _parse_group(sc: _Scanner, sig: str) -> Term:
+    """A parenthesised sum, at most MAX_DEPTH groups deep."""
+    sc.expect("(")
+    sc.depth += 1
+    if sc.depth > MAX_DEPTH:
+        raise TermSyntaxError(f"term nested deeper than {MAX_DEPTH} levels", sc.pos)
+    t = _parse_sum(sc, sig)
+    sc.expect(")")
+    sc.depth -= 1
+    return t
 
 
 # --- printing -----------------------------------------------------------

@@ -25,5 +25,5 @@ def re2():
 @pytest.fixture(scope="session")
 def suite_runs():
     """Records of suite executions, shared so the acceptance checks can
-    assert that no run aborted with an incomplete projection."""
-    return {"reports": {}, "projection_incomplete": []}
+    check every composition the suites asked for against the oracle."""
+    return {"reports": {}, "compose_inputs": set()}

@@ -191,17 +191,19 @@ def test_oracle_agreement_on_real_relations():
     assert checked > 100
 
 
-def test_compose_never_raises_projection_incomplete_on_pool():
-    pool = _pool40()
-    rng = random.Random(13)
-    for _ in range(200):
-        x, y = rng.choice(pool), rng.choice(pool)
-        br.compose(x, y)  # must not raise
+def _product_gaps(r1, r2, candidate, queries):
+    """Queries on which the candidate composite and the three-tag oracle
+    disagree."""
+    return [
+        q for q in queries if br.entails(candidate, q) != br.entails_product(r1, r2, q)
+    ]
 
 
-def test_projection_incomplete_carries_partial_set():
-    exc = br.ProjectionIncomplete(frozenset([c("L.^=R.^")]))
-    assert exc.partial == frozenset([c("L.^=R.^")])
+def test_product_oracle_has_teeth():
+    # TOP drops the only constraint of each composite; the oracle sees it
+    for r1, r2, missing in ((A, CA, c("L.0=R.0")), (CA, A, c("L.^=R.^"))):
+        assert _product_gaps(r1, r2, TOP, [missing]) == [missing]
+        assert _product_gaps(r1, r2, br.compose(r1, r2), [missing]) == []
 
 
 def test_paths_pool_is_deterministic():
@@ -223,6 +225,34 @@ _con_strategy = st.tuples(_ep_strategy, _ep_strategy).filter(lambda c: c[0] != c
 def test_engine_matches_oracle_property(cons, query):
     r = br.BranchRelation(False, cons)
     assert br.entails(r, query) == br.entails_bfs(r, query, bound=6)
+
+
+@st.composite
+def _constraint_systems(draw):
+    """Random constraint systems; some carry a sibling pair u0=v0, u1=v1,
+    the premise of pair reconstruction."""
+    cons = set(draw(st.lists(_con_strategy, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        (t1, u), (t2, v) = draw(_ep_strategy), draw(_ep_strategy)
+        cons |= {((t1, u + "0"), (t2, v + "0")), ((t1, u + "1"), (t2, v + "1"))}
+    cons = frozenset(c for c in cons if c[0] != c[1])
+    return br.BranchRelation(False, cons) if cons else TOP
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _constraint_systems(),
+    _constraint_systems(),
+    st.lists(_con_strategy, min_size=1, max_size=8),
+)
+def test_compose_matches_product_oracle_property(r1, r2, queries):
+    # outer configs the inputs mention are where a lost constraint shows first
+    mentioned = sorted(
+        {ep for p in r1.constraints for ep in p if ep[0] == "L"}
+        | {ep for p in r2.constraints for ep in p if ep[0] == "R"}
+    )
+    queries = queries + list(itertools.combinations(mentioned, 2))
+    assert _product_gaps(r1, r2, br.compose(r1, r2), queries) == []
 
 
 def _random_constraint_rel(rng):

@@ -2,6 +2,7 @@ import pytest
 
 from branchalg.cli import main
 from branchalg.finra import format_structure, make_proper_ra
+from branchalg.terms import MAX_DEPTH
 
 
 @pytest.fixture
@@ -174,3 +175,27 @@ def test_malformed_structure_file_is_usage_error(capsys, tmp_path, case, command
     code, out, err = run(capsys, [*command, str(path)])
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+DEEP = {
+    "parentheses": "(" * 3000 + "a" + ")" * 3000,
+    "converses": "conv(" * 3000 + "a" + ")" * 3000,
+    "product-chain": ";".join(["a"] * 3000),
+    "meet-chain": "&".join(["a"] * 3000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP))
+@pytest.mark.parametrize("command", ["parse", "eval", "dot"])
+def test_deep_term_is_usage_error(capsys, command, case):
+    code, out, err = run(capsys, [command, DEEP[case]])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "deeper than" in err
+
+
+def test_term_depth_limit_is_exact(capsys):
+    code, out, _ = run(capsys, ["eval", ";".join(["a"] * MAX_DEPTH)])
+    assert code == 0
+    assert out.strip() == "{R.^=L." + "0" * MAX_DEPTH + "}"
+    code, _, err = run(capsys, ["eval", ";".join(["a"] * (MAX_DEPTH + 1))])
+    assert code == 2 and "deeper than" in err

@@ -143,6 +143,17 @@ def test_unknown_suite():
         run_suite("nope")
 
 
+def test_key_error_inside_a_suite_is_not_an_unknown_suite(monkeypatch):
+    def broken(ctx, seed):
+        raise KeyError("missing inside the suite")
+
+    monkeypatch.setitem(thompson._SUITES, "qu", broken)
+    with pytest.raises(KeyError, match="missing inside the suite"):
+        run_suite("qu")
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite("nope")
+
+
 def test_perms_classification(m):
     from branchalg.model import is_functional, is_permutational
 
