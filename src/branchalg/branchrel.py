@@ -462,40 +462,6 @@ def sample_tree_pair(
     return out
 
 
-# --- the verification suite for the generator pair ------------------------
-
-
-def qu_suite():
-    """Check the six defining identities of the generator pair exactly."""
-    from .model import LawReport
-
-    a, b = gen_a(), gen_b()
-    ca, cb = converse(a), converse(b)
-    one = TOP
-    cases = [
-        ("qu1", "conv(a);a = id", compose(ca, a), IDENT),
-        ("qu2", "conv(b);b = id", compose(cb, b), IDENT),
-        ("qu3", "a;conv(a) & b;conv(b) = id", meet(compose(a, ca), compose(b, cb)), IDENT),
-        ("qu4", "conv(a);b = 1", compose(ca, b), one),
-        ("qu5", "a;1 = 1", compose(a, one), one),
-        ("qu6", "b;1 = 1", compose(b, one), one),
-    ]
-    reports = []
-    for law_id, desc, lhs, rhs in cases:
-        ok = equal(lhs, rhs)
-        reports.append(
-            LawReport(
-                law_id=law_id,
-                strategy="direct",
-                tested=1,
-                passed=ok,
-                counterexample=None if ok else {"lhs": format_relation(lhs)},
-                note=desc,
-            )
-        )
-    return reports
-
-
 # --- model handle and sampling -------------------------------------------
 
 

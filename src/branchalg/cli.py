@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 when everything checked passes, 1 when a relation or law fails
-or a counterexample is found, 2 for usage or engine errors.
+or a counterexample is found, 2 for usage or engine errors, 3 for an internal
+error (a bug; the traceback is printed).
 """
 
 from __future__ import annotations
@@ -37,8 +38,44 @@ def _load_structure(spec: str) -> finra_atoms.AtomStructure:
     try:
         with open(spec) as fh:
             return finra_atoms.parse_structure(fh.read(), label=spec)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise EngineError(f"cannot read structure file {spec!r}: {exc}") from None
+
+
+def _write_file(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise EngineError(f"cannot write {path!r}: {exc}") from None
+
+
+def _at_least(least: int):
+    """An argparse type: an integer of at least `least`."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        msg = f"expected an integer >= {least}, got {text!r}"
+        raise argparse.ArgumentTypeError(msg)
+
+    return parse
+
+
+def _strategy(text: str) -> int | None:
+    """--strategy: None for "exhaustive", else the sample size of "sample"
+    (200) or "sample=N"."""
+    if text == "exhaustive":
+        return None
+    name, eq, n = text.partition("=")
+    if name != "sample":
+        raise argparse.ArgumentTypeError(
+            f"expected exhaustive, sample or sample=N, got {text!r}"
+        )
+    return _at_least(1)(n) if eq else 200
 
 
 def cmd_parse(args) -> int:
@@ -58,11 +95,10 @@ def cmd_eval(args) -> int:
 def cmd_check_law(args) -> int:
     law = laws.law_by_id(args.id)
     m = _load_model(args.model)
-    if args.strategy == "exhaustive":
+    if args.strategy is None:
         strategy = model.Exhaustive()
     else:
-        n = int(args.strategy.split("=", 1)[1]) if "=" in args.strategy else 200
-        strategy = model.Sample(n=n, seed=args.seed)
+        strategy = model.Sample(n=args.strategy, seed=args.seed)
     report = model.check_law(m, law, strategy)
     print(report.line())
     return 0 if report.passed else 1
@@ -83,11 +119,10 @@ def cmd_enumerate(args) -> int:
     structures = enumerate_integral(args.signature, stretch=args.stretch)
     print(f"total={len(structures)}")
     if args.out:
-        with open(args.out, "w") as fh:
-            for s in structures:
-                fh.write(f"# {s.label}\n")
-                fh.write(finra_atoms.format_structure(s))
-                fh.write("\n")
+        text = "".join(
+            f"# {s.label}\n{finra_atoms.format_structure(s)}\n" for s in structures
+        )
+        _write_file(args.out, text)
     return 0
 
 
@@ -111,8 +146,7 @@ def cmd_check_jlm(args) -> int:
         print(finra_jlm.profile_line(profile))
         if args.tsv:
             row = {args.target: (len(structures), profile)}
-            with open(args.tsv, "w") as fh:
-                fh.write(finra_jlm.profile_tsv(row))
+            _write_file(args.tsv, finra_jlm.profile_tsv(row))
         return 0
     s = _load_structure(args.target)
     rec = check_jlm(s, mode=mode, **kw)
@@ -128,6 +162,8 @@ def cmd_represent(args) -> int:
         raise NotTabular("structure is not tabular")
     v = s.parse_element(args.v)
     w = s.parse_element(args.w)
+    if not (s.leq(v, w) and v != w):
+        raise EngineError(f"--v {args.v} must lie strictly below --w {args.w}")
     report = build_stage_rep(s, v, w, stages=args.stages, seed=args.seed)
     for st in report.stages:
         print(
@@ -162,7 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-law", help="check a catalog law")
     p.add_argument("id")
-    p.add_argument("--strategy", default="sample=200")
+    p.add_argument(
+        "--strategy",
+        type=_strategy,
+        default="sample=200",
+        help="exhaustive, sample or sample=N (default sample=200)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", default="branchrel")
     p.set_defaults(fn=cmd_check_law)
@@ -186,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-jlm", help="product-formula failures")
     p.add_argument("target", help="signature or structure file")
     p.add_argument("--elements", action="store_true")
-    p.add_argument("--sample", type=int, default=0, metavar="N")
+    p.add_argument("--sample", type=_at_least(0), default=0, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stretch", action="store_true")
     p.add_argument("--tsv", metavar="FILE", help="also write the profile row as TSV")
@@ -196,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ra_file")
     p.add_argument("--v", required=True)
     p.add_argument("--w", required=True)
-    p.add_argument("--stages", type=int, default=50)
+    p.add_argument("--stages", type=_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_represent)
 
@@ -223,11 +264,16 @@ def main(argv=None) -> int:
         UnsupportedSignatureError,
         finra_atoms.AtomStructureError,
         finra_jlm.SizeCapExceeded,
-        ValueError,
-        KeyError,
+        laws.UnknownLaw,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # only here: it costs every run start-up time
+
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -132,7 +132,7 @@ class AtomStructure:
         text = text.strip()
         if text == "0":
             return 0
-        if text.isdigit():
+        if text.isdecimal():
             v = int(text)
             if v >= self.n_elements:
                 raise AtomStructureError(f"bitmask {v} out of range")
@@ -140,7 +140,7 @@ class AtomStructure:
         mask = 0
         for part in text.replace("+", ",").split(","):
             part = part.strip()
-            if part.isdigit():
+            if part.isdecimal():
                 i = int(part)
                 if i >= self.n_atoms:
                     raise AtomStructureError(f"atom index {i} out of range")

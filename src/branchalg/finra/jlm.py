@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import model
-from ..laws import product_formula
+from ..laws import law_by_id
 from . import kernels
 from .atoms import AtomStructure
 
@@ -82,7 +82,7 @@ def check_jlm(
         raise ValueError(f"unknown mode {mode!r}")
     m = s.handle()
     for f in FORMULAS:
-        law = product_formula(f)
+        law = law_by_id(f)
         if mode == "atoms":
             every = law.quantified_variables(m)
             found = model.search(m, law, model.Exhaustive(), atom_vars=every)
@@ -146,6 +146,6 @@ def check_k(s: AtomStructure, samples: int = 100_000, seed: int = 0) -> KReport:
     element instantiated as u;v & x;y (the provable case).  Deterministic
     for a fixed seed.
     """
-    law = product_formula("K")
+    law = law_by_id("K")
     tested, ce = model.search(s.handle(), law, model.Sample(samples, seed))
     return KReport(s.label or "ra", tested, seed, ce)

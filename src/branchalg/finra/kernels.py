@@ -83,7 +83,7 @@ def find_violation(comp: np.ndarray, conv: np.ndarray, formula: str):
     Variables that model.reducible admits range over the atoms alone, which
     finds a violation whenever one over all elements exists.
     """
-    law = laws.product_formula(formula)
+    law = laws.law_by_id(formula)
     m = table_handle(comp, conv)
     return model.search(m, law, model.Exhaustive(), model.reducible(law))[1]
 

@@ -9,20 +9,24 @@ they fail in some finite algebras.
 Laws that the source statements phrase with the two distinguished generators
 use the generator symbols directly: in the tree-relation model these are the
 fixed generators, while finite models quantify them like ordinary variables.
+
+The equations of the suites (the six identities of the generator pair, the
+presentation, monoid, fork and pairing equations) are written once in
+thompson.py; the laws here quantify them over variables.  The catalog is
+built on first use and kept for the process.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .model import Law
-from .terms import ID, TOP, Conv, Meet, Term, comp, conv, parse_term
-from .thompson import GENERATORS, defer0, defer1, fkc, nabla, otimes
+from . import thompson
+from .model import Law, Relation
+from .terms import A, B, ID, Meet, Term, Var, comp, conv, parse_term
+from .thompson import GENERATORS, fkc, nabla, otimes
 
-_V = lambda s: parse_term(s)
 
-
-def _rel(spec) -> tuple[Term, str, Term]:
+def _rel(spec) -> Relation:
     if isinstance(spec, tuple):
         return spec
     if "<=" in spec:
@@ -30,6 +34,11 @@ def _rel(spec) -> tuple[Term, str, Term]:
         return (parse_term(lhs), "<=", parse_term(rhs))
     lhs, rhs = spec.split("=", 1)
     return (parse_term(lhs), "=", parse_term(rhs))
+
+
+def _eq(sides: tuple[Term, Term], op: str = "=") -> Relation:
+    """The relation lhs op rhs of a (lhs, rhs) pair; an equation by default."""
+    return (sides[0], op, sides[1])
 
 
 def _law(law_id, variables, hyps, concls, *, theorem=True, part="II", note=""):
@@ -48,14 +57,6 @@ def _law(law_id, variables, hyps, concls, *, theorem=True, part="II", note=""):
 Q_HYPS = ["conv(a);a <= id", "conv(b);b <= id", "1 = conv(a);b"]
 D_HYPS = ["1 = a;1", "1 = b;1"]
 U_HYPS = ["a;conv(a) & b;conv(b) <= id"]
-QU_HYPS = [
-    "conv(a);a = id",
-    "conv(b);b = id",
-    "a;conv(a) & b;conv(b) = id",
-    "conv(a);b = 1",
-    "a;1 = 1",
-    "b;1 = 1",
-]
 
 
 def _axiom_laws():
@@ -226,8 +227,9 @@ def _functional_laws():
     ]
 
 
-_PAIR_CONCL = "u;v & x;y = (u;conv(a) & x;conv(b));(a;v & b;y)"
-_PAIR_LEQ = "u;v & x;y <= (u;conv(a) & x;conv(b));(a;v & b;y)"
+_PAIR = thompson.pairing(Var("u"), Var("v"), Var("x"), Var("y"))
+_PAIR_CONCL = _eq(_PAIR)
+_PAIR_LEQ = _eq(_PAIR, "<=")
 
 
 def _pairing_laws():
@@ -236,7 +238,7 @@ def _pairing_laws():
             "half-pr",
             "u v x y",
             ["conv(a);a <= id", "conv(b);b <= id"],
-            ["(u;conv(a) & x;conv(b));(a;v & b;y) <= u;v & x;y"],
+            [_eq(_PAIR[::-1], "<=")],  # the right side below the left
         ),
         _law(
             "pair-i",
@@ -304,22 +306,12 @@ def _pairing_laws():
 
 
 def _fork_laws():
-    x, y, u, v = _V("x"), _V("y"), _V("u"), _V("v")
-    f1 = (
-        nabla(x, y),
-        "=",
-        Meet(comp(x, nabla(ID, TOP)), comp(y, nabla(TOP, ID))),
-    )
-    f2 = (
-        Meet(comp(u, Conv(v)), comp(x, Conv(y))),
-        "=",
-        comp(nabla(u, x), conv(nabla(v, y))),
-    )
-    f3 = (nabla(conv(nabla(ID, TOP)), conv(nabla(TOP, ID))), "<=", ID)
+    x, y, u, v = Var("x"), Var("y"), Var("u"), Var("v")
+    hyps = Q_HYPS + U_HYPS
     return [
-        _law("F1", "x y", Q_HYPS + U_HYPS, [f1], part="I"),
-        _law("F2", "u v x y", Q_HYPS + U_HYPS, [f2], part="I"),
-        _law("F3", "", Q_HYPS + U_HYPS, [f3], part="I"),
+        _law("F1", "x y", hyps, [_eq(thompson.fork_f1(x, y))], part="I"),
+        _law("F2", "u v x y", hyps, [_eq(thompson.fork_f2(u, v, x, y))], part="I"),
+        _law("F3", "", hyps, [_eq(thompson.fork_f3(), "<=")], part="I"),
     ]
 
 
@@ -381,7 +373,7 @@ def _product_formulas():
 
 
 def _parallel_laws():
-    x, y, u, v = _V("x"), _V("y"), _V("u"), _V("v")
+    x, y, u, v = Var("x"), Var("y"), Var("u"), Var("v")
     gg1 = (comp(otimes(u, v), otimes(x, y)), "=", otimes(comp(u, x), comp(v, y)))
     gg2 = (comp(otimes(x, ID), otimes(ID, y)), "=", otimes(x, y))
     gg3 = (comp(otimes(ID, y), otimes(x, ID)), "=", otimes(x, y))
@@ -436,33 +428,33 @@ def _parallel_laws():
             "pok-i",
             "x y",
             Q_HYPS + D_HYPS + ["1 = y;1"],
-            [(comp(otimes(x, y), _V("a")), "=", comp(_V("a"), x))],
+            [(comp(otimes(x, y), A), "=", comp(A, x))],
         ),
         _law(
             "pok-ii",
             "x y",
             Q_HYPS + D_HYPS + ["1 = x;1"],
-            [(comp(otimes(x, y), _V("b")), "=", comp(_V("b"), y))],
+            [(comp(otimes(x, y), B), "=", comp(B, y))],
         ),
         _law(
             "pok-iii",
             "y",
             Q_HYPS + D_HYPS + ["1 = y;1"],
-            [(comp(otimes(ID, y), _V("a")), "=", _V("a"))],
+            [(comp(otimes(ID, y), A), "=", A)],
         ),
         _law(
             "pok-iv",
             "x",
             Q_HYPS + D_HYPS + ["1 = x;1"],
-            [(comp(otimes(x, ID), _V("b")), "=", _V("b"))],
+            [(comp(otimes(x, ID), B), "=", B)],
         ),
         _law(
             "pok-v",
             "x y",
             Q_HYPS + D_HYPS,
             [
-                (comp(otimes(x, ID), _V("a")), "=", comp(_V("a"), x)),
-                (comp(otimes(ID, y), _V("b")), "=", comp(_V("b"), y)),
+                (comp(otimes(x, ID), A), "=", comp(A, x)),
+                (comp(otimes(ID, y), B), "=", comp(B, y)),
             ],
         ),
         _law(
@@ -492,89 +484,20 @@ def _parallel_laws():
 
 
 def _presentation_laws():
-    from .thompson import _ta_relations
-
+    qu = [_eq(sides) for _, *sides in thompson.qu_relations()]
     out = [
-        _law(f"ta{i}", "", QU_HYPS, [(lhs, "=", rhs)], part="II")
-        for i, (name, lhs, rhs) in enumerate(_ta_relations(), start=1)
+        _law(name, "", qu, [_eq(sides)]) for name, *sides in thompson.ta_relations()
     ]
-    g = GENERATORS
-    p, r = g["P"], g["R"]
-    out.append(
-        _law(
-            "m-invert",
-            "",
-            QU_HYPS,
-            [
-                (comp(p, p), "=", ID),
-                (comp(p, r, p, r, p, r), "=", ID),
-                (comp(r, p, r, p, r, p), "=", ID),
-            ],
-        )
-    )
-    x, y = _V("x"), _V("y")
-    out.append(
-        _law(
-            "m-commute",
-            "x y",
-            Q_HYPS,
-            [(comp(defer0(x), defer1(y)), "=", comp(defer1(y), defer0(x)))],
-        )
-    )
-    out.append(
-        _law(
-            "m-split",
-            "x",
-            QU_HYPS + ["conv(x);x <= id"],
-            [(comp(x, g["U"]), "=", comp(g["U"], defer0(x), defer1(x)))],
-        )
-    )
-    out.append(
-        _law(
-            "m-reconstruct",
-            "x",
-            QU_HYPS + ["conv(x);x <= id"],
-            [
-                (
-                    x,
-                    "=",
-                    comp(
-                        g["U"],
-                        defer0(x),
-                        defer1(x),
-                        defer0(g["K"]),
-                        defer1(g["L"]),
-                    ),
-                )
-            ],
-        )
-    )
-    out.append(
-        _law(
-            "m-rewrite",
-            "",
-            QU_HYPS,
-            [
-                (comp(g["U"], g["K"]), "=", ID),
-                (comp(g["U"], g["L"]), "=", ID),
-                (comp(g["P0"], g["K"], g["K"]), "=", comp(g["K"], g["L"])),
-                (comp(g["P0"], g["K"], g["L"]), "=", comp(g["K"], g["K"])),
-                (comp(g["P0"], g["L"]), "=", g["L"]),
-                (comp(g["R0"], g["K"], g["K"], g["K"]), "=", comp(g["K"], g["K"])),
-                (
-                    comp(g["R0"], g["K"], g["K"], g["L"]),
-                    "=",
-                    comp(g["K"], g["L"], g["K"]),
-                ),
-                (
-                    comp(g["R0"], g["K"], g["L"]),
-                    "=",
-                    comp(g["K"], g["L"], g["L"]),
-                ),
-                (comp(g["R0"], g["L"]), "=", g["L"]),
-            ],
-        )
-    )
+    m_rels = [_eq(sides) for _, *sides in thompson.m_relations()]
+    x, y = Var("x"), Var("y")
+    functional = qu + ["conv(x);x <= id"]
+    out += [
+        _law("m-invert", "", qu, m_rels[:3]),
+        _law("m-commute", "x y", Q_HYPS, [_eq(thompson.m_commute(x, y))]),
+        _law("m-split", "x", functional, [_eq(thompson.m_split(x))]),
+        _law("m-reconstruct", "x", functional, [_eq(thompson.m_reconstruct(x))]),
+        _law("m-rewrite", "", qu, m_rels[3:]),
+    ]
     return out
 
 
@@ -586,9 +509,16 @@ _ALIASES = {
 }
 
 
-def law_catalog() -> list[Law]:
-    """The full fixed catalog."""
-    return (
+class UnknownLaw(KeyError):
+    """No catalog law has the given id or alias."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+@functools.cache
+def _catalog() -> tuple[Law, ...]:
+    return tuple(
         _axiom_laws()
         + _elementary_laws()
         + _functional_laws()
@@ -601,18 +531,19 @@ def law_catalog() -> list[Law]:
 
 
 @functools.cache
-def product_formula(name: str) -> Law:
-    """Law J, L, M or K, built once per process (law_by_id rebuilds the
-    whole catalog on every call)."""
-    for law in _product_formulas():
-        if law.id == name:
-            return law
-    raise ValueError(f"unknown formula {name!r}")
+def _by_id() -> dict[str, Law]:
+    return {law.id: law for law in _catalog()}
+
+
+def law_catalog() -> list[Law]:
+    """The full fixed catalog, built on first use and kept for the process;
+    each call returns a fresh list."""
+    return list(_catalog())
 
 
 def law_by_id(law_id: str) -> Law:
     law_id = _ALIASES.get(law_id, law_id)
-    for law in law_catalog():
-        if law.id == law_id:
-            return law
-    raise KeyError(f"no law named {law_id!r}")
+    try:
+        return _by_id()[law_id]
+    except KeyError:
+        raise UnknownLaw(f"no law named {law_id!r}") from None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 from dataclasses import dataclass
 
 from . import branchrel, model, terms
@@ -202,7 +203,26 @@ class _Ctx:
         return self.m.equal(self.rel(lhs), self.rel(rhs))
 
 
-def _ta_relations() -> list[tuple[str, Term, Term]]:
+# --- the suite equations ---------------------------------------------------
+#
+# Each defining equation is written once, here.  The suites below check it on
+# concrete generator terms in the tree-relation model; laws.py quantifies the
+# same equations over variables to build the catalog laws.
+
+
+def qu_relations() -> list[tuple[str, Term, Term]]:
+    """The six defining identities of the generator pair."""
+    return [
+        ("qu1", comp(CA, GEN_A), ID),
+        ("qu2", comp(CB, GEN_B), ID),
+        ("qu3", Meet(comp(GEN_A, CA), comp(GEN_B, CB)), ID),
+        ("qu4", comp(CA, GEN_B), TOP),
+        ("qu5", comp(GEN_A, TOP), TOP),
+        ("qu6", comp(GEN_B, TOP), TOP),
+    ]
+
+
+def ta_relations() -> list[tuple[str, Term, Term]]:
     g = dict(GENERATORS)
     g.update(DERIVED)
     a_t, b_t, c_t = g["A"], g["B"], g["C"]
@@ -225,6 +245,70 @@ def _ta_relations() -> list[tuple[str, Term, Term]]:
         ("ta13", comp(c3, pi1), comp(pi2, c3)),
         ("ta14", comp(c2, pi1, c2, pi1, c2, pi1), ID),
     ]
+
+
+def m_relations() -> list[tuple[str, Term, Term]]:
+    """The closed relations of the monoid suite: the three relations of P and
+    R (law m-invert), then the nine rewrites of the deferred generators (law
+    m-rewrite)."""
+    g = GENERATORS
+    p, r, u, k, l, p0, r0 = (g[n] for n in ("P", "R", "U", "K", "L", "P0", "R0"))
+    return [
+        ("P;P=id", comp(p, p), ID),
+        ("(P;R)^3=id", comp(p, r, p, r, p, r), ID),
+        ("(R;P)^3=id", comp(r, p, r, p, r, p), ID),
+        ("U;K=id", comp(u, k), ID),
+        ("U;L=id", comp(u, l), ID),
+        ("P0;K;K=K;L", comp(p0, k, k), comp(k, l)),
+        ("P0;K;L=K;K", comp(p0, k, l), comp(k, k)),
+        ("P0;L=L", comp(p0, l), l),
+        ("R0;K;K;K=K;K", comp(r0, k, k, k), comp(k, k)),
+        ("R0;K;K;L=K;L;K", comp(r0, k, k, l), comp(k, l, k)),
+        ("R0;K;L=K;L;L", comp(r0, k, l), comp(k, l, l)),
+        ("R0;L=L", comp(r0, l), l),
+    ]
+
+
+def m_split(x: Term) -> tuple[Term, Term]:
+    """x;U = U;defer0(x);defer1(x), for functional x."""
+    u = GENERATORS["U"]
+    return comp(x, u), comp(u, defer0(x), defer1(x))
+
+
+def m_reconstruct(x: Term) -> tuple[Term, Term]:
+    """x = U;defer0(x);defer1(x);defer0(K);defer1(L), for functional x."""
+    g = GENERATORS
+    rhs = comp(g["U"], defer0(x), defer1(x), defer0(g["K"]), defer1(g["L"]))
+    return x, rhs
+
+
+def m_commute(x: Term, y: Term) -> tuple[Term, Term]:
+    """Deferred maps on different subtrees commute."""
+    return comp(defer0(x), defer1(y)), comp(defer1(y), defer0(x))
+
+
+def fork_f1(x: Term, y: Term) -> tuple[Term, Term]:
+    """F1: the fork of x and y, written with the forks of id and 1."""
+    return nabla(x, y), Meet(comp(x, nabla(ID, TOP)), comp(y, nabla(TOP, ID)))
+
+
+def fork_f2(u: Term, v: Term, x: Term, y: Term) -> tuple[Term, Term]:
+    """F2: a fork composed with the converse of a fork is a meet."""
+    lhs = Meet(comp(u, conv(v)), comp(x, conv(y)))
+    return lhs, comp(nabla(u, x), conv(nabla(v, y)))
+
+
+def fork_f3() -> tuple[Term, Term]:
+    """F3, an inclusion: the fork of the two converse one-sided forks lies
+    below the identity."""
+    return nabla(conv(nabla(ID, TOP)), conv(nabla(TOP, ID))), ID
+
+
+def pairing(u: Term, v: Term, x: Term, y: Term) -> tuple[Term, Term]:
+    """The pairing equation u;v & x;y = (u;conv(a) & x;conv(b));(a;v & b;y)."""
+    lhs = Meet(comp(u, v), comp(x, y))
+    rhs = comp(Meet(comp(u, CA), comp(x, CB)), Meet(comp(GEN_A, v), comp(GEN_B, y)))
+    return lhs, rhs
 
 
 def _word(letters: str) -> Term:
@@ -271,8 +355,12 @@ def run_suite(suite_id: str, seed: int = 0) -> SuiteReport:
     return SuiteReport(suite_id, suite(_Ctx(), seed), _digest())
 
 
+def _holds(ctx, relations):
+    return [(name, ctx.holds(l, r)) for name, l, r in relations]
+
+
 def _suite_qu(ctx, seed):
-    return [(r.law_id, r.passed) for r in branchrel.qu_suite()]
+    return _holds(ctx, qu_relations())
 
 
 def _suite_perms(ctx, seed):
@@ -297,51 +385,24 @@ def _suite_perms(ctx, seed):
 
 
 def _suite_f(ctx, seed):
-    rels = _ta_relations()[:2]
-    return [(name, ctx.holds(l, r)) for name, l, r in rels]
+    return _holds(ctx, ta_relations()[:2])
 
 
 def _suite_t(ctx, seed):
-    rels = _ta_relations()[:6]
-    return [(name, ctx.holds(l, r)) for name, l, r in rels]
+    return _holds(ctx, ta_relations()[:6])
 
 
 def _suite_v(ctx, seed):
-    return [(name, ctx.holds(l, r)) for name, l, r in _ta_relations()]
+    return _holds(ctx, ta_relations())
 
 
 def _suite_m(ctx, seed):
-    g = GENERATORS
-    out = []
-    p, r_t, u_t, k_t, l_t = g["P"], g["R"], g["U"], g["K"], g["L"]
-    out.append(("P;P=id", ctx.holds(comp(p, p), ID)))
-    out.append(("(P;R)^3=id", ctx.holds(comp(*([p, r_t] * 3)), ID)))
-    out.append(("(R;P)^3=id", ctx.holds(comp(*([r_t, p] * 3)), ID)))
-    rewrites = [
-        ("U;K=id", comp(u_t, k_t), ID),
-        ("U;L=id", comp(u_t, l_t), ID),
-        ("P0;K;K=K;L", comp(g["P0"], k_t, k_t), comp(k_t, l_t)),
-        ("P0;K;L=K;K", comp(g["P0"], k_t, l_t), comp(k_t, k_t)),
-        ("P0;L=L", comp(g["P0"], l_t), l_t),
-        ("R0;K;K;K=K;K", comp(g["R0"], k_t, k_t, k_t), comp(k_t, k_t)),
-        ("R0;K;K;L=K;L;K", comp(g["R0"], k_t, k_t, l_t), comp(k_t, l_t, k_t)),
-        ("R0;K;L=K;L;L", comp(g["R0"], k_t, l_t), comp(k_t, l_t, l_t)),
-        ("R0;L=L", comp(g["R0"], l_t), l_t),
-    ]
-    out.extend((name, ctx.holds(l, r)) for name, l, r in rewrites)
+    out = _holds(ctx, m_relations())
     sample = sample_functionals()
-    k0, l1 = defer0(k_t), defer1(l_t)
-    for name, x in sample:
-        lhs = comp(x, u_t)
-        rhs = comp(u_t, defer0(x), defer1(x))
-        out.append((f"split[{name}]", ctx.holds(lhs, rhs)))
-    for name, x in sample:
-        rhs = comp(u_t, defer0(x), defer1(x), k0, l1)
-        out.append((f"reconstruct[{name}]", ctx.holds(x, rhs)))
+    out += [(f"split[{n}]", ctx.holds(*m_split(x))) for n, x in sample]
+    out += [(f"reconstruct[{n}]", ctx.holds(*m_reconstruct(x))) for n, x in sample]
     for (nx, x), (ny, y) in itertools.product(sample, repeat=2):
-        lhs = comp(defer0(x), defer1(y))
-        rhs = comp(defer1(y), defer0(x))
-        out.append((f"commute[{nx},{ny}]", ctx.holds(lhs, rhs)))
+        out.append((f"commute[{nx},{ny}]", ctx.holds(*m_commute(x, y))))
     return out
 
 
@@ -353,39 +414,25 @@ def _suite_same(ctx, seed):
 
 
 def _suite_fork(ctx, seed):
-    import random
-
     pool = _fork_pool()
-    out = []
-    f3 = nabla(conv(nabla(ID, TOP)), conv(nabla(TOP, ID)))
-    out.append(("F3", ctx.m.leq(ctx.rel(f3), ctx.rel(ID))))
+    f3, f3_bound = fork_f3()
+    out = [("F3", ctx.m.leq(ctx.rel(f3), ctx.rel(f3_bound)))]
     for (nx, x), (ny, y) in itertools.product(pool, repeat=2):
-        lhs = nabla(x, y)
-        rhs = Meet(comp(x, nabla(ID, TOP)), comp(y, nabla(TOP, ID)))
-        out.append((f"F1[{nx},{ny}]", ctx.holds(lhs, rhs)))
+        out.append((f"F1[{nx},{ny}]", ctx.holds(*fork_f1(x, y))))
     rng = random.Random(seed)
     for i in range(200):
         (nu, u), (nv, v), (nx, x), (ny, y) = (rng.choice(pool) for _ in range(4))
-        lhs = Meet(comp(u, conv(v)), comp(x, conv(y)))
-        rhs = comp(nabla(u, x), conv(nabla(v, y)))
-        out.append((f"F2[{nu},{nv},{nx},{ny}]#{i}", ctx.holds(lhs, rhs)))
+        out.append((f"F2[{nu},{nv},{nx},{ny}]#{i}", ctx.holds(*fork_f2(u, v, x, y))))
     return out
 
 
 def _suite_pairing(ctx, seed):
-    import random
-
     pool = _fork_pool()
     rng = random.Random(seed)
     out = []
     for i in range(200):
         (nu, u), (nv, v), (nx, x), (ny, y) = (rng.choice(pool) for _ in range(4))
-        lhs = Meet(comp(u, v), comp(x, y))
-        rhs = comp(
-            Meet(comp(u, CA), comp(x, CB)),
-            Meet(comp(GEN_A, v), comp(GEN_B, y)),
-        )
-        out.append((f"Pr[{nu},{nv},{nx},{ny}]#{i}", ctx.holds(lhs, rhs)))
+        out.append((f"Pr[{nu},{nv},{nx},{ny}]#{i}", ctx.holds(*pairing(u, v, x, y))))
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchalg import branchrel as br
-from branchalg import laws, model
+from branchalg import laws, model, thompson
 
 A = br.gen_a()
 B = br.gen_b()
@@ -95,10 +95,8 @@ def test_leq_equal():
 
 
 def test_qu_suite_passes():
-    reports = br.qu_suite()
-    assert len(reports) == 6
-    assert all(r.passed for r in reports)
-    assert reports[0].line() == "LAW qu1 pass tested=1"
+    report = thompson.run_suite("qu")
+    assert report.results == [(f"qu{i}", True) for i in range(1, 7)]
 
 
 def _pool40():

@@ -1,5 +1,11 @@
-import pytest
+import contextlib
+import io
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from test_terms import TERM_TEXT
+
+from branchalg import cli, laws
 from branchalg.cli import main
 from branchalg.finra import format_structure, make_proper_ra
 from branchalg.terms import MAX_DEPTH
@@ -199,3 +205,103 @@ def test_term_depth_limit_is_exact(capsys):
     assert out.strip() == "{R.^=L." + "0" * MAX_DEPTH + "}"
     code, _, err = run(capsys, ["eval", ";".join(["a"] * (MAX_DEPTH + 1))])
     assert code == 2 and "deeper than" in err
+
+
+def test_second_check_law_parses_no_terms(capsys, monkeypatch):
+    argv = ["check-law", "p7", "--strategy", "sample=3"]
+    assert main(argv) == 0
+    calls = []
+    parse_term = laws.parse_term
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse_term(*args, **kwargs)
+
+    monkeypatch.setattr(laws, "parse_term", counting)
+    assert main(argv) == 0
+    assert calls == []
+
+
+BAD_ARGUMENTS = {
+    "unknown-strategy": ["check-law", "p7", "--strategy", "bogus"],
+    "zero-samples": ["check-law", "p7", "--strategy", "sample=0"],
+    "negative-samples": ["check-law", "p7", "--strategy", "sample=-3"],
+    "negative-jlm-sample": ["check-jlm", "1'abb~", "--sample", "-5"],
+    "unwritable-out": ["enumerate", "1'a", "--out", "{missing}/structures.txt"],
+    "unwritable-tsv": ["check-jlm", "1'a", "--tsv", "{missing}/row.tsv"],
+    "zero-stages": ["represent", "{re2}", "--v", "0", "--w", "a", "--stages", "0"],
+    "v-not-below-w": ["represent", "{re2}", "--v", "a", "--w", "a"],
+    "superscript-element": ["represent", "{re2}", "--v", "0", "--w", "\u00b2"],
+    "nul-in-structure-path": ["check-jlm", "bad\x00.ra"],
+    "nul-in-out-path": ["enumerate", "1'a", "--out", "bad\x00.txt"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_are_usage_errors(capsys, tmp_path, re2_file, case):
+    paths = {"missing": tmp_path / "missing", "re2": re2_file}
+    argv = [arg.format(**paths) for arg in BAD_ARGUMENTS[case]]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("not a usage error")
+
+    monkeypatch.setattr(cli, "cmd_parse", broken)
+    code, out, err = run(capsys, ["parse", "a"])
+    assert code == 3
+    assert err.startswith("internal error: KeyError")
+    assert "Traceback" in err
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["parse", "eval", "dot"]), TERM_TEXT)
+def test_main_on_arbitrary_terms(command, text):
+    assert _quiet_main([command, text]) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def ra_files(tmp_path_factory):
+    """Structure files for the property tests, which cannot use tmp_path."""
+    out = {}
+    for name, points in (("one-atom", 1), ("re2", 2)):
+        path = tmp_path_factory.mktemp("ra") / f"{name}.ra"
+        path.write_text(format_structure(make_proper_ra(points)))
+        out[name] = str(path)
+    return out
+
+
+# at most three characters after "sample=", so at most 999 samples
+STRATEGY_TEXT = st.one_of(
+    st.text(),
+    st.text(max_size=3).map("sample=".__add__),
+    st.sampled_from(["exhaustive", "sample", "sample=1", "sample=0"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(STRATEGY_TEXT)
+def test_main_on_arbitrary_strategies(ra_files, strategy):
+    argv = ["check-law", "p7", "--model", ra_files["one-atom"], f"--strategy={strategy}"]
+    assert _quiet_main(argv) in (0, 1, 2)
+
+
+ELEMENT_TEXT = st.one_of(
+    st.text(max_size=6), st.sampled_from(["0", "a", "a+a~", "1,2", "15", "99"])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ELEMENT_TEXT, ELEMENT_TEXT)
+def test_main_on_arbitrary_elements(ra_files, v, w):
+    argv = ["represent", ra_files["re2"], "--v", v, "--w", w, "--stages", "3"]
+    assert _quiet_main(argv) in (0, 1, 2)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchalg.finra import (
     AtomStructureError,
@@ -109,6 +110,41 @@ def test_parse_structure_errors():
         parse_structure("no header")
     with pytest.raises(AtomStructureError):
         parse_structure("atoms=2 identity=0 converse=0,1\nbad line here\n")
+
+
+_SMALL = st.integers(-1, 3).map(str)
+_LIST = st.lists(_SMALL, max_size=4).map(",".join)
+_HEADER = st.one_of(
+    st.sampled_from(
+        [
+            "atoms=1 identity=0 converse=0",
+            "atoms=2 identity=0 converse=0,1",
+            "atoms=3 identity=0 converse=0,2,1",
+            "atoms=3 identity=0,1 converse=0,1,2",
+        ]
+    ),
+    st.builds("atoms={} identity={} converse={}".format, _SMALL, _LIST, _LIST),
+)
+_CYCLE = st.builds("cycle {} {} {}".format, _SMALL, _SMALL, _SMALL)
+STRUCTURE_TEXT = st.one_of(
+    st.text(),
+    st.builds(
+        lambda head, lines: "\n".join([head, *lines]),
+        st.one_of(_HEADER, st.text()),
+        st.lists(st.one_of(_CYCLE, st.text()), max_size=6),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(STRUCTURE_TEXT)
+def test_parse_structure_returns_a_structure_or_raises(text):
+    try:
+        s = parse_structure(text)
+    except AtomStructureError:
+        return
+    assert isinstance(s, AtomStructure)
+    assert parse_structure(format_structure(s)) == s
 
 
 def test_model_handle_operations():

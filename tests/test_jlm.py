@@ -131,7 +131,7 @@ def test_check_k_passes_on_enumerated_representables(enumerated):
 
 
 def test_reducible_on_the_formula_laws():
-    get = laws.product_formula
+    get = laws.law_by_id
     assert model.reducible(get("J")) == {"u", "v", "x", "y"}
     assert model.reducible(get("L")) == set(get("L").variables)
     assert model.reducible(get("M")) == set(get("M").variables)
@@ -179,7 +179,7 @@ def _assert_reduction_agrees(structures, formulas):
     for s in structures:
         m = s.handle()
         for f in formulas:
-            law = laws.product_formula(f)
+            law = laws.law_by_id(f)
             full = model.search(m, law, model.Exhaustive())[1]
             reduced = kernels.find_violation(*s.tables, f)
             assert (full is None) == (reduced is None), (s.label, f)

@@ -117,6 +117,21 @@ def test_catalog_aliases():
         laws.law_by_id("not-a-law")
 
 
+def test_catalog_is_built_once():
+    for law in laws.law_catalog():
+        assert laws.law_by_id(law.id) is laws.law_by_id(law.id)
+    assert laws.law_by_id("Pr") is laws.law_by_id("pr")
+
+
+def test_catalog_list_is_a_copy():
+    before = laws.law_catalog()
+    mine = laws.law_catalog()
+    assert mine is not before
+    mine.clear()
+    assert laws.law_catalog() == before
+    assert laws.law_by_id(before[0].id) is before[0]
+
+
 def test_swap_law_shape():
     law = laws.law_by_id("swap")
     assert len(law.hypotheses) == 5  # the three projection equations plus domain

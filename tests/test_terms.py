@@ -100,21 +100,42 @@ def test_round_trip_bulk():
         assert parse_term(format_term(t)) == t
 
 
-_term_strategy = st.deferred(
-    lambda: st.one_of(
-        st.sampled_from([ZERO, TOP, ID, A, B, Var("x"), Var("vv")]),
-        st.builds(Conv, _term_strategy),
-        st.builds(Comp, _term_strategy, _term_strategy),
-        st.builds(Meet, _term_strategy, _term_strategy),
-        st.builds(terms.Join, _term_strategy, _term_strategy),
-        st.builds(terms.Compl, _term_strategy),
-    )
+# st.recursive bounds the size by leaves, which also keeps every generated
+# term far below terms.MAX_DEPTH
+_term_strategy = st.recursive(
+    st.sampled_from([ZERO, TOP, ID, A, B, Var("x"), Var("vv")]),
+    lambda sub: st.one_of(
+        st.builds(Conv, sub),
+        st.builds(Comp, sub, sub),
+        st.builds(Meet, sub, sub),
+        st.builds(terms.Join, sub, sub),
+        st.builds(terms.Compl, sub),
+    ),
+    max_leaves=40,
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_term_strategy)
 def test_round_trip_property(t):
+    assert parse_term(format_term(t)) == t
+
+
+# arbitrary text, and strings of term tokens that often parse
+TERM_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(list("abxy01;&+-() ") + ["conv(", "id"])).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERM_TEXT, st.sampled_from(["RA", "J"]))
+def test_parse_term_returns_a_term_or_raises_term_error(text, signature):
+    try:
+        t = parse_term(text, signature=signature)
+    except terms.TermError:
+        return
+    assert isinstance(t, terms.Term)
     assert parse_term(format_term(t)) == t
 
 
