@@ -28,6 +28,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 Endpoint = tuple[str, str]  # (side, address), sides "L"/"R", address over "01"
 Constraint = tuple[Endpoint, Endpoint]
 
@@ -465,14 +467,14 @@ def sample_tree_pair(
 # --- model handle and sampling -------------------------------------------
 
 
-def paths_pool(depth: int = 4) -> list[BranchRelation]:
-    """Deterministic sample pool: compositions of the generators up to the
-    given length, their pairwise meets at length <= 2, converses of all of
+def paths_pool() -> list[BranchRelation]:
+    """Deterministic sample pool: compositions of the generators up to
+    length 4, their pairwise meets at length <= 2, converses of all of
     those, and the constants."""
     a, b = gen_a(), gen_b()
     words: list[BranchRelation] = [IDENT]
     frontier = [IDENT]
-    for _ in range(depth):
+    for _ in range(4):
         frontier = [compose(w, g) for w in frontier for g in (a, b)]
         words.extend(frontier)
     short = [w for w in words if len(w.constraints) and _max_addr(w) <= 2]
@@ -495,19 +497,33 @@ def _max_addr(r: BranchRelation) -> int:
     return max((max(len(p[1]), len(q[1])) for p, q in r.constraints), default=0)
 
 
+def _elementwise(f, nin: int):
+    """f on single relations, and elementwise through np.frompyfunc when an
+    argument is an array of relations.  A single call stays a direct call:
+    the suites make many, and frompyfunc costs several times more."""
+    vf = np.frompyfunc(f, nin, 1)
+    if nin == 1:
+        return lambda x: vf(x) if isinstance(x, np.ndarray) else f(x)
+    return lambda x, y: (
+        vf(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else f(x, y)
+    )
+
+
 def model_handle():
+    """The tree-relation model.  Its operations are looked up here, on each
+    call, so that a wrapper installed on the module attribute is used."""
     from .model import ModelHandle
 
     return ModelHandle(
         name="branchrel",
-        meet=meet,
-        comp=compose,
-        conv=converse,
+        meet=_elementwise(meet, 2),
+        comp=_elementwise(compose, 2),
+        conv=_elementwise(converse, 1),
         zero=ZERO,
         top=TOP,
         ident=IDENT,
-        equal=equal,
-        leq=leq,
+        equal=_elementwise(equal, 2),
+        leq=_elementwise(leq, 2),
         gen_a=gen_a(),
         gen_b=gen_b(),
         elements=None,

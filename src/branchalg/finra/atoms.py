@@ -201,7 +201,6 @@ def table_handle(comp, conv, ident=None, name="finra", format_element=str):
         sample_pool=elements,
         format_element=format_element,
         atoms=lambda: [1 << i for i in range(top.bit_length())],
-        tables=(comp, conv),
     )
 
 

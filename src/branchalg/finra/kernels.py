@@ -19,7 +19,7 @@ from .atoms import table_handle
 # --- associativity filter --------------------------------------------------
 
 
-def associative_candidates(n: int, forced, orbits, chunk: int = 1 << 20):
+def associative_candidates(n: int, forced, orbits):
     """Yield the triple sets (forced plus orbit unions) whose atom-level
     composition is associative.
 
@@ -34,7 +34,7 @@ def associative_candidates(n: int, forced, orbits, chunk: int = 1 << 20):
     for i, orbit in enumerate(orbits):
         for x, y, z in orbit:
             contrib[i, x, y] |= 1 << z
-    total = 1 << n_orbits
+    total, chunk = 1 << n_orbits, 1 << 20
     survivors: list[int] = []
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)

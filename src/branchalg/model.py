@@ -5,10 +5,11 @@ model or a finite algebra given by atom tables).  Laws are universally
 quantified implications between term equations; they are checked semantically,
 either over every assignment (finite models) or over seeded samples.
 
-One term compiler serves every model.  A finite model's operations are
-gathers on its composition and converse tables, so the same compiled term
-evaluates a whole block of assignments at once when its variables are bound
-to int64 arrays; a handle that carries tables is checked that way.
+One term compiler and one law-checking loop, search, serve every model.  Each
+handle's operations also work elementwise on numpy arrays of elements (int64
+bitmasks on a finite model, object arrays of relations on the tree), so a
+compiled term evaluates a whole block of assignments at once, and a closed
+subterm once per block.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import terms
 from .terms import Term
 
 EXHAUSTIVE_CAP = 1 << 20
-BLOCK = 1 << 12  # assignments evaluated together on a finite model
+BLOCK = 1 << 12  # assignments evaluated together
 
 
 class ModelError(Exception):
@@ -63,9 +64,6 @@ class ModelHandle:
     sample_pool: Callable[[], list] | None = None
     format_element: Callable[[Any], str] = repr
     atoms: Callable[[], list] | None = None
-    # (comp, conv) element tables of a finite model whose operations also
-    # work elementwise on int64 arrays; laws are then checked in blocks
-    tables: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def eval_term(m: ModelHandle, t: Term, env: dict[str, Any]) -> Any:
@@ -199,7 +197,7 @@ class LawReport:
 
 @dataclass(frozen=True)
 class Exhaustive:
-    cap: int = EXHAUSTIVE_CAP
+    pass
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,8 @@ class Sample:
 
 def check_law(m: ModelHandle, law: Law, strategy) -> LawReport:
     """Test a law over assignments; pass means no tested assignment satisfies
-    every hypothesis while violating a conclusion."""
+    every hypothesis while violating a conclusion.  The assignments are
+    walked by search, after the strategy is checked against the model."""
     names = law.quantified_variables(m)
     if not names:
         strategy = Exhaustive()
@@ -220,7 +219,7 @@ def check_law(m: ModelHandle, law: Law, strategy) -> LawReport:
                 f"model {m.name} has no element iterator for exhaustive checking"
             )
         total = len(m.elements()) ** len(names) if names else 1
-        if total > strategy.cap:
+        if total > EXHAUSTIVE_CAP:
             raise StrategyUnavailableError(
                 f"law {law.id}: {total} assignments exceed the exhaustive cap"
             )
@@ -231,52 +230,30 @@ def check_law(m: ModelHandle, law: Law, strategy) -> LawReport:
         label = f"sample(n={strategy.n},seed={strategy.seed})"
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if m.tables is None:
-        return _run_assignments(m, law, names, _assignments(m, names, strategy), label)
     tested, env = search(m, law, strategy)
     ce = None if env is None else {k: m.format_element(v) for k, v in env.items()}
     return LawReport(law.id, label, tested, env is None, ce)
 
 
 def _assignments(m: ModelHandle, names, strategy):
-    """The strategy's assignments as tuples: every one in itertools.product
-    order, or seeded draws from the sample pool."""
-    if isinstance(strategy, Exhaustive):
-        pool = list(m.elements()) if names else []
-        return itertools.product(pool, repeat=len(names))
+    """Seeded draws from the sample pool, one tuple per assignment."""
     pool = list(m.sample_pool())
     rng = random.Random(strategy.seed)
     return (tuple(rng.choice(pool) for _ in names) for _ in range(strategy.n))
 
 
-def _run_assignments(m, law, names, assignments, label) -> LawReport:
-    hyps = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.hypotheses]
-    concls = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.conclusions]
-    rel = {"=": m.equal, "<=": m.leq}
-
-    tested = 0
-    for values in assignments:
-        tested += 1
-        env = dict(zip(names, values))
-        if all(rel[op](fl(env), fr(env)) for fl, op, fr in hyps):
-            for fl, op, fr in concls:
-                if not rel[op](fl(env), fr(env)):
-                    ce = {k: m.format_element(v) for k, v in env.items()}
-                    return LawReport(law.id, label, tested, False, ce)
-    return LawReport(law.id, label, tested, True)
-
-
 def search(
     m: ModelHandle, law: Law, strategy, atom_vars=frozenset()
-) -> tuple[int, dict[str, int] | None]:
-    """First counterexample to a law on a finite model, evaluated a block of
-    assignments at a time.
+) -> tuple[int, dict[str, Any] | None]:
+    """First counterexample to a law, evaluated a block of assignments at a
+    time.
 
-    Walks the same assignments in the same order as the per-assignment check;
-    exhaustive search lets the variables in atom_vars range over the atoms
-    only (see reducible) and ignores the cap, which check_law enforces.
-    Returns how many assignments were tested, up to and including the
-    counterexample, and the counterexample as {variable: element}, or None.
+    Exhaustive search walks every assignment in itertools.product order and
+    lets the variables in atom_vars range over the atoms only (see
+    reducible); it ignores the cap, which check_law enforces.  Sampling
+    walks the seeded draws of _assignments in order.  Returns how many
+    assignments were tested, up to and including the counterexample, and
+    the counterexample as {variable: element}, or None.
     """
     names = law.quantified_variables(m)
     if isinstance(strategy, Exhaustive):
@@ -288,32 +265,35 @@ def search(
     concls = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.conclusions]
     rel = {"=": m.equal, "<=": m.leq}
 
+    def holds(fl, op, fr, env, shape):
+        return np.broadcast_to(np.asarray(rel[op](fl(env), fr(env)), bool), shape)
+
     tested = 0
     for block in blocks:
         rows = np.arange(block.shape[1])
         env = dict(zip(names, block))
         for fl, op, fr in hyps:
-            keep = np.broadcast_to(rel[op](fl(env), fr(env)), rows.shape)
+            keep = holds(fl, op, fr, env, rows.shape)
             rows = rows[keep]
             env = {k: v[keep] for k, v in env.items()}
         if rows.size:
             bad = np.zeros(rows.shape, dtype=bool)
             for fl, op, fr in concls:
-                bad |= ~np.broadcast_to(rel[op](fl(env), fr(env)), rows.shape)
+                bad |= ~holds(fl, op, fr, env, rows.shape)
             if bad.any():
                 i = int(rows[bad.argmax()])
-                return tested + i + 1, {k: int(v[i]) for k, v in zip(names, block)}
+                return tested + i + 1, {k: v.tolist()[i] for k, v in zip(names, block)}
         tested += block.shape[1]
     return tested, None
 
 
 def _product_blocks(pools):
     """Every assignment drawing variable i from pools[i], in itertools.product
-    order, as (len(pools), rows) int64 blocks of at most BLOCK rows."""
+    order, as (len(pools), rows) blocks of at most BLOCK rows."""
     if not pools:
-        yield np.zeros((0, 1), dtype=np.int64)
+        yield np.zeros((0, 1))
         return
-    pools = [np.asarray(p, dtype=np.int64) for p in pools]
+    pools = [np.asarray(p) for p in pools]
     sizes = tuple(len(p) for p in pools)
     total = int(np.prod(sizes))
     for start in range(0, total, BLOCK):
@@ -322,9 +302,10 @@ def _product_blocks(pools):
 
 
 def _chunks(assignments, k: int):
+    """Assignment tuples as (k, rows) blocks of at most BLOCK rows."""
     it = iter(assignments)
     while chunk := list(itertools.islice(it, BLOCK)):
-        yield np.array(chunk, dtype=np.int64).reshape(len(chunk), k).T
+        yield np.array(chunk).reshape(len(chunk), k).T
 
 
 def reducible(law: Law) -> frozenset[str]:

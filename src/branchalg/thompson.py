@@ -9,12 +9,11 @@ tree-relation model.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from dataclasses import dataclass
 
-from . import branchrel, model, terms
+from . import branchrel, model
 from .model import is_functional, is_permutational
 from .terms import (
     A as GEN_A,
@@ -161,7 +160,6 @@ def verify_generator_forms() -> list[str]:
 class SuiteReport:
     suite_id: str
     results: list[tuple[str, bool]]
-    env_digest: str
 
     @property
     def passed(self) -> bool:
@@ -178,13 +176,6 @@ class SuiteReport:
             f"SUITE {self.suite_id} {status} relations={len(self.results)}"
             f" failed=[{failed}]"
         )
-
-
-def _digest() -> str:
-    blob = "|".join(
-        f"{n}:{terms.format_term(t)}" for n, t in sorted(GENERATORS.items())
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 class _Ctx:
@@ -352,7 +343,7 @@ def run_suite(suite_id: str, seed: int = 0) -> SuiteReport:
     suite = _SUITES.get(suite_id)
     if suite is None:
         raise ValueError(f"unknown suite {suite_id!r}")
-    return SuiteReport(suite_id, suite(_Ctx(), seed), _digest())
+    return SuiteReport(suite_id, suite(_Ctx(), seed))
 
 
 def _holds(ctx, relations):
@@ -460,4 +451,4 @@ def bleak_quick_checks() -> SuiteReport:
         out.append((f"{name} permutational", is_permutational(ctx.m, ctx.rel(t))))
         src, dst = BLEAK_QUICK[name]
         out.append((f"{name} mapsto form", _ms(src, dst) == t))
-    return SuiteReport("bleak-quick", out, _digest())
+    return SuiteReport("bleak-quick", out)

@@ -2,12 +2,17 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from test_terms import TERM_TEXT
 
 from branchalg import cli, laws
 from branchalg.cli import main
-from branchalg.finra import format_structure, make_proper_ra
+from branchalg.finra import (
+    STRETCH_SIGNATURES,
+    format_structure,
+    make_proper_ra,
+    normalize_signature,
+)
 from branchalg.terms import MAX_DEPTH
 
 
@@ -304,4 +309,40 @@ ELEMENT_TEXT = st.one_of(
 @given(ELEMENT_TEXT, ELEMENT_TEXT)
 def test_main_on_arbitrary_elements(ra_files, v, w):
     argv = ["represent", ra_files["re2"], "--v", v, "--w", w, "--stages", "3"]
+    assert _quiet_main(argv) in (0, 1, 2)
+
+
+# valid rows only up to 1'ab keep each run short; the stretch rows are drawn
+# but never with --stretch, so they end in a usage error
+SIGNATURE_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["1'", "1'a", "1'aa~", "1'ab", "1' a", "1'aā", "1'abcc~", "1'abcd"]),
+)
+NUMBER_TEXT = st.one_of(st.integers(-3, 300).map(str), st.text(max_size=3))
+
+
+def _signature_argv(command, signature, stretch, extra=()):
+    assume(not (stretch and normalize_signature(signature) in STRETCH_SIGNATURES))
+    return [command, *extra] + (["--stretch"] if stretch else []) + ["--", signature]
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIGNATURE_TEXT, st.booleans())
+def test_main_on_arbitrary_enumerate_arguments(signature, stretch):
+    assert _quiet_main(_signature_argv("enumerate", signature, stretch)) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    SIGNATURE_TEXT,
+    st.booleans(),
+    st.booleans(),
+    st.none() | NUMBER_TEXT,
+    st.none() | NUMBER_TEXT,
+)
+def test_main_on_arbitrary_check_jlm_arguments(signature, stretch, elements, sample, seed):
+    extra = ["--elements"] if elements else []
+    extra += [] if sample is None else [f"--sample={sample}"]
+    extra += [] if seed is None else [f"--seed={seed}"]
+    argv = _signature_argv("check-jlm", signature, stretch, extra)
     assert _quiet_main(argv) in (0, 1, 2)

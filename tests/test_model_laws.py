@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from branchalg import branchrel, laws, model, terms
@@ -206,14 +207,37 @@ FALSE_LAWS = [
 ]
 
 
+def _reference_report(m, law, assignments, label):
+    """check_law's report, one assignment at a time: the first assignment, in
+    order, that re-fails the law is the counterexample."""
+    names = law.quantified_variables(m)
+    tested = 0
+    for tested, values in enumerate(assignments, 1):
+        env = dict(zip(names, values))
+        if model.rerun_counterexample(m, law, env):
+            ce = {k: m.format_element(v) for k, v in env.items()}
+            return model.LawReport(law.id, label, tested, False, ce)
+    return model.LawReport(law.id, label, tested, True)
+
+
+def _reference_sample(m, law, n, seed):
+    names = law.quantified_variables(m)
+    if not names:
+        return _reference_report(m, law, [()], "exhaustive")
+    pool = list(m.sample_pool())
+    rng = random.Random(seed)
+    draws = (tuple(rng.choice(pool) for _ in names) for _ in range(n))
+    return _reference_report(m, law, draws, f"sample(n={n},seed={seed})")
+
+
 def test_block_evaluation_matches_scalar_exhaustively(enumerated):
     m = enumerated("1'a")[1].handle()
     elems = list(m.elements())
     failures = 0
     for law in laws.law_catalog() + FALSE_LAWS:
         names = law.quantified_variables(m)
-        want = model._run_assignments(
-            m, law, names, itertools.product(elems, repeat=len(names)), "exhaustive"
+        want = _reference_report(
+            m, law, itertools.product(elems, repeat=len(names)), "exhaustive"
         )
         assert check_law(m, law, Exhaustive()) == want, law.id
         failures += not want.passed
@@ -222,17 +246,41 @@ def test_block_evaluation_matches_scalar_exhaustively(enumerated):
 
 def test_block_evaluation_matches_scalar_on_samples(enumerated):
     m = enumerated("1'abb~")[9].handle()
-    pool = list(m.sample_pool())
     failures = 0
     for law in laws.law_catalog() + FALSE_LAWS:
-        names = law.quantified_variables(m)
-        rng = random.Random(0)
-        draws = (tuple(rng.choice(pool) for _ in names) for _ in range(200))
-        label = "sample(n=200,seed=0)"
-        want = model._run_assignments(m, law, names, draws, label)
+        want = _reference_sample(m, law, 200, 0)
         assert check_law(m, law, Sample(200, 0)) == want, law.id
         failures += not want.passed
     assert failures >= len(FALSE_LAWS)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_evaluation_matches_scalar_on_the_tree(bmodel, seed):
+    failures = 0
+    for law in laws.law_catalog() + FALSE_LAWS:
+        want = _reference_sample(bmodel, law, 200, seed)
+        assert check_law(bmodel, law, Sample(200, seed)) == want, law.id
+        failures += not want.passed
+    assert failures >= 1
+
+
+def test_tree_operations_work_on_object_arrays(bmodel):
+    pool = branchrel.paths_pool()
+    xs = np.array(pool[:12] + [branchrel.ZERO], dtype=object)
+    ys = np.array(pool[5:17] + [branchrel.TOP], dtype=object)
+    x, y = pool[3], pool[8]
+    m = bmodel
+    for op in (m.meet, m.comp, m.equal, m.leq):
+        got = op(xs, ys)
+        assert got.shape == xs.shape
+        assert list(got) == [op(a, b) for a, b in zip(xs, ys)]
+        assert list(op(xs, y)) == [op(a, y) for a in xs]
+        assert list(op(x, ys)) == [op(x, b) for b in ys]
+    assert list(m.conv(xs)) == [m.conv(a) for a in xs]
+    for single in (m.meet(x, y), m.comp(x, y), m.conv(x)):
+        assert type(single) is branchrel.BranchRelation
+    for single in (m.equal(x, y), m.leq(x, y), m.equal(x, x)):
+        assert type(single) is bool
 
 
 def test_law_report_line_format(fmodel):
