@@ -17,14 +17,14 @@ engine over configurations (side, address).  The closure rules are
 
 The last rule is the constraint-level form of the law that pairing the two
 projections of a point recovers the point; without it the two projections
-would not satisfy the unicity identity.  A slow bounded breadth-first
-implementation of the same rule system serves as an independent oracle.
+would not satisfy the unicity identity.  The tests check the engine against
+a slow bounded breadth-first implementation of the same rule system
+(tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -208,77 +208,6 @@ def _engine_for(r: BranchRelation) -> ClosureEngine:
     return eng
 
 
-def entails(r: BranchRelation, c: Constraint) -> bool:
-    """Is the constraint derivable from r under the closure rules?"""
-    if r.is_zero:
-        raise ValueError("entails is undefined on the zero relation")
-    eng = _engine_for(r)
-    return eng.same(c[0], c[1])
-
-
-def _pack_ep(ep: Endpoint) -> int:
-    """Endpoint as an int: 1-prefixed address bits, tag in the low bit."""
-    code = 1
-    for ch in ep[1]:
-        code = code << 1 | (ch == "1")
-    return code << 1 | (ep[0] == "R")
-
-
-def entails_bfs(r: BranchRelation, c: Constraint, bound: int) -> bool:
-    """Independent oracle: closure restricted to addresses of length <= bound.
-
-    Plain worklist saturation over an explicit set of derived pairs, with no
-    lazy node creation and no union-find; sound, and complete for derivations
-    that stay within the address bound.
-    """
-    if r.is_zero:
-        raise ValueError("entails_bfs is undefined on the zero relation")
-    goal_p, goal_q = _pack_ep(c[0]), _pack_ep(c[1])
-    if goal_p == goal_q:
-        return True
-    goal = (min(goal_p, goal_q), max(goal_p, goal_q))
-    known: set[tuple[int, int]] = set()
-    adj: dict[int, list[int]] = {}
-    queue: deque[tuple[int, int]] = deque()
-    # a packed endpoint has address length bit_length(ep >> 1) - 1
-    applim = 1 << (bound + 1)  # appendable while (ep >> 1) < applim / 2
-
-    def push(p: int, q: int):
-        if p == q:
-            return
-        key = (p, q) if p < q else (q, p)
-        if key in known:
-            return
-        known.add(key)
-        adj.setdefault(p, []).append(q)
-        adj.setdefault(q, []).append(p)
-        queue.append(key)
-
-    for ep1, ep2 in r.constraints:
-        push(_pack_ep(ep1), _pack_ep(ep2))
-    while queue:
-        p, q = queue.popleft()
-        # transitivity through shared endpoints
-        for x, other in ((p, q), (q, p)):
-            for mate in list(adj.get(x, ())):
-                push(other, mate)
-        # right append within the bound
-        pa, qa = p >> 1, q >> 1
-        if pa < applim // 2 and qa < applim // 2:
-            for d in (0, 1):
-                push(
-                    (pa << 1 | d) << 1 | (p & 1),
-                    (qa << 1 | d) << 1 | (q & 1),
-                )
-        # pair reconstruction: merged siblings force the parents
-        if pa > 1 and qa > 1 and (pa & 1) == (qa & 1):
-            sp = (pa ^ 1) << 1 | (p & 1)
-            sq = (qa ^ 1) << 1 | (q & 1)
-            if (min(sp, sq), max(sp, sq)) in known:
-                push((pa >> 1) << 1 | (p & 1), (qa >> 1) << 1 | (q & 1))
-    return goal in known
-
-
 def leq(r1: BranchRelation, r2: BranchRelation) -> bool:
     if r1.is_zero:
         return True
@@ -321,16 +250,6 @@ def _product_engine(r1: BranchRelation, r2: BranchRelation) -> ClosureEngine:
     return eng
 
 
-def entails_product(r1: BranchRelation, r2: BranchRelation, c: Constraint) -> bool:
-    """Oracle for compose: is the outer constraint c (side L the input of r1,
-    side R the output of r2) derivable in the three-tag closure?"""
-    if r1.is_zero or r2.is_zero:
-        raise ValueError("entails_product is undefined on the zero relation")
-    tag = {"L": "s", "R": "t"}
-    (t1, a1), (t2, a2) = c
-    return _product_engine(r1, r2).same((tag[t1], a1), (tag[t2], a2))
-
-
 def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     """Relative product: project the shared middle tree out of r1 and r2.
 
@@ -354,7 +273,8 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     x', so it is identified only through its parent.  Configs of one E3
     class thus share N, and E2 derives their equality.
 
-    `entails_product` decides E3 directly; the tests check compose with it.
+    `entails_product` in tests/oracles.py decides E3 directly; the tests
+    check compose with it.
     """
     if r1.is_zero or r2.is_zero:
         return ZERO
@@ -388,80 +308,6 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
                 name[c] = nm
                 queue.append(c)
     return _rel(out)
-
-
-# --- finite semantic model ------------------------------------------------
-#
-# Trees are modeled concretely as binary label sequences indexed by the
-# natural numbers, with the two subtrees of a sequence being its even- and
-# odd-indexed halves.  The subtree at address u is then the subsequence at
-# positions congruent to rev(u) modulo 2**len(u); every constraint speaks of
-# equality of such subsequences.  This realizes all four closure rules, and
-# the all-zero sequence satisfies every constraint set.
-
-
-def _addr_stride(addr: str) -> tuple[int, int]:
-    stride = 1 << len(addr)
-    off = 0
-    for ch in reversed(addr):
-        off = off * 2 + (1 if ch == "1" else 0)
-    return stride, off
-
-
-def constraint_holds_on(
-    c: Constraint, trees: dict[str, list[int]], length: int
-) -> bool:
-    (t1, a1), (t2, a2) = c
-    s1, o1 = _addr_stride(a1)
-    s2, o2 = _addr_stride(a2)
-    i = 0
-    while o1 + i * s1 < length and o2 + i * s2 < length:
-        if trees[t1][o1 + i * s1] != trees[t2][o2 + i * s2]:
-            return False
-        i += 1
-    return True
-
-
-def sample_tree_pair(
-    r: BranchRelation, rng: random.Random, length: int = 256
-) -> dict[str, list[int]]:
-    """Random labeled tree pair consistent with the constraints of r.
-
-    Builds a union-find over the label positions touched by the constraints,
-    then labels each class with one random bit.
-    """
-    if r.is_zero:
-        raise ValueError("the zero relation has no satisfying pairs")
-    parent = list(range(2 * length))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        i, j = find(i), find(j)
-        if i != j:
-            parent[j] = i
-
-    base = {"L": 0, "R": length}
-    for (t1, a1), (t2, a2) in r.constraints:
-        s1, o1 = _addr_stride(a1)
-        s2, o2 = _addr_stride(a2)
-        i = 0
-        while o1 + i * s1 < length and o2 + i * s2 < length:
-            union(base[t1] + o1 + i * s1, base[t2] + o2 + i * s2)
-            i += 1
-    labels = {}
-    out = {"L": [0] * length, "R": [0] * length}
-    for tag in ("L", "R"):
-        for i in range(length):
-            rep = find(base[tag] + i)
-            if rep not in labels:
-                labels[rep] = rng.randint(0, 1)
-            out[tag][i] = labels[rep]
-    return out
 
 
 # --- model handle and sampling -------------------------------------------

@@ -3,13 +3,10 @@ structures during enumeration, and the element-level checks of the three
 product-decomposition formulas.
 
 The formula checks run the J, L and M laws of the catalog through the block
-evaluator in model.search; reference_violation is a plain brute force kept
-as the test oracle.
+evaluator in model.search.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -86,56 +83,3 @@ def find_violation(comp: np.ndarray, conv: np.ndarray, formula: str):
     law = laws.law_by_id(formula)
     m = table_handle(comp, conv)
     return model.search(m, law, model.Exhaustive(), model.reducible(law))[1]
-
-
-# --- reference (slow, obviously correct) versions for cross-checks ---------
-
-
-def reference_violation(comp, conv, formula: str, limit_elems=None):
-    """Plain-python brute force over all element assignments; used by tests
-    to validate the evaluator on small algebras."""
-    C = comp
-    V = conv
-    nel = C.shape[0] if limit_elems is None else limit_elems
-    rng = range(nel)
-
-    def leq(x, y):
-        return (x & y) == x
-
-    if formula == "J":
-        for a, b, u, v, x, y in itertools.product(rng, repeat=6):
-            hyp = C[V[u], x] & C[v, V[y]]
-            if not leq(hyp, C[V[a], b]):
-                continue
-            lhs = C[u, v] & C[x, y]
-            rhs = C[C[u, V[a]] & C[x, V[b]], C[a, v] & C[b, y]]
-            if not leq(lhs, rhs):
-                return (a, b, u, v, x, y)
-        return None
-    if formula == "L":
-        for u, v, w, x, y, z in itertools.product(rng, repeat=6):
-            lhs = C[u, v] & C[w, x] & C[y, z]
-            if lhs == 0:
-                continue
-            inner = (
-                C[V[u], w]
-                & C[v, V[x]]
-                & C[C[V[u], y] & C[v, V[z]], C[V[y], w] & C[z, V[x]]]
-            )
-            if not leq(lhs, C[C[u, inner], x]):
-                return (u, v, w, x, y, z)
-        return None
-    if formula == "M":
-        for u, v, w, p, q, r, s in itertools.product(rng, repeat=7):
-            lhs = u & C[v & C[w, p], q & C[r, s]]
-            if lhs == 0:
-                continue
-            inner = (
-                C[C[V[w], u] & C[p, q], V[s]]
-                & C[p, r]
-                & C[V[w], C[u, V[s]] & C[v, r]]
-            )
-            if not leq(lhs, C[C[w, inner], s]):
-                return (u, v, w, p, q, r, s)
-        return None
-    raise ValueError(f"unknown formula {formula!r}")

@@ -315,36 +315,44 @@ def reducible(law: Law) -> frozenset[str]:
     The generator symbols a and b count as variables.  A variable v
     qualifies when the law is a J-signature law and
 
-    1. every conclusion is a `<=` whose left side contains v exactly once;
+    1. every conclusion contains v exactly once on its left side, and is
+       either a `<=` or an `=` that contains v exactly once on its right
+       side too;
     2. every hypothesis that mentions v is a `<=` with v only on its left.
 
     Proof.  Composition, meet and converse are completely additive and
     strict in each argument (Jonsson and Tarski, Boolean algebras with
     operators, 1951), so a J-term in which v occurs once is additive and
     strict in v, and every J-term is monotone in v.  Let an assignment s
-    violate the law: every hypothesis holds and some conclusion L <= R
-    fails.  L contains v, so s(v) = 0 would make L = 0 and the conclusion
-    true; hence s(v) is a join of atoms t_1..t_n with n >= 1, and
-    L(s) = L(s[v:=t_1]) + ... + L(s[v:=t_n]).  Were every L(s[v:=t_i])
-    below R(s[v:=t_i]), which is below R(s) by monotonicity, L(s) would be
-    below R(s); so some atom t_i has L(s[v:=t_i]) not below R(s[v:=t_i]).
-    A hypothesis mentioning v reads H <= G with v in H only, and
+    violate the law: every hypothesis holds and some conclusion fails.  Its
+    left side L contains v, so s(v) = 0 would make L = 0 and a `<=` true;
+    an `=` has v once on its right side R too, so R = 0 as well and the
+    equation holds.  Hence s(v) is a join of atoms t_1..t_n with n >= 1,
+    and L(s) = L(s[v:=t_1]) + ... + L(s[v:=t_n]).  If the failing
+    conclusion is L <= R: were every L(s[v:=t_i]) below R(s[v:=t_i]),
+    which is below R(s) by monotonicity, L(s) would be below R(s).  If it
+    is L = R: R(s) is the join of the R(s[v:=t_i]) as well, so were the
+    two sides equal at every atom, the joins would be equal.  Either way
+    some atom t_i has the conclusion fail at s[v:=t_i].  A hypothesis
+    mentioning v reads H <= G with v in H only, and
     H(s[v:=t_i]) <= H(s) <= G; the other hypotheses do not see v.  So
     s[v:=t_i] violates the law too.  The step keeps every other variable's
     value, so all qualifying variables may be restricted at once.
 
     Rule 1 cannot be weakened to "conclusions that mention v": with the
     conclusion w <= v in the one-atom algebra, w = 1, v = 0 is a violation
-    that no atom value of v reproduces.
+    that no atom value of v reproduces.  Nor may an `=` leave v out of one
+    side: in an integral algebra with more than one element, x = 0 is the
+    only violation of x;1 = 1.
     """
     if law.signature != "J":
         return frozenset()
     out = set(law.variables)
     if law._mentions_generators():
         out |= {"a", "b"}
-    for lhs, op, _ in law.conclusions:
-        left = Counter(_leaves(lhs))
-        out = {v for v in out if op == "<=" and left[v] == 1}
+    for lhs, op, rhs in law.conclusions:
+        left, right = Counter(_leaves(lhs)), Counter(_leaves(rhs))
+        out = {v for v in out if left[v] == 1 and (op == "<=" or right[v] == 1)}
     for lhs, op, rhs in law.hypotheses:
         left, right = Counter(_leaves(lhs)), Counter(_leaves(rhs))
         out = {v for v in out if not right[v] and (op == "<=" or not left[v])}

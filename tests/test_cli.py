@@ -152,6 +152,28 @@ def test_represent_not_tabular(capsys, tmp_path):
     assert "tabular" in err
 
 
+NOT_RELATION_ALGEBRAS = {
+    # 1' ; a is 0, not a
+    "identity-broken": "atoms=2 identity=0 converse=0,1\ncycle 0 0 0\n",
+    # a ; b is 0, so a ; (a ; b) is 0 but (a ; a) ; b is b
+    "non-associative": (
+        "atoms=3 identity=0 converse=0,1,2\ncycle 0 0 0\ncycle 0 1 1\ncycle 0 2 2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_RELATION_ALGEBRAS))
+def test_represent_rejects_a_non_relation_algebra(capsys, tmp_path, case):
+    path = tmp_path / f"{case}.ra"
+    path.write_text(NOT_RELATION_ALGEBRAS[case])
+    code, out, err = run(
+        capsys, ["represent", str(path), "--v", "0", "--w", "1'", "--stages", "3"]
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    assert "relation algebra axioms" in err
+
+
 def test_dot(capsys):
     code, out, _ = run(capsys, ["dot", "a;b & id"])
     assert code == 0

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchalg import laws, model
 from branchalg.finra import (
     AtomStructureError,
     TABLE_TOTALS,
@@ -8,15 +11,18 @@ from branchalg.finra import (
     enumerate_integral,
     format_structure,
     from_cycles,
+    kernels,
     make_proper_ra,
     normalize_signature,
     parse_structure,
     verify_axioms,
 )
-from branchalg.finra.atoms import AtomStructure
+from branchalg.finra.atoms import AXIOM_LAWS, AtomStructure
 from branchalg.finra.enumeration import (
     atom_symmetries,
     canonical_key,
+    diversity_orbits,
+    forced_triples,
     signature_spec,
 )
 
@@ -35,32 +41,54 @@ def test_cycle_closure_enforced():
                       frozenset({(0, 0, 0), (1, 2, 1)}))
 
 
-def test_assoc_filter_agrees_with_full_axiom_check():
-    # every orbit subset over the two-symmetric-atom signature: the fast
-    # associativity filter must keep exactly the candidates that satisfy the
-    # full axiom battery
-    from branchalg.finra import kernels
-    from branchalg.finra.enumeration import diversity_orbits, forced_triples
-
-    _, names, conv = signature_spec("1'ab")
+def _orbit_subsets(signature):
+    """Every structure on the signature whose triples are the forced ones
+    plus a union of diversity orbits, associative or not, with the triple
+    sets the associativity filter keeps."""
+    _, names, conv = signature_spec(signature)
     forced = forced_triples(conv)
     orbits = diversity_orbits(conv)
-    survivors = {
-        frozenset(t) for t in kernels.associative_candidates(len(conv), forced, orbits)
-    }
-    import itertools
-
-    seen_bad = 0
+    survivors = set(kernels.associative_candidates(len(conv), forced, orbits))
+    structures = []
     for k in range(len(orbits) + 1):
-        for combo in itertools.combinations(range(len(orbits)), k):
-            triples = set(forced)
-            for i in combo:
-                triples.update(orbits[i])
-            s = AtomStructure(names, conv, frozenset({0}), frozenset(triples))
+        for combo in itertools.combinations(orbits, k):
+            triples = frozenset(forced.union(*combo))
+            structures.append(AtomStructure(names, conv, frozenset({0}), triples))
+    return structures, survivors
+
+
+def test_assoc_filter_agrees_with_full_axiom_check():
+    # every orbit subset over the signatures with at most four atoms and
+    # symmetric or paired diversity atoms: the fast associativity filter
+    # must keep exactly the candidates that satisfy the full axiom battery
+    checked = rejected = 0
+    for sig in ("1'a", "1'aa~", "1'ab", "1'abb~"):
+        structures, survivors = _orbit_subsets(sig)
+        for s in structures:
             ok = verify_axioms(s)
-            assert ok == (frozenset(triples) in survivors)
-            seen_bad += not ok
-    assert seen_bad > 0
+            assert ok == (s.triples in survivors), (sig, sorted(s.triples))
+            rejected += not ok
+        checked += len(structures)
+    assert (checked, rejected) == (150, 91)
+
+
+def test_axiom_laws_reduced_and_full_quantification_agree(enumerated):
+    # every structure with at most three atoms, and every orbit subset of
+    # 1'ab, the failing ones included
+    structures = [s for sig in ("1'", "1'a", "1'aa~", "1'ab") for s in enumerated(sig)]
+    structures += _orbit_subsets("1'ab")[0]
+    failures = 0
+    for s in structures:
+        m = s.handle()
+        for law_id in AXIOM_LAWS:
+            law = laws.law_by_id(law_id)
+            full = model.search(m, law, model.Exhaustive())[1]
+            reduced = model.search(m, law, model.Exhaustive(), model.reducible(law))[1]
+            assert (full is None) == (reduced is None), (s.label, law_id)
+            if reduced is not None:
+                assert model.rerun_counterexample(m, law, reduced)
+                failures += 1
+    assert failures > 0
 
 
 def test_make_proper_ra():
