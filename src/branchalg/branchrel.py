@@ -24,6 +24,7 @@ a slow bounded breadth-first implementation of the same rule system
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -349,27 +350,45 @@ def _elementwise(f, nin: int):
     the suites make many, and frompyfunc costs several times more."""
     vf = np.frompyfunc(f, nin, 1)
     if nin == 1:
-        return lambda x: vf(x) if isinstance(x, np.ndarray) else f(x)
-    return lambda x, y: (
-        vf(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else f(x, y)
-    )
+        g = lambda x: vf(x) if isinstance(x, np.ndarray) else f(x)
+    else:
+        g = lambda x, y: (
+            vf(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else f(x, y)
+        )
+    g.__wrapped__ = f
+    return g
+
+
+MEMO_SIZE = 1024  # entries per memoised operation of one handle
 
 
 def model_handle():
-    """The tree-relation model.  Its operations are looked up here, on each
-    call, so that a wrapper installed on the module attribute is used."""
+    """The tree-relation model.
+
+    `compose`, `leq` and `equal` are memoised, each in a bounded LRU cache
+    made here for this handle (reached as `.__wrapped__` of the handle's
+    operation).  A law check or a suite asks for the same few relations
+    many times over, so most calls are repeats; the CLI builds one handle
+    per command, so a cache lives exactly as long as one job and memory
+    stays bounded.  The module functions stay uncached: a process-global
+    cache would carry answers from one job into the next, which a one-shot
+    CLI process never gets.  Each wrapper looks its module function up by
+    name on every miss, so a wrapper installed on the module attribute
+    (a tracer, a test) sees every miss.
+    """
     from .model import ModelHandle
 
+    memo = functools.lru_cache(maxsize=MEMO_SIZE)
     return ModelHandle(
         name="branchrel",
         meet=_elementwise(meet, 2),
-        comp=_elementwise(compose, 2),
+        comp=_elementwise(memo(lambda x, y: compose(x, y)), 2),
         conv=_elementwise(converse, 1),
         zero=ZERO,
         top=TOP,
         ident=IDENT,
-        equal=_elementwise(equal, 2),
-        leq=_elementwise(leq, 2),
+        equal=_elementwise(memo(lambda x, y: equal(x, y)), 2),
+        leq=_elementwise(memo(lambda x, y: leq(x, y)), 2),
         gen_a=gen_a(),
         gen_b=gen_b(),
         elements=None,

@@ -37,6 +37,17 @@ def peirce_orbit(t: Triple, conv: tuple[int, ...]) -> frozenset[Triple]:
     return frozenset(seen)
 
 
+def _union_table(values: np.ndarray) -> np.ndarray:
+    """table[m] = the OR of values[i] over the atoms i of bitmask m, along
+    the first axis.  Masks in [2**i, 2**(i+1)) are those below 2**i plus
+    atom i, so each atom is one vectorised OR over the table so far."""
+    n = len(values)
+    table = np.zeros((1 << n, *values.shape[1:]), dtype=np.int64)
+    for i in range(n):
+        table[1 << i : 2 << i] = table[: 1 << i] | values[i]
+    return table
+
+
 @dataclass(frozen=True)
 class AtomStructure:
     atom_names: tuple[str, ...]
@@ -82,7 +93,7 @@ class AtomStructure:
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Element-level composition and converse tables (bitmask indexed)."""
-        n, nel = self.n_atoms, self.n_elements
+        n = self.n_atoms
         if n > 12:
             raise AtomStructureError(
                 f"dense element tables need 4**{n} entries; {n} atoms is too many"
@@ -90,27 +101,9 @@ class AtomStructure:
         atom_comp = np.zeros((n, n), dtype=np.int64)
         for x, y, z in self.triples:
             atom_comp[x, y] |= 1 << z
-        comp = np.zeros((nel, nel), dtype=np.int64)
-        for xm in range(1, nel):
-            xl = xm & -xm
-            xr = xm ^ xl
-            xi = xl.bit_length() - 1
-            for ym in range(1, nel):
-                yl = ym & -ym
-                yr = ym ^ yl
-                if xr:
-                    comp[xm, ym] = comp[xr, ym] | comp[xl, ym]
-                elif yr:
-                    comp[xm, ym] = comp[xm, yr] | comp[xm, yl]
-                else:
-                    comp[xm, ym] = atom_comp[xi, yl.bit_length() - 1]
-        cv = np.zeros(nel, dtype=np.int64)
-        for xm in range(nel):
-            acc = 0
-            for i in range(n):
-                if xm >> i & 1:
-                    acc |= 1 << self.conv[i]
-            cv[xm] = acc
+        # x ; y is the union over the atoms of y, then over the atoms of x
+        comp = _union_table(_union_table(atom_comp.T).T)
+        cv = _union_table(np.left_shift(1, self.conv, dtype=np.int64))
         return comp, cv
 
     # element operations (elements are ints)

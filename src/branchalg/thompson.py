@@ -179,16 +179,14 @@ class SuiteReport:
 
 
 class _Ctx:
-    """Evaluates generator terms in the tree-relation model, with caching."""
+    """Evaluates generator terms in one tree-relation model handle, whose
+    memo serves the repeated compositions and comparisons of a suite."""
 
     def __init__(self):
         self.m = branchrel.model_handle()
-        self._cache: dict[Term, object] = {}
 
     def rel(self, t: Term):
-        if t not in self._cache:
-            self._cache[t] = model.eval_term(self.m, t, {})
-        return self._cache[t]
+        return model.eval_term(self.m, t, {})
 
     def holds(self, lhs: Term, rhs: Term) -> bool:
         return self.m.equal(self.rel(lhs), self.rel(rhs))

@@ -2,13 +2,16 @@
 
 Nothing in the package calls these.  They are the bounded breadth-first
 closure `entails_bfs` and the three-tag `entails_product` for the tree
-relations, a concrete finite semantic model of tree pairs, and the plain
-brute force `reference_violation` for the product formulas J, L and M.
+relations, a concrete finite semantic model of tree pairs, the element tables
+of an atom structure built from their definitions, and the plain brute force
+`reference_violation` for the product formulas J, L and M.
 """
 
 import itertools
 import random
 from collections import deque
+
+import numpy as np
 
 from branchalg.branchrel import (
     BranchRelation,
@@ -174,6 +177,25 @@ def sample_tree_pair(
                 labels[rep] = rng.randint(0, 1)
             out[tag][i] = labels[rep]
     return out
+
+
+# --- element tables ---------------------------------------------------------
+
+
+def element_tables(s):
+    """The element composition and converse tables of atom structure s,
+    straight from the definitions: atom z lies in X;Y exactly when some
+    triple (x, y, z) has x in X and y in Y, and X~ holds the converses of
+    the atoms of X."""
+    nel, n = s.n_elements, s.n_atoms
+    members = [[m for m in range(nel) if m >> i & 1] for i in range(n)]
+    comp = np.zeros((nel, nel), dtype=np.int64)
+    for x, y, z in s.triples:
+        comp[np.ix_(members[x], members[y])] |= 1 << z
+    conv = np.zeros(nel, dtype=np.int64)
+    for i in range(n):
+        conv[members[i]] |= 1 << s.conv[i]
+    return comp, conv
 
 
 # --- product formulas -------------------------------------------------------

@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchalg import branchrel as br
-from branchalg import laws, model, thompson
+from branchalg import cli, laws, model, thompson
 
 import oracles
 
@@ -206,6 +207,92 @@ def test_product_oracle_has_teeth():
     for r1, r2, missing in ((A, CA, c("L.0=R.0")), (CA, A, c("L.^=R.^"))):
         assert _product_gaps(r1, r2, TOP, [missing]) == [missing]
         assert _product_gaps(r1, r2, br.compose(r1, r2), [missing]) == []
+
+
+# --- the per-handle memo ----------------------------------------------------
+
+MEMOISED = (("comp", br.compose), ("leq", br.leq), ("equal", br.equal))
+
+
+def test_memoised_operations_agree_with_the_module():
+    pool = br.paths_pool()
+    rng = random.Random(7)
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
+    draws = [rng.choice(pairs) for _ in range(400)]  # mostly repeats
+    xs = np.array([x for x, _ in draws], dtype=object)
+    ys = np.array([y for _, y in draws], dtype=object)
+    m = br.model_handle()
+    for name, f in MEMOISED:
+        op = getattr(m, name)
+        want = [f(x, y) for x, y in draws]
+        assert [op(x, y) for x, y in draws] == want
+        got = op(xs, ys)
+        assert got.dtype == object and list(got) == want
+        assert list(op(xs, draws[0][1])) == [f(x, draws[0][1]) for x in xs]
+        info = op.__wrapped__.cache_info()
+        assert info.misses == len(set(draws) | {(x, draws[0][1]) for x in xs})
+        assert info.hits == 3 * len(draws) - info.misses
+
+
+def test_handles_share_no_cache_entries(monkeypatch):
+    for name, f in MEMOISED:
+        calls = []
+        m1, m2 = br.model_handle(), br.model_handle()
+
+        def counting(x, y, f=f):
+            calls.append((x, y))
+            return f(x, y)
+
+        # patched after the handles are built: a miss looks the name up
+        monkeypatch.setattr(br, f.__name__, counting)
+        op1, op2 = getattr(m1, name), getattr(m2, name)
+        assert op1.__wrapped__ is not op2.__wrapped__
+        assert op1(A, CB) == op1(A, CB) == op2(A, CB) == f(A, CB)
+        # one miss in each handle, each a call of the module attribute
+        assert calls == [(A, CB), (A, CB)]
+        assert op1.__wrapped__.cache_info().currsize == 1
+        assert op2.__wrapped__.cache_info().currsize == 1
+        assert not hasattr(f, "cache_info")
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "law_id, n, name", [("M", 200, "comp"), ("p2", 2000, "leq"), ("fg-rule", 600, "equal")]
+)
+def test_memo_stays_bounded_over_a_check_law_run(capsys, monkeypatch, law_id, n, name):
+    handles = []
+    make = br.model_handle
+
+    def recording():
+        handles.append(make())
+        return handles[-1]
+
+    monkeypatch.setattr(br, "model_handle", recording)
+    cli.main(["check-law", law_id, "--strategy", f"sample={n}", "--seed", "0"])
+    capsys.readouterr()
+    (m,) = handles
+    for op_name, _ in MEMOISED:
+        assert getattr(m, op_name).__wrapped__.cache_info().currsize <= br.MEMO_SIZE
+    # the run asked for more distinct inputs than the cache holds
+    assert getattr(m, name).__wrapped__.cache_info().misses > br.MEMO_SIZE
+
+
+def test_outputs_do_not_depend_on_the_memo(capsys, monkeypatch):
+    argvs = [["suite", sid, "--seed", "1"] for sid in thompson.SUITE_IDS] + [
+        ["check-law", law_id, "--strategy", "sample=200", "--seed", "2"]
+        for law_id in ("M", "J", "fg-rule", "p2", "exch")
+    ]
+
+    def outputs():
+        out = []
+        for argv in argvs:
+            code = cli.main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    memoised = outputs()
+    monkeypatch.setattr(br, "MEMO_SIZE", 0)  # lru_cache(maxsize=0) keeps nothing
+    assert outputs() == memoised
 
 
 def test_paths_pool_is_deterministic():

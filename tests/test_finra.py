@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +26,8 @@ from branchalg.finra.enumeration import (
     forced_triples,
     signature_spec,
 )
+
+import oracles
 
 
 def test_one_atom_algebra():
@@ -100,6 +103,22 @@ def test_make_proper_ra():
         make_proper_ra(0)
     with pytest.raises(ValueError):
         make_proper_ra(5)
+
+
+def test_tables_match_the_definition(enumerated):
+    structures = [
+        s
+        for sig in ("1'", "1'a", "1'aa~", "1'ab", "1'abb~", "1'abc")
+        for s in enumerated(sig)
+    ]
+    structures.append(make_proper_ra(3))
+    assert {s.n_atoms for s in structures} == {1, 2, 3, 4, 9}
+    for s in structures:
+        comp, conv = s.tables
+        want_comp, want_conv = oracles.element_tables(s)
+        assert comp.dtype == conv.dtype == np.int64
+        assert np.array_equal(comp, want_comp), s.label
+        assert np.array_equal(conv, want_conv), s.label
 
 
 def test_element_formatting_and_parsing():
