@@ -1,10 +1,27 @@
 """Enumeration of integral finite relation algebras by atom signature.
 
 A signature fixes the diversity atoms and their converse pairing (the
-identity is a single atom).  Candidate structures are subsets of the
-cycle-transform orbits of diversity triples; the associativity filter keeps
-the ones that induce relation algebras, and isomorph rejection canonicalizes
-over atom relabelings that fix the identity and commute with converse.
+identity is a single atom).  A candidate structure is the set of forced
+identity triples plus a union of cycle-transform orbits of diversity
+triples, written as a mask with one bit per orbit.  Two candidates are
+isomorphic when an atom relabeling that fixes the identity and commutes
+with converse (a symmetry) maps one onto the other.
+
+Canonicity comes first.  A symmetry maps cycle orbits to cycle orbits, so
+it acts on masks as a permutation of their bits (``orbit_permutations``),
+and ``kernels.canonical_masks`` keeps the masks that are the minimum of
+their orbit under these permutations.  Only those masks go through the
+associativity filter, and each survivor is the one structure of its class.
+
+Why this keeps the same representatives as filtering every mask in
+increasing order and keeping the first member of each class: a symmetry
+fixes the forced triples (they are defined by the identity and converse
+alone) and carries a structure to an isomorphic copy of itself, so it
+preserves associativity.  The associative masks are therefore a union of
+whole orbits, and the first associative mask of a class in increasing
+order is the minimum of its orbit: the canonical mask.  ``canonical_key``
+is then computed once per class, only to put the classes in their
+published order.
 """
 
 from __future__ import annotations
@@ -94,6 +111,13 @@ def atom_symmetries(conv: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+def orbit_permutations(orbits: list[tuple], perms) -> list[tuple[int, ...]]:
+    """For each symmetry, the index of the orbit it sends each orbit to."""
+    index = {t: i for i, orbit in enumerate(orbits) for t in orbit}
+    firsts = [orbit[0] for orbit in orbits]
+    return [tuple(index[p[x], p[y], p[z]] for x, y, z in firsts) for p in perms]
+
+
 def canonical_key(triples, perms) -> tuple:
     best = None
     for p in perms:
@@ -110,27 +134,22 @@ def enumerate_integral(signature: str, stretch: bool = False) -> list[AtomStruct
     are stable across runs.
     """
     key, names, conv = signature_spec(signature, stretch=stretch)
-    forced = forced_triples(conv)
     orbits = diversity_orbits(conv)
-    n = len(conv)
-    survivors = kernels.associative_candidates(n, forced, orbits)
     perms = atom_symmetries(conv)
-    canon: dict[tuple, frozenset] = {}
-    for triples in survivors:
-        ck = canonical_key(triples, perms)
-        canon.setdefault(ck, triples)
-    out = []
-    for i, ck in enumerate(sorted(canon)):
-        out.append(
-            AtomStructure(
-                atom_names=names,
-                conv=conv,
-                identity=frozenset({0}),
-                triples=frozenset(canon[ck]),
-                label=f"{key}#{i}",
-            )
+    masks = kernels.canonical_masks(len(orbits), orbit_permutations(orbits, perms))
+    forced = forced_triples(conv)
+    classes = kernels.associative_candidates(len(conv), forced, orbits, masks)
+    classes.sort(key=lambda triples: canonical_key(triples, perms))
+    return [
+        AtomStructure(
+            atom_names=names,
+            conv=conv,
+            identity=frozenset({0}),
+            triples=triples,
+            label=f"{key}#{i}",
         )
-    return out
+        for i, triples in enumerate(classes)
+    ]
 
 
 TABLE_TOTALS = {

@@ -3,8 +3,9 @@
 Nothing in the package calls these.  They are the bounded breadth-first
 closure `entails_bfs` and the three-tag `entails_product` for the tree
 relations, a concrete finite semantic model of tree pairs, the element tables
-of an atom structure built from their definitions, and the plain brute force
-`reference_violation` for the product formulas J, L and M.
+of an atom structure built from their definitions, the plain brute force
+`reference_violation` for the product formulas J, L and M, and the
+enumeration by plain isomorph rejection `enumerate_brute`.
 """
 
 import itertools
@@ -19,6 +20,15 @@ from branchalg.branchrel import (
     Endpoint,
     _engine_for,
     _product_engine,
+)
+from branchalg.finra import kernels
+from branchalg.finra.atoms import AtomStructure
+from branchalg.finra.enumeration import (
+    atom_symmetries,
+    canonical_key,
+    diversity_orbits,
+    forced_triples,
+    signature_spec,
 )
 
 # --- closure oracles --------------------------------------------------------
@@ -249,3 +259,26 @@ def reference_violation(comp, conv, formula: str, limit_elems=None):
                 return (u, v, w, p, q, r, s)
         return None
     raise ValueError(f"unknown formula {formula!r}")
+
+
+# --- enumeration ------------------------------------------------------------
+
+
+def enumerate_brute(signature: str, stretch: bool = False) -> list[AtomStructure]:
+    """The integral structures over the signature by plain isomorph
+    rejection: filter every orbit subset for associativity in increasing
+    mask order, key each survivor by canonical_key, keep the first survivor
+    of each key and order the classes by key."""
+    key, names, conv = signature_spec(signature, stretch=stretch)
+    orbits = diversity_orbits(conv)
+    perms = atom_symmetries(conv)
+    survivors = kernels.associative_candidates(
+        len(conv), forced_triples(conv), orbits, np.arange(1 << len(orbits))
+    )
+    canon: dict[tuple, frozenset] = {}
+    for triples in survivors:
+        canon.setdefault(canonical_key(triples, perms), triples)
+    return [
+        AtomStructure(names, conv, frozenset({0}), canon[ck], label=f"{key}#{i}")
+        for i, ck in enumerate(sorted(canon))
+    ]

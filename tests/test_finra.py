@@ -20,10 +20,12 @@ from branchalg.finra import (
 )
 from branchalg.finra.atoms import AXIOM_LAWS, AtomStructure
 from branchalg.finra.enumeration import (
+    SIGNATURES,
     atom_symmetries,
     canonical_key,
     diversity_orbits,
     forced_triples,
+    orbit_permutations,
     signature_spec,
 )
 
@@ -51,7 +53,11 @@ def _orbit_subsets(signature):
     _, names, conv = signature_spec(signature)
     forced = forced_triples(conv)
     orbits = diversity_orbits(conv)
-    survivors = set(kernels.associative_candidates(len(conv), forced, orbits))
+    survivors = set(
+        kernels.associative_candidates(
+            len(conv), forced, orbits, np.arange(1 << len(orbits))
+        )
+    )
     structures = []
     for k in range(len(orbits) + 1):
         for combo in itertools.combinations(orbits, k):
@@ -231,6 +237,40 @@ def test_enumeration_is_deterministic():
     assert [s.label for s in once] == ["1'ab#" + str(i) for i in range(7)]
 
 
+@pytest.mark.parametrize("signature", ["1'abb~", "1'abc", "1'aa~bb~", "1'abcc~"])
+def test_canonical_masks_are_orbit_minima(signature):
+    # each atom symmetry maps every orbit onto a whole orbit, so it permutes
+    # the orbit bits; walking the masks upwards, the first mask not yet
+    # reached from a smaller one is the minimum of its orbit
+    _, _, conv = signature_spec(signature, stretch=True)
+    orbits = diversity_orbits(conv)
+    perms = atom_symmetries(conv)
+    position = {frozenset(orbit): j for j, orbit in enumerate(orbits)}
+    sigmas = [
+        tuple(
+            position[frozenset((p[x], p[y], p[z]) for x, y, z in orbit)]
+            for orbit in orbits
+        )
+        for p in perms
+    ]
+    assert orbit_permutations(orbits, perms) == sigmas
+    reached, minima = set(), []
+    for mask in range(1 << len(orbits)):
+        if mask in reached:
+            continue
+        minima.append(mask)
+        for sigma in sigmas:
+            reached.add(sum(1 << j for i, j in enumerate(sigma) if mask >> i & 1))
+    assert kernels.canonical_masks(len(orbits), sigmas).tolist() == minima
+
+
+@pytest.mark.parametrize("signature", [*SIGNATURES, "1'abcc~"])
+def test_enumeration_matches_brute_force(signature):
+    fast = enumerate_integral(signature, stretch=True)
+    brute = oracles.enumerate_brute(signature, stretch=True)
+    assert [(s.label, s.triples) for s in fast] == [(s.label, s.triples) for s in brute]
+
+
 def test_enumeration_pairwise_nonisomorphic(enumerated):
     _, names, conv = signature_spec("1'abb~")
     perms = atom_symmetries(conv)
@@ -245,7 +285,6 @@ def test_unsupported_and_stretch_signatures():
         enumerate_integral("1'abcd")  # stretch target needs the flag
 
 
-@pytest.mark.slow
 def test_stretch_row_counts():
     assert len(enumerate_integral("1'abcc~", stretch=True)) == TABLE_TOTALS["1'abcc~"]
     assert len(enumerate_integral("1'abcd", stretch=True)) == TABLE_TOTALS["1'abcd"]
