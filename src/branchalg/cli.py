@@ -148,6 +148,8 @@ def cmd_check_jlm(args) -> int:
             row = {args.target: (len(structures), profile)}
             _write_file(args.tsv, finra_jlm.profile_tsv(row))
         return 0
+    if args.tsv:
+        raise EngineError(f"--tsv needs a signature; {args.target!r} is not one")
     s = _load_structure(args.target)
     rec = check_jlm(s, mode=mode, **kw)
     print(rec.line())
@@ -263,7 +265,6 @@ def main(argv=None) -> int:
         NotTabular,
         UnsupportedSignatureError,
         finra_atoms.AtomStructureError,
-        finra_jlm.SizeCapExceeded,
         laws.UnknownLaw,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,14 @@
-"""Checks of the three product-decomposition formulas and the guarded
-nine-variable implication.
+"""Checks of the three product-decomposition formulas.
 
-Every check runs the J, L, M and K laws of the catalog through the block
-evaluator in model.search.  The published failure counts for the formulas
-quantify their variables over the atoms of each structure; that is the
-default mode here.  Element-level quantification is strictly stronger for J
-(one structure over three symmetric atoms witnesses the difference) and is
-available as mode="elements".  There model.reducible lets every variable
-except a and b of J range over atoms, so for L and M the element mode is the
-atom mode.
+Every check runs the J, L and M laws of the catalog through the block
+evaluator in model.search; the guarded nine-variable implication is the
+catalog law K, which `check-law K --model FILE` checks.  The published
+failure counts for the formulas quantify their variables over the atoms of
+each structure; that is the default mode here.  Element-level
+quantification is strictly stronger for J (one structure over three
+symmetric atoms witnesses the difference) and is available as
+mode="elements".  There model.reducible lets every variable except a and b
+of J range over atoms, so for L and M the element mode is the atom mode.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ PROFILE_COLUMNS = (
     (),
 )
 PROFILE_NAMES = tuple("".join(c) or "none" for c in PROFILE_COLUMNS)
-
-
-class SizeCapExceeded(Exception):
-    pass
 
 
 @dataclass
@@ -64,16 +60,12 @@ def check_jlm(
     recorded as its first violating assignment {variable: bitmask}.
 
     mode="atoms" quantifies over atoms (the published-table convention);
-    mode="elements" over all elements of the induced algebra (capped at four
-    atoms); mode="sample" draws seeded random element assignments, for
-    structures beyond the exhaustive cap.
+    mode="elements" over all elements of the induced algebra; mode="sample"
+    draws seeded random element assignments.  Every mode needs the dense
+    element tables, so at most 12 atoms.
     """
     rec = JlmRecord(label=s.label or "ra", mode=mode)
     if mode == "elements":
-        if s.n_atoms > 4:
-            raise SizeCapExceeded(
-                f"element-level check capped at 4 atoms, got {s.n_atoms}"
-            )
         comp, conv = s.tables
         for f in FORMULAS:
             rec.failures[f] = kernels.find_violation(comp, conv, f)
@@ -117,35 +109,3 @@ def profile_tsv(rows: dict[str, tuple[int, tuple[int, ...]]]) -> str:
         lines.append(f"{sig}\t{total}\t" + "\t".join(str(v) for v in prof))
     return "\n".join(lines) + "\n"
 
-
-# --- the guarded nine-variable implication ---------------------------------
-
-
-@dataclass
-class KReport:
-    label: str
-    samples: int
-    seed: int
-    counterexample: dict[str, int] | None
-
-    @property
-    def passed(self) -> bool:
-        return self.counterexample is None
-
-    def line(self) -> str:
-        status = "pass" if self.passed else "fail"
-        out = f"KCHECK {self.label} {status} samples={self.samples} seed={self.seed}"
-        if self.counterexample:
-            out += " " + ",".join(f"{k}={v}" for k, v in self.counterexample.items())
-        return out
-
-
-def check_k(s: AtomStructure, samples: int = 100_000, seed: int = 0) -> KReport:
-    """Law K on `samples` seeded element assignments: the pairing equality
-    for u, v, x, y over a, b under its nine hypotheses, with the guarded
-    element instantiated as u;v & x;y (the provable case).  Deterministic
-    for a fixed seed.
-    """
-    law = law_by_id("K")
-    tested, ce = model.search(s.handle(), law, model.Sample(samples, seed))
-    return KReport(s.label or "ra", tested, seed, ce)

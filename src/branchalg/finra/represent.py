@@ -1,7 +1,8 @@
 """Tabularity and staged partial representations of finite algebras.
 
 A structure is tabular when every strict pair v < w is separated by a
-nonzero element of the form conv(p);q with p, q functional.  From a tabular
+nonzero element of the form conv(p);q with p, q functional; on an algebra
+of atom sets that is one check per atom (is_tabular).  From a tabular
 structure the staged construction grows sequences of nonzero functional
 elements with a common domain; the induced map sending x to the index pairs
 (i, j) with f_i ; x above f_j accumulates, stage by stage, the properties of
@@ -15,7 +16,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .. import model
 from .atoms import AtomStructure
+
+SUBALGEBRA_CAP = 16  # elements generated_subalgebra stops at
 
 
 class NotTabular(Exception):
@@ -23,9 +29,9 @@ class NotTabular(Exception):
 
 
 def functional_elements(s: AtomStructure) -> list[int]:
-    comp, conv = s.tables
-    e = s.ident
-    return [x for x in range(s.n_elements) if (comp[conv[x], x] & e) == comp[conv[x], x]]
+    """The elements x with conv(x);x below the identity, in increasing order."""
+    xs = np.arange(s.n_elements)
+    return xs[model.is_functional(s.handle(), xs)].tolist()
 
 
 def tabular_witness(s: AtomStructure, v: int, w: int) -> tuple[int, int]:
@@ -48,14 +54,23 @@ def tabular_witness(s: AtomStructure, v: int, w: int) -> tuple[int, int]:
 
 
 def is_tabular(s: AtomStructure) -> bool:
-    for w in range(1, s.n_elements):
-        for v in range(s.n_elements):
-            if v != w and s.leq(v, w):
-                try:
-                    tabular_witness(s, v, w)
-                except NotTabular:
-                    return False
-    return True
+    """Whether every strict pair v < w has a witness in tabular_witness.
+
+    Equivalently, every atom a equals conv(p);q for some functional p, q.
+    Proof.  A witness t = conv(p);q is nonzero with t <= w and t & v = 0,
+    that is, t is a nonempty set of atoms of w outside v.  For v = 0 and
+    w = {a} this forces t = {a}.  Conversely, for any v < w pick an atom a
+    of w outside v; then t = {a} is a witness.  The proof uses only that
+    elements are atom sets, not the relation-algebra axioms.
+    """
+    comp, conv = s.tables
+    fns = np.array(functional_elements(s))
+    found = 0
+    for p in fns:
+        t = comp[conv[p], fns]
+        # the atoms among the tables conv(p);q (t & (t - 1) is 0 for 0 too)
+        found |= int(np.bitwise_or.reduce(t[(t & (t - 1)) == 0]))
+    return found == s.top
 
 
 @dataclass(frozen=True)
@@ -66,15 +81,15 @@ class PartialRep:
     f: tuple[int, ...]
 
     def __post_init__(self):
-        comp, conv = self.s.tables
-        e, top = self.s.ident, self.s.top
+        comp, _ = self.s.tables
+        m, top = self.s.handle(), self.s.top
         if not self.f:
             raise ValueError("empty sequence")
         dom = comp[self.f[0], top]
         for fi in self.f:
             if fi == 0:
                 raise ValueError("zero element in sequence")
-            if (comp[conv[fi], fi] & e) != comp[conv[fi], fi]:
+            if not model.is_functional(m, fi):
                 raise ValueError("non-functional element in sequence")
             if comp[fi, top] != dom:
                 raise ValueError("elements do not share a domain")
@@ -134,16 +149,16 @@ def extend_comp(
     return PartialRep(s, g)
 
 
-def generated_subalgebra(s: AtomStructure, seeds, cap: int = 16) -> list[int]:
+def generated_subalgebra(s: AtomStructure, seeds) -> list[int]:
     """Closure of the seeds (with the constants) under the operations,
-    stopped at the cap; deterministic order."""
+    stopped at SUBALGEBRA_CAP elements; deterministic order."""
     comp, conv = s.tables
     out: list[int] = []
     for e in [0, s.ident, s.top, *seeds]:
         if e not in out:
             out.append(e)
     grew = True
-    while grew and len(out) < cap:
+    while grew and len(out) < SUBALGEBRA_CAP:
         grew = False
         snapshot = list(out)
         for x in snapshot:
@@ -155,7 +170,7 @@ def generated_subalgebra(s: AtomStructure, seeds, cap: int = 16) -> list[int]:
                 if c not in out:
                     out.append(c)
                     grew = True
-                    if len(out) >= cap:
+                    if len(out) >= SUBALGEBRA_CAP:
                         return out
     return out
 

@@ -4,8 +4,9 @@ Nothing in the package calls these.  They are the bounded breadth-first
 closure `entails_bfs` and the three-tag `entails_product` for the tree
 relations, a concrete finite semantic model of tree pairs, the element tables
 of an atom structure built from their definitions, the plain brute force
-`reference_violation` for the product formulas J, L and M, and the
-enumeration by plain isomorph rejection `enumerate_brute`.
+`reference_violation` for the product formulas J, L and M, the
+enumeration by plain isomorph rejection `enumerate_brute`, and tabularity
+by its pairwise definition `is_tabular_pairwise`.
 """
 
 import itertools
@@ -282,3 +283,29 @@ def enumerate_brute(signature: str, stretch: bool = False) -> list[AtomStructure
         AtomStructure(names, conv, frozenset({0}), canon[ck], label=f"{key}#{i}")
         for i, ck in enumerate(sorted(canon))
     ]
+
+
+# --- tabularity -------------------------------------------------------------
+
+
+def functional_brute(s) -> list[int]:
+    """The elements x with conv(x);x below the identity, read off the tables
+    one element at a time."""
+    comp, conv = s.tables
+    e = s.ident
+    return [x for x in range(s.n_elements) if (comp[conv[x], x] & e) == comp[conv[x], x]]
+
+
+def is_tabular_pairwise(s) -> bool:
+    """Tabularity by its definition: every strict pair v < w is separated
+    by some nonzero t = conv(p);q with p, q functional, t <= w and t & v = 0."""
+    comp, conv = s.tables
+    fns = np.array(functional_brute(s))
+    tables = np.unique(comp[np.ix_(conv[fns], fns)])
+    tables = tables[tables != 0]
+    for w in range(1, s.n_elements):
+        below_w = tables[(tables & w) == tables]
+        for v in range(s.n_elements):
+            if v != w and s.leq(v, w) and not ((below_w & v) == 0).any():
+                return False
+    return True

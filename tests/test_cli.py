@@ -139,6 +139,16 @@ def test_represent(capsys, re2_file):
     assert "stages=8 pass" in out
 
 
+def test_represent_on_re3(capsys, tmp_path):
+    path = tmp_path / "re3.ra"
+    path.write_text(format_structure(make_proper_ra(3)))
+    code, out, _ = run(
+        capsys, ["represent", str(path), "--v", "0", "--w", "a", "--stages", "5"]
+    )
+    assert code == 0, out
+    assert out.splitlines()[-1] == f"REPRESENT {path} v=0 w=a stages=5 pass"
+
+
 def test_represent_not_tabular(capsys, tmp_path):
     # the two-atom structure whose diversity atom composes flexibly
     path = tmp_path / "flex.ra"
@@ -261,16 +271,34 @@ BAD_ARGUMENTS = {
     "superscript-element": ["represent", "{re2}", "--v", "0", "--w", "\u00b2"],
     "nul-in-structure-path": ["check-jlm", "bad\x00.ra"],
     "nul-in-out-path": ["enumerate", "1'a", "--out", "bad\x00.txt"],
+    "tsv-of-structure-file": ["check-jlm", "{re2}", "--tsv", "{tmp}/row.tsv"],
+    "thirteen-atoms": ["check-jlm", "{thirteen}", "--elements"],
 }
+
+# thirteen identity atoms: a legal structure one atom past the dense tables
+THIRTEEN_ATOMS = (
+    "atoms=13 identity=" + ",".join(map(str, range(13)))
+    + " converse=" + ",".join(map(str, range(13))) + "\n"
+    + "".join(f"cycle {i} {i} {i}\n" for i in range(13))
+)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
 def test_bad_arguments_are_usage_errors(capsys, tmp_path, re2_file, case):
-    paths = {"missing": tmp_path / "missing", "re2": re2_file}
+    thirteen = tmp_path / "thirteen.ra"
+    thirteen.write_text(THIRTEEN_ATOMS)
+    paths = {
+        "missing": tmp_path / "missing",
+        "re2": re2_file,
+        "thirteen": thirteen,
+        "tmp": tmp_path,
+    }
     argv = [arg.format(**paths) for arg in BAD_ARGUMENTS[case]]
+    before = sorted(tmp_path.iterdir())
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before  # no output file written
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -1,10 +1,10 @@
 import pytest
 
 from branchalg import laws, model
-from branchalg.finra import check_jlm, check_k
+from branchalg.finra import check_jlm
 from branchalg.finra import kernels
 from branchalg.finra.atoms import from_cycles
-from branchalg.finra.jlm import FORMULAS, SizeCapExceeded, profile_structures
+from branchalg.finra.jlm import FORMULAS, profile_structures
 from branchalg.terms import parse_term
 
 import oracles
@@ -96,10 +96,14 @@ def test_sample_mode_sound_and_deterministic(enumerated):
             assert model.rerun_counterexample(m, laws.law_by_id(formula), assign)
 
 
-def test_element_mode_size_cap(enumerated):
-    s = enumerated("1'aa~bb~")[0]
-    with pytest.raises(SizeCapExceeded):
-        check_jlm(s, mode="elements")
+@pytest.mark.parametrize("index", [0, 18])  # #18 fails all three at atoms
+def test_element_mode_past_four_atoms(enumerated, index):
+    # element mode is stronger than atom mode for J and is atom mode for L, M
+    s = enumerated("1'aa~bb~")[index]
+    atoms = check_jlm(s, mode="atoms").failures
+    elements = check_jlm(s, mode="elements").failures
+    assert atoms["J"] is None or elements["J"] is not None
+    assert (elements["L"], elements["M"]) == (atoms["L"], atoms["M"])
 
 
 def test_proper_algebra_has_no_formula_failures(re2):
@@ -107,29 +111,33 @@ def test_proper_algebra_has_no_formula_failures(re2):
         assert check_jlm(re2, mode=mode).failed == ()
 
 
+def _check_k(s, samples, seed):
+    return model.check_law(s.handle(), laws.law_by_id("K"), model.Sample(samples, seed))
+
+
 def test_check_k_on_proper_algebra(re2):
-    report = check_k(re2, samples=100_000, seed=0)
+    report = _check_k(re2, samples=100_000, seed=0)
     assert report.passed
-    assert report.line() == "KCHECK Re(2) pass samples=100000 seed=0"
+    assert report.line() == "LAW K pass tested=100000"
 
 
 def test_check_k_seed_reproducibility(enumerated):
     s = enumerated("1'abb~")[3]
-    r1 = check_k(s, samples=5_000, seed=42)
-    r2 = check_k(s, samples=5_000, seed=42)
+    r1 = _check_k(s, samples=5_000, seed=42)
+    r2 = _check_k(s, samples=5_000, seed=42)
     assert r1.line() == r2.line()
 
 
 def test_check_k_vacuous_on_unit_algebra():
     s = from_cycles(("1'",), (0,), {0}, [(0, 0, 0)], label="unit")
-    assert check_k(s, samples=2_000, seed=0).passed
+    assert _check_k(s, samples=2_000, seed=0).passed
 
 
 def test_check_k_passes_on_enumerated_representables(enumerated):
     # structures with no formula failures: the guarded implication must hold
     clean = [s for s in enumerated("1'abb~") if not check_jlm(s).failed]
     for s in clean[:3]:
-        assert check_k(s, samples=20_000, seed=0).passed
+        assert _check_k(s, samples=20_000, seed=0).passed
 
 
 def test_reducible_on_the_formula_laws():

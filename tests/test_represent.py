@@ -1,21 +1,31 @@
+import random
+from collections import Counter
+
 import pytest
+from test_finra import _orbit_subsets
 
 from branchalg.finra import (
+    SIGNATURES,
     NotTabular,
     build_stage_rep,
     enumerate_integral,
+    from_cycles,
     functional_elements,
     hat,
     is_tabular,
     lemma_properties_hold,
+    make_proper_ra,
     tabular_witness,
 )
 from branchalg.finra.represent import (
+    SUBALGEBRA_CAP,
     PartialRep,
     extend_comp,
     extend_join,
     generated_subalgebra,
 )
+
+import oracles
 
 
 def _strict_pairs(s):
@@ -43,6 +53,45 @@ def test_exactly_one_two_atom_structure_is_tabular():
     bad = [s for s in structures if not is_tabular(s)][0]
     with pytest.raises(NotTabular):
         tabular_witness(bad, bad.ident, bad.top)
+
+
+def _random_structures(count):
+    """Seeded random cycle-closed structures on one to five atoms, with a
+    random involutive converse, a random nonempty set of identity atoms and
+    the cycle orbits of random triples."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        conv = list(range(n))
+        unpaired = rng.sample(range(n), n)
+        while len(unpaired) >= 2 and rng.random() < 0.5:
+            i, j = unpaired.pop(), unpaired.pop()
+            conv[i], conv[j] = j, i
+        identity = rng.sample(range(n), rng.randint(1, n))
+        cycles = [
+            tuple(rng.randrange(n) for _ in range(3))
+            for _ in range(rng.randint(0, n * n))
+        ]
+        names = [f"x{i}" for i in range(n)]
+        out.append(from_cycles(names, conv, identity, cycles, label=f"random#{seed}"))
+    return out
+
+
+def test_is_tabular_matches_the_pairwise_definition(enumerated):
+    # the seven table rows, every orbit subset of four signatures (the
+    # non-relation-algebras included), Re(1)-Re(3) and random structures
+    structures = [s for sig in SIGNATURES for s in enumerated(sig)]
+    for sig in ("1'a", "1'aa~", "1'ab", "1'abb~"):
+        structures += _orbit_subsets(sig)[0]
+    structures += [make_proper_ra(n) for n in (1, 2, 3)]
+    structures += _random_structures(300)
+    verdicts = Counter()
+    for s in structures:
+        assert functional_elements(s) == oracles.functional_brute(s), s.label
+        verdicts[is_tabular(s)] += 1
+        assert is_tabular(s) == oracles.is_tabular_pairwise(s), s.label
+    assert verdicts == {True: 90, False: 561}
 
 
 def test_witness_requires_strict_pair(re2):
@@ -143,8 +192,8 @@ def test_extend_comp_on_re2(re2):
 
 
 def test_generated_subalgebra_cap(re2):
-    xs = generated_subalgebra(re2, [3, 7], cap=16)
-    assert len(xs) <= 16
+    xs = generated_subalgebra(re2, [3, 7])
+    assert len(xs) <= SUBALGEBRA_CAP
     assert 0 in xs and re2.ident in xs and re2.top in xs
 
 
