@@ -210,10 +210,14 @@ def _engine_for(r: BranchRelation) -> ClosureEngine:
 
 
 def leq(r1: BranchRelation, r2: BranchRelation) -> bool:
+    """r1 below r2: r1's constraints entail each of r2's.  A constraint set
+    entails its subsets outright, without building an engine."""
     if r1.is_zero:
         return True
     if r2.is_zero:
         return False
+    if r2.constraints <= r1.constraints:
+        return True
     eng = _engine_for(r1)
     return all(eng.same(p, q) for p, q in r2.constraints)
 
@@ -221,6 +225,8 @@ def leq(r1: BranchRelation, r2: BranchRelation) -> bool:
 def equal(r1: BranchRelation, r2: BranchRelation) -> bool:
     if r1.is_zero or r2.is_zero:
         return r1.is_zero and r2.is_zero
+    if r1.constraints == r2.constraints:
+        return True
     return leq(r1, r2) and leq(r2, r1)
 
 

@@ -276,13 +276,13 @@ def build_stage_rep(
         if stage_idx % 2 == 1:
             if (i, j) in hat(rep, x | y):
                 new = extend_join(s, rep, i, j, x, y)
-                _assert_join_post(s, rep, new, i, j, x, y, xs)
+                _assert_join_post(s, rep, new, i, j, x, y)
                 rep = new
             step = "join"
         else:
             if (i, j) in hat(rep, comp[x, y]):
                 new = extend_comp(s, rep, i, j, x, y)
-                _assert_comp_post(s, rep, new, i, j, x, y, xs)
+                _assert_comp_post(s, rep, new, i, j, x, y)
                 rep = new
             step = "comp"
         prev = record(stage_idx, step, (i, j, x, y), rep, prev)
@@ -290,30 +290,43 @@ def build_stage_rep(
     return report
 
 
-def _assert_join_post(s, old, new, i, j, x, y, xs):
+def _assert_join_post(s, old, new, i, j, x, y):
     if (i, j) not in hat(new, x) | hat(new, y):
         raise AssertionError("join extension lost its target membership")
-    _assert_common_post(s, old, new, xs, len(old))
+    _assert_common_post(s, old, new)
 
 
-def _assert_comp_post(s, old, new, i, j, x, y, xs):
+def _assert_comp_post(s, old, new, i, j, x, y):
     m = len(new) - 1
     if (i, m) not in hat(new, x) or (m, j) not in hat(new, y):
         raise AssertionError("composition extension lost its witness index")
-    _assert_common_post(s, old, new, xs, len(old))
+    _assert_common_post(s, old, new)
 
 
-def _assert_common_post(s, old, new, xs, m):
+def _assert_common_post(s, old, new):
+    """On every element z: the map of z only grows, and no product
+    f_k ; z & f_l over the old indices k, l that was zero becomes nonzero.
+
+    One gather per old index k takes f_k ; z and g_k ; z against all
+    elements z at once; the error raised is the one of the first failing z,
+    monotonicity before zero products.
+    """
     comp, _ = s.tables
-    for z in range(s.n_elements):
-        if not hat(old, z) <= hat(new, z):
+    f = np.array(old.f)[:, None]
+    g = np.array(new.f[: len(old)])[:, None]
+    mono = np.zeros(s.n_elements, dtype=bool)
+    zero = np.zeros(s.n_elements, dtype=bool)
+    for k in range(len(old)):
+        fz = comp[f[k]] & f  # [l, z] = f_k ; z & f_l
+        gz = comp[g[k]] & g
+        mono |= ((fz == f) & (gz != g)).any(axis=0)
+        zero |= ((fz == 0) & (gz != 0)).any(axis=0)
+    bad = mono | zero
+    if bad.any():
+        z = int(bad.argmax())
+        if mono[z]:
             raise AssertionError("extension is not monotone")
-        for k in range(m):
-            for l in range(m):
-                if (comp[old.f[k], z] & old.f[l]) == 0 and (
-                    comp[new.f[k], z] & new.f[l]
-                ) != 0:
-                    raise AssertionError("extension created a zero product")
+        raise AssertionError("extension created a zero product")
 
 
 def lemma_properties_hold(rep: PartialRep, xs=None) -> bool:

@@ -6,15 +6,18 @@ quantified implications between term equations; they are checked semantically,
 either over every assignment (finite models) or over seeded samples.
 
 One term compiler and one law-checking loop, search, serve every model.  Each
-handle's operations also work elementwise on numpy arrays of elements (int64
-bitmasks on a finite model, object arrays of relations on the tree), so a
-compiled term evaluates a whole block of assignments at once, and a closed
-subterm once per block.
+handle's operations also work elementwise, and broadcast, on numpy arrays of
+elements (int64 bitmasks on a finite model, object arrays of relations on
+the tree), so a compiled term evaluates a whole block of assignments at
+once.  An exhaustive block is a grid with one axis per variable, so each
+subterm is computed over the axes of its own variables only; a sampled
+block is a row of draws.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -26,7 +29,7 @@ from . import terms
 from .terms import Term
 
 EXHAUSTIVE_CAP = 1 << 20
-BLOCK = 1 << 12  # assignments evaluated together
+BLOCK = 1 << 12  # most assignments, and array entries, per block
 
 
 class ModelError(Exception):
@@ -250,17 +253,24 @@ def search(
 
     Exhaustive search walks every assignment in itertools.product order and
     lets the variables in atom_vars range over the atoms only (see
-    reducible); it ignores the cap, which check_law enforces.  Sampling
-    walks the seeded draws of _assignments in order.  Returns how many
+    reducible); it ignores the cap, which check_law enforces.  Its blocks
+    are the grids of _grids, on which every variable has an axis of its
+    own, so each subterm is computed only over the axes of the variables it
+    mentions; the hypotheses are ANDed into a mask, which keeps the grid a
+    grid.  Sampling walks the seeded draws of _assignments in order, as
+    rows of at most BLOCK assignments, and drops the rows that fail a
+    hypothesis before the next one is evaluated, so the conclusions are
+    computed only where every hypothesis holds.  Returns how many
     assignments were tested, up to and including the counterexample, and
     the counterexample as {variable: element}, or None.
     """
     names = law.quantified_variables(m)
-    if isinstance(strategy, Exhaustive):
+    grid = isinstance(strategy, Exhaustive)
+    if grid:
         pools = [m.atoms() if v in atom_vars else m.elements() for v in names]
-        blocks = _product_blocks(pools)
+        blocks = _grids(pools)
     else:
-        blocks = _chunks(_assignments(m, names, strategy), len(names))
+        blocks = _rows(_assignments(m, names, strategy))
     hyps = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.hypotheses]
     concls = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.conclusions]
     rel = {"=": m.equal, "<=": m.leq}
@@ -269,43 +279,69 @@ def search(
         return np.broadcast_to(np.asarray(rel[op](fl(env), fr(env)), bool), shape)
 
     tested = 0
-    for block in blocks:
-        rows = np.arange(block.shape[1])
-        env = dict(zip(names, block))
+    for values, shape in blocks:
+        env = dict(zip(names, values))
+        live = np.ones(shape, dtype=bool)
+        at = np.arange(live.size)  # block position of each entry of live
         for fl, op, fr in hyps:
-            keep = holds(fl, op, fr, env, rows.shape)
-            rows = rows[keep]
-            env = {k: v[keep] for k, v in env.items()}
-        if rows.size:
-            bad = np.zeros(rows.shape, dtype=bool)
+            ok = holds(fl, op, fr, env, live.shape)
+            if grid:
+                live &= ok
+            else:
+                live, at = live[ok], at[ok]
+                env = {k: v[ok] for k, v in env.items()}
+        if live.any():
+            bad = np.zeros(live.shape, dtype=bool)
             for fl, op, fr in concls:
-                bad |= ~holds(fl, op, fr, env, rows.shape)
-            if bad.any():
-                i = int(rows[bad.argmax()])
-                return tested + i + 1, {k: v.tolist()[i] for k, v in zip(names, block)}
-        tested += block.shape[1]
+                bad |= ~holds(fl, op, fr, env, live.shape)
+            hit = np.flatnonzero(live & bad)
+            if hit.size:
+                i = int(at[hit[0]])
+                return tested + i + 1, {
+                    k: _entry(v, shape, i) for k, v in zip(names, values)
+                }
+        tested += math.prod(shape)
     return tested, None
 
 
-def _product_blocks(pools):
-    """Every assignment drawing variable i from pools[i], in itertools.product
-    order, as (len(pools), rows) blocks of at most BLOCK rows."""
-    if not pools:
-        yield np.zeros((0, 1))
-        return
+def _grids(pools):
+    """Every assignment drawing variable i from pools[i], in
+    itertools.product order, as (values, shape) blocks.
+
+    The trailing variables whose pools multiply to at most BLOCK form the
+    grid: each is bound to its pool reshaped to (1, ..., n_i, ..., 1), so
+    the block is their broadcast product of the given shape, in C order.
+    The leading variables are bound to single elements, walked in
+    itertools.product order.  When the last pool alone is larger than
+    BLOCK the grid is empty and each block is one assignment.
+    """
     pools = [np.asarray(p) for p in pools]
-    sizes = tuple(len(p) for p in pools)
-    total = int(np.prod(sizes))
-    for start in range(0, total, BLOCK):
-        digits = np.unravel_index(np.arange(start, min(start + BLOCK, total)), sizes)
-        yield np.stack([p[d] for p, d in zip(pools, digits)])
+    k, size = len(pools), 1
+    while k and size * len(pools[k - 1]) <= BLOCK:
+        k -= 1
+        size *= len(pools[k])
+    shape = tuple(len(p) for p in pools[k:])
+    axes = [
+        p.reshape((1,) * i + (n,) + (1,) * (len(shape) - i - 1))
+        for i, (p, n) in enumerate(zip(pools[k:], shape))
+    ]
+    for outer in itertools.product(*(p.tolist() for p in pools[:k])):
+        yield (*outer, *axes), shape
 
 
-def _chunks(assignments, k: int):
-    """Assignment tuples as (k, rows) blocks of at most BLOCK rows."""
+def _rows(assignments):
+    """Assignment tuples as (values, (rows,)) blocks of at most BLOCK rows,
+    values holding one array of rows per variable."""
     it = iter(assignments)
     while chunk := list(itertools.islice(it, BLOCK)):
-        yield np.array(chunk).reshape(len(chunk), k).T
+        yield [np.array(column) for column in zip(*chunk)], (len(chunk),)
+
+
+def _entry(v, shape, i: int):
+    """The element a block binds at flat position i (C order) of shape."""
+    if not isinstance(v, np.ndarray):
+        return v
+    return np.broadcast_to(v, shape).ravel()[i : i + 1].tolist()[0]
 
 
 def reducible(law: Law) -> frozenset[str]:

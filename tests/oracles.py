@@ -5,8 +5,9 @@ closure `entails_bfs` and the three-tag `entails_product` for the tree
 relations, a concrete finite semantic model of tree pairs, the element tables
 of an atom structure built from their definitions, the plain brute force
 `reference_violation` for the product formulas J, L and M, the
-enumeration by plain isomorph rejection `enumerate_brute`, and tabularity
-by its pairwise definition `is_tabular_pairwise`.
+enumeration by plain isomorph rejection `enumerate_brute`, tabularity
+by its pairwise definition `is_tabular_pairwise`, and the element-by-element
+extension check `common_post_loop` of the staged construction.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from branchalg.finra.enumeration import (
     forced_triples,
     signature_spec,
 )
+from branchalg.finra.represent import hat
 
 # --- closure oracles --------------------------------------------------------
 
@@ -309,3 +311,24 @@ def is_tabular_pairwise(s) -> bool:
             if v != w and s.leq(v, w) and not ((below_w & v) == 0).any():
                 return False
     return True
+
+
+# --- staged representations -------------------------------------------------
+
+
+def common_post_loop(s, old, new):
+    """The checks every extension of the staged construction must pass, one
+    element z and one index pair at a time: the map of z only grows, and no
+    product f_k ; z & f_l over the old indices that was zero becomes
+    nonzero."""
+    comp, _ = s.tables
+    m = len(old)
+    for z in range(s.n_elements):
+        if not hat(old, z) <= hat(new, z):
+            raise AssertionError("extension is not monotone")
+        for k in range(m):
+            for l in range(m):
+                if (comp[old.f[k], z] & old.f[l]) == 0 and (
+                    comp[new.f[k], z] & new.f[l]
+                ) != 0:
+                    raise AssertionError("extension created a zero product")

@@ -31,6 +31,7 @@ TABLE_ROWS = {
 PROFILE_ROWS = {
     "1'abb~": (5, 0, 2, 0, 0, 0, 2, 28),
     "1'abc": (5, 2, 3, 0, 0, 0, 6, 49),
+    "1'aa~bb~": (9, 0, 4, 1, 1, 0, 8, 60),
 }
 
 

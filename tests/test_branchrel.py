@@ -316,6 +316,23 @@ def test_engine_matches_oracle_property(cons, query):
     assert oracles.entails(r, query) == oracles.entails_bfs(r, query, bound=6)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.frozensets(_con_strategy, min_size=1, max_size=4), st.data())
+def test_leq_and_equal_match_the_oracle_property(cons, data):
+    # r2 shares part of r1's constraints, so the syntactic shortcuts
+    # (r2's constraints a subset of r1's, or both sets equal) are exercised
+    r1 = br.BranchRelation(False, cons)
+    part = data.draw(st.frozensets(st.sampled_from(sorted(cons))))
+    extra = data.draw(st.frozensets(_con_strategy, max_size=2))
+    r2 = br.BranchRelation(False, part | extra)
+    down = all(oracles.entails(r1, q) for q in r2.constraints)
+    up = all(oracles.entails(r2, q) for q in r1.constraints)
+    assert br.leq(r1, r2) == down
+    assert br.leq(r2, r1) == up
+    assert br.equal(r1, r2) == br.equal(r2, r1) == (down and up)
+    assert br.equal(r1, br.BranchRelation(False, frozenset(cons)))
+
+
 @st.composite
 def _constraint_systems(draw):
     """Random constraint systems; some carry a sibling pair u0=v0, u1=v1,

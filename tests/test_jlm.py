@@ -32,7 +32,6 @@ def test_element_profiles(enumerated, signature):
     assert got == EXPECTED_ELEMENTS[signature]
 
 
-@pytest.mark.slow
 def test_four_atom_two_pair_profile(enumerated):
     assert profile_structures(enumerated("1'aa~bb~")) == EXPECTED["1'aa~bb~"]
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -286,3 +287,84 @@ def test_tree_operations_work_on_object_arrays(bmodel):
 def test_law_report_line_format(fmodel):
     rep = check_law(fmodel, laws.law_by_id("p1"), Exhaustive())
     assert rep.line().startswith("LAW p1 pass tested=4096")
+
+
+def _product_walk(m, law, pools):
+    """search's (tested, counterexample), one itertools.product assignment
+    at a time through rerun_counterexample."""
+    names = law.quantified_variables(m)
+    tested = 0
+    for tested, values in enumerate(itertools.product(*pools), 1):
+        env = dict(zip(names, values))
+        if model.rerun_counterexample(m, law, env):
+            return tested, env
+    return tested, None
+
+
+def _grid_search(monkeypatch, m, law, atom_vars):
+    """search's answer and the shapes of the grids it evaluated."""
+    shapes = []
+    grids = model._grids
+
+    def recording(pools):
+        for values, shape in grids(pools):
+            shapes.append(shape)
+            yield values, shape
+
+    monkeypatch.setattr(model, "_grids", recording)
+    return model.search(m, law, Exhaustive(), atom_vars), shapes
+
+
+def _pools(m, law, atom_vars):
+    names = law.quantified_variables(m)
+    return [m.atoms() if v in atom_vars else m.elements() for v in names]
+
+
+# A law that first fails at p = r = s = 1' and q = 1, past the first outer
+# step; it holds wherever either hypothesis fails
+LATE_GRID_LAW = model.Law(
+    id="late-grid",
+    variables=("p", "q", "r", "s"),
+    hypotheses=(
+        (parse_term("1"), "<=", parse_term("p + q")),
+        (parse_term("s"), "<=", parse_term("r")),
+    ),
+    conclusions=((parse_term("p & q & r & s"), "<=", parse_term("0")),),
+    signature="RA",
+)
+
+
+@pytest.mark.parametrize(
+    "index, law_id, atom_vars, tested",
+    [
+        (0, "M", "u v w p q r s", 16384),  # passes: all 4**7 assignments
+        (15, "M", "u v w p q r s", 10240),  # fails in the third outer step
+        (26, "J", "u v x y", 48675),  # a, b over elements: two outer variables
+        (0, "late-grid", "", 1 * 16**3 + 15 * 16**2 + 1 * 16 + 1 + 1),
+    ],
+)
+def test_grid_search_matches_the_product_walk(
+    enumerated, monkeypatch, index, law_id, atom_vars, tested
+):
+    m = enumerated("1'abb~")[index].handle()
+    law = LATE_GRID_LAW if law_id == "late-grid" else laws.law_by_id(law_id)
+    atom_vars = frozenset(atom_vars.split())
+    got, shapes = _grid_search(monkeypatch, m, law, atom_vars)
+    assert got == _product_walk(m, law, _pools(m, law, atom_vars))
+    assert got[0] == tested
+    assert len(shapes) > 1  # some variable is walked outside the grid
+    assert all(math.prod(shape) <= model.BLOCK for shape in shapes)
+
+
+def test_grids_cover_the_product_in_order():
+    pools = [[0, 1, 2], list(range(40)), [5, 6], list(range(64)), [7]]
+    seen, shapes = [], []
+    for values, shape in model._grids(pools):
+        shapes.append(shape)
+        grid = np.broadcast_arrays(*[np.asarray(v) for v in values])
+        seen += zip(*(g.ravel().tolist() for g in grid))
+    assert seen == list(itertools.product(*pools))
+    assert shapes == [(2, 64, 1)] * 120
+    assert [shape for _, shape in model._grids([])] == [()]
+    wide = [[1], list(range(model.BLOCK + 1))]  # too wide for a grid
+    assert [shape for _, shape in model._grids(wide)] == [()] * (model.BLOCK + 1)

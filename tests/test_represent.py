@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -20,6 +21,7 @@ from branchalg.finra import (
 from branchalg.finra.represent import (
     SUBALGEBRA_CAP,
     PartialRep,
+    _assert_common_post,
     extend_comp,
     extend_join,
     generated_subalgebra,
@@ -189,6 +191,50 @@ def test_extend_comp_on_re2(re2):
     }
     for z in range(re2.n_elements):
         assert hat(rep, z) <= hat(g, z)
+
+
+def _post_error(check, s, old, new):
+    try:
+        check(s, old, new)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_extension_check_rejects_bad_extensions(re2):
+    # p00 -> p01 drops every pair from the map of p00; p01 -> p00 keeps the
+    # maps but makes p01 ; p11 & p00 nonzero where p01 ; p11 & p01 was zero
+    p00, p01 = PartialRep(re2, (1,)), PartialRep(re2, (2,))
+    with pytest.raises(AssertionError, match="not monotone"):
+        _assert_common_post(re2, p00, p01)
+    with pytest.raises(AssertionError, match="zero product"):
+        _assert_common_post(re2, p01, p00)
+    _assert_common_post(re2, p00, p00)
+
+
+def test_extension_check_matches_the_loop(re2):
+    # every pair of nonzero functional sequences of length one or two with a
+    # common domain, the new one at least as long as the old
+    comp, _ = re2.tables
+    fns = [x for x in functional_elements(re2) if x]
+    reps = [
+        PartialRep(re2, seq)
+        for n in (1, 2)
+        for seq in itertools.product(fns, repeat=n)
+        if len({int(comp[f, re2.top]) for f in seq}) == 1
+    ]
+    verdicts = Counter()
+    for old in reps:
+        for new in reps:
+            if len(new) >= len(old):
+                want = _post_error(oracles.common_post_loop, re2, old, new)
+                assert _post_error(_assert_common_post, re2, old, new) == want
+                verdicts[want] += 1
+    assert verdicts == {
+        None: 262,
+        "extension is not monotone": 300,
+        "extension created a zero product": 270,
+    }
 
 
 def test_generated_subalgebra_cap(re2):
