@@ -4,6 +4,8 @@ An atom structure lists the atoms, an involutive converse pairing, the set of
 identity atoms, and the allowed composition triples (x, y, z) meaning atom z
 sits below atom x ; atom y.  Elements of the induced algebra are atom sets,
 stored as bitmasks; all operations are unions over the atom tables.
+AtomStructure.handle() is the one model handle of that algebra: the law,
+axiom and formula checks all evaluate on it.
 """
 
 from __future__ import annotations
@@ -148,54 +150,40 @@ class AtomStructure:
             mask |= 1 << i
         return mask
 
-    def handle(self):
+    def handle(self) -> model.ModelHandle:
+        """Model handle of the induced algebra.
+
+        Elements are atom-set bitmasks, so meet, join and complement are bit
+        operations and composition and converse are gathers from `tables`;
+        every operation takes ints or, elementwise, int64 arrays of elements.
+        """
         comp, conv = self.tables
-        return table_handle(
-            comp, conv, self.ident, self.label or "finra", self.format_element
+        top = self.top
+
+        def gather(table):
+            def op(*index):
+                out = table[index]
+                return out if isinstance(out, np.ndarray) else int(out)
+
+            return op
+
+        return model.ModelHandle(
+            name=self.label or "finra",
+            meet=lambda x, y: x & y,
+            comp=gather(comp),
+            conv=gather(conv),
+            zero=0,
+            top=top,
+            ident=self.ident,
+            equal=lambda x, y: x == y,
+            leq=lambda x, y: (x & y) == x,
+            join=lambda x, y: x | y,
+            compl=lambda x: x ^ top,
+            elements=self.elements,
+            sample_pool=self.elements,
+            format_element=self.format_element,
+            atoms=lambda: [1 << i for i in range(self.n_atoms)],
         )
-
-
-def table_handle(comp, conv, ident=None, name="finra", format_element=str):
-    """Model handle of the algebra with these element tables.
-
-    Elements are atom-set bitmasks, so meet, join and complement are bit
-    operations; every operation takes ints or, elementwise, int64 arrays of
-    elements.  The identity is found from the table when not given.
-    """
-    comp = np.ascontiguousarray(comp, dtype=np.int64)
-    conv = np.ascontiguousarray(conv, dtype=np.int64)
-    nel = len(conv)
-    top = nel - 1
-    if ident is None:
-        ident = int(np.flatnonzero((comp == np.arange(nel)).all(axis=1))[0])
-
-    def elements():
-        return list(range(nel))
-
-    def gather(table):
-        def op(*index):
-            out = table[index]
-            return out if isinstance(out, np.ndarray) else int(out)
-
-        return op
-
-    return model.ModelHandle(
-        name=name,
-        meet=lambda x, y: x & y,
-        comp=gather(comp),
-        conv=gather(conv),
-        zero=0,
-        top=top,
-        ident=ident,
-        equal=lambda x, y: x == y,
-        leq=lambda x, y: (x & y) == x,
-        join=lambda x, y: x | y,
-        compl=lambda x: x ^ top,
-        elements=elements,
-        sample_pool=elements,
-        format_element=format_element,
-        atoms=lambda: [1 << i for i in range(top.bit_length())],
-    )
 
 
 def from_cycles(

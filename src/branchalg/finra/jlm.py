@@ -1,14 +1,16 @@
 """Checks of the three product-decomposition formulas.
 
 Every check runs the J, L and M laws of the catalog through the block
-evaluator in model.search; the guarded nine-variable implication is the
-catalog law K, which `check-law K --model FILE` checks.  The published
-failure counts for the formulas quantify their variables over the atoms of
-each structure; that is the default mode here.  Element-level
-quantification is strictly stronger for J (one structure over three
-symmetric atoms witnesses the difference) and is available as
-mode="elements".  There model.reducible lets every variable except a and b
-of J range over atoms, so for L and M the element mode is the atom mode.
+evaluator in model.search, on the structure's one model handle; the
+guarded nine-variable implication is the catalog law K, which
+`check-law K --model FILE` checks.  The published failure counts for the
+formulas quantify their variables over the atoms of each structure; that is
+the default mode here.  Element-level quantification is strictly stronger
+for J (one structure over three symmetric atoms witnesses the difference)
+and is available as mode="elements".  It is the same exhaustive search with
+only the variables model.reducible admits ranging over atoms: every
+variable except a and b of J, so for L and M the element mode is the atom
+mode.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 
 from .. import model
 from ..laws import law_by_id
-from . import kernels
 from .atoms import AtomStructure
 
 FORMULAS = ("J", "L", "M")
@@ -64,22 +65,19 @@ def check_jlm(
     draws seeded random element assignments.  Every mode needs the dense
     element tables, so at most 12 atoms.
     """
-    rec = JlmRecord(label=s.label or "ra", mode=mode)
-    if mode == "elements":
-        comp, conv = s.tables
-        for f in FORMULAS:
-            rec.failures[f] = kernels.find_violation(comp, conv, f)
-        return rec
-    if mode not in ("atoms", "sample"):
+    if mode not in ("atoms", "elements", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
+    rec = JlmRecord(label=s.label or "ra", mode=mode)
     m = s.handle()
     for f in FORMULAS:
         law = law_by_id(f)
-        if mode == "atoms":
-            every = law.quantified_variables(m)
-            found = model.search(m, law, model.Exhaustive(), atom_vars=every)
-        else:
+        if mode == "sample":
             found = model.search(m, law, model.Sample(samples, seed))
+        else:
+            on_atoms = (
+                law.quantified_variables(m) if mode == "atoms" else model.reducible(law)
+            )
+            found = model.search(m, law, model.Exhaustive(), atom_vars=on_atoms)
         rec.failures[f] = found[1]
     return rec
 

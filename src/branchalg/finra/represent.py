@@ -110,10 +110,6 @@ def hat(rep: PartialRep, x: int) -> frozenset[tuple[int, int]]:
     )
 
 
-def hat_table(rep: PartialRep, xs) -> dict[int, frozenset]:
-    return {x: hat(rep, x) for x in xs}
-
-
 def extend_join(
     s: AtomStructure, rep: PartialRep, i: int, j: int, x: int, y: int
 ) -> PartialRep:
@@ -179,7 +175,6 @@ def generated_subalgebra(s: AtomStructure, seeds) -> list[int]:
 class Stage:
     index: int
     step: str
-    quadruple: tuple[int, int, int, int] | None
     length: int
     separated: bool
     zero_kept: bool
@@ -242,24 +237,24 @@ def build_stage_rep(
     xs = generated_subalgebra(s, [v, w])
     rng = random.Random(seed)
     report = StageReport(s, v, w, seed)
-    prev = hat_table(rep, xs)
+    prev = {x: hat(rep, x) for x in xs}
     for x in xs:
         report.accumulated.setdefault(x, set()).update(prev[x])
 
-    def record(idx, step, quad, rep, prev):
-        cur = hat_table(rep, xs)
+    def record(idx, step, rep, prev):
+        cur = {x: hat(rep, x) for x in xs}
         separated = (0, 1) in hat(rep, w)
         zero_kept = (comp[rep.f[0], v] & rep.f[1]) == 0
         monotone = all(prev[x] <= cur[x] for x in xs)
         report.stages.append(
-            Stage(idx, step, quad, len(rep), separated, zero_kept, monotone)
+            Stage(idx, step, len(rep), separated, zero_kept, monotone)
         )
         report.reps.append(rep)
         for x in xs:
             report.accumulated[x].update(cur[x])
         return cur
 
-    prev = record(0, "init", None, rep, prev)
+    prev = record(0, "init", rep, prev)
     pending: list[tuple[int, int, int, int]] = []
     stage_idx = 1
     while stage_idx < stages:
@@ -285,7 +280,7 @@ def build_stage_rep(
                 _assert_comp_post(s, rep, new, i, j, x, y)
                 rep = new
             step = "comp"
-        prev = record(stage_idx, step, (i, j, x, y), rep, prev)
+        prev = record(stage_idx, step, rep, prev)
         stage_idx += 1
     return report
 
@@ -327,36 +322,3 @@ def _assert_common_post(s, old, new):
         if mono[z]:
             raise AssertionError("extension is not monotone")
         raise AssertionError("extension created a zero product")
-
-
-def lemma_properties_hold(rep: PartialRep, xs=None) -> bool:
-    """The five structural properties of the induced map, checked over the
-    given elements (all of them by default)."""
-    s = rep.s
-    comp, conv = s.tables
-    elems = list(xs) if xs is not None else s.elements()
-    h = {x: hat(rep, x) for x in elems}
-    if hat(rep, 0) != frozenset():
-        return False
-    by_first: dict[int, dict[int, list[int]]] = {}
-    for x in elems:
-        idx: dict[int, list[int]] = {}
-        for i, j in h[x]:
-            idx.setdefault(i, []).append(j)
-        by_first[x] = idx
-    for x in elems:
-        if h[x] != frozenset((j, i) for i, j in hat(rep, conv[x])):
-            return False
-        for y in elems:
-            if s.leq(x, y) and not h[x] <= h[y]:
-                return False
-            if (x & y) in h and not h[x] & h[y] <= h[x & y]:
-                return False
-            comp_xy = int(comp[x, y])
-            if comp_xy in h:
-                target = h[comp_xy]
-                for i, k in h[x]:
-                    for j in by_first[y].get(k, ()):
-                        if (i, j) not in target:
-                            return False
-    return True

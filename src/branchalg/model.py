@@ -188,7 +188,6 @@ class LawReport:
     tested: int
     passed: bool
     counterexample: dict[str, str] | None = None
-    note: str = ""
 
     def line(self) -> str:
         out = f"LAW {self.law_id} {'pass' if self.passed else 'fail'} tested={self.tested}"
@@ -395,19 +394,15 @@ def reducible(law: Law) -> frozenset[str]:
     return frozenset(out)
 
 
-def _leaves(t: Term):
-    """Variable names at the leaves of a term, generators as a and b."""
-    if isinstance(t, terms.Var):
-        yield t.name
-    elif isinstance(t, terms.GenA):
-        yield "a"
-    elif isinstance(t, terms.GenB):
-        yield "b"
-    elif isinstance(t, (terms.Conv, terms.Compl)):
-        yield from _leaves(t.child)
-    elif isinstance(t, (terms.Comp, terms.Meet, terms.Join)):
-        yield from _leaves(t.left)
-        yield from _leaves(t.right)
+def _leaves(t: Term) -> list[str]:
+    """Variable names at the leaves of a term, generators as a and b, each
+    occurrence once."""
+    generators = {terms.A: "a", terms.B: "b"}
+    return [
+        u.name if isinstance(u, terms.Var) else generators[u]
+        for u in terms.subterms(t)
+        if isinstance(u, (terms.Var, terms.GenA, terms.GenB))
+    ]
 
 
 def is_functional(m: ModelHandle, e) -> bool:

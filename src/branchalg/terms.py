@@ -106,35 +106,39 @@ A = GenA()
 B = GenB()
 
 
+_BINARY = frozenset((Comp, Meet, Join))
+_UNARY = frozenset((Conv, Compl))
+
+
+def subterms(t: Term):
+    """Every node of a term in preorder, left before right, each occurrence
+    of a repeated subterm included; walked without recursion.
+
+    The node classes are final, so the walk looks up the exact class, which
+    is cheaper than isinstance against a tuple.
+    """
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        cls = type(t)
+        if cls in _BINARY:
+            stack += (t.right, t.left)
+        elif cls in _UNARY:
+            stack.append(t.child)
+
+
 def free_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (Conv, Compl)):
-        return free_vars(t.child)
-    if isinstance(t, (Comp, Meet, Join)):
-        return free_vars(t.left) | free_vars(t.right)
-    return set()
+    return {u.name for u in subterms(t) if isinstance(u, Var)}
 
 
 def mentions_generators(t: Term) -> bool:
-    if isinstance(t, (GenA, GenB)):
-        return True
-    if isinstance(t, (Conv, Compl)):
-        return mentions_generators(t.child)
-    if isinstance(t, (Comp, Meet, Join)):
-        return mentions_generators(t.left) or mentions_generators(t.right)
-    return False
+    return any(isinstance(u, (GenA, GenB)) for u in subterms(t))
 
 
 def is_j_term(t: Term) -> bool:
     """True when the term avoids union and complement."""
-    if isinstance(t, (Join, Compl)):
-        return False
-    if isinstance(t, Conv):
-        return is_j_term(t.child)
-    if isinstance(t, (Comp, Meet)):
-        return is_j_term(t.left) and is_j_term(t.right)
-    return True
+    return not any(isinstance(u, (Join, Compl)) for u in subterms(t))
 
 
 # --- helpers used both by the parser and by the tree-notation constructors

@@ -1,10 +1,10 @@
 """Tree-transformation generators and their defining relation suites.
 
 Builds the standard prefix-substitution generators (the two projections, the
-doubling map, the swap, the rotation, and their deferred variants) as terms,
-both from hand-written closed forms and from their parenthesized tree-pair
-notation, and verifies whole presentation suites against the concrete
-tree-relation model.
+doubling map, the swap, the rotation, and their deferred variants) as terms
+from hand-written closed forms, and verifies whole presentation suites
+against the concrete tree-relation model.  The tests check the closed forms
+against the generators' tree-pair notation (terms.mapsto).
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from .terms import (
     Term,
     comp,
     conv,
-    mapsto,
     meet,
-    parse_tree_expr,
 )
 
 
@@ -56,10 +54,6 @@ def defer1(x: Term) -> Term:
     return otimes(ID, x)
 
 
-def _ms(src: str, dst: str) -> Term:
-    return mapsto(parse_tree_expr(src), parse_tree_expr(dst))
-
-
 CA, CB = Conv(GEN_A), Conv(GEN_B)
 
 # closed forms of the ten named generators
@@ -84,23 +78,6 @@ GENERATORS: dict[str, Term] = {
     "pi0": _PI0_TERM,
 }
 
-# the same generators in tree-pair notation
-TREE_PAIR_FORMS: dict[str, tuple[str, str]] = {
-    "K": ("01", "0"),
-    "L": ("01", "1"),
-    "U": ("0", "00"),
-    "P": ("01", "10"),
-    "P0": ("(01)2", "(10)2"),
-    "A": ("0(12)", "(01)2"),
-    "R0": ("(0(12))3", "((01)2)3"),
-    "B": ("3(0(12))", "3((01)2)"),
-    "C": ("0(12)", "1(20)"),
-    "pi0": ("0(12)", "1(02)"),
-}
-
-# deferred generators expand; their tree-pair forms are checked semantically
-_STRUCTURAL_TREE_CHECK = ("K", "L", "U", "P", "A", "C", "pi0")
-
 
 def _derived() -> dict[str, Term]:
     g = GENERATORS
@@ -124,33 +101,6 @@ def _derived() -> dict[str, Term]:
 
 
 DERIVED: dict[str, Term] = _derived()
-
-BLEAK_QUICK: dict[str, tuple[str, str]] = {
-    "u": ("(01)(2(34))", "(10)(4(23))"),
-    "v": ("(01)(23)", "(03)(12)"),
-    "t0001": ("(01)2", "(10)2"),
-    "t011011": ("(01)(23)", "(03)(12)"),
-    "t100": ("(01)2", "(21)0"),
-}
-
-BLEAK_QUICK_TERMS: dict[str, Term] = {
-    name: _ms(src, dst) for name, (src, dst) in BLEAK_QUICK.items()
-}
-
-
-def verify_generator_forms() -> list[str]:
-    """Structural comparison of closed forms against tree-pair notation.
-
-    Returns the list of names whose forms disagree (empty on a correct
-    build); the deferred generators are excluded here because their closed
-    forms are the compact parallel-product expressions.
-    """
-    bad = []
-    for name in _STRUCTURAL_TREE_CHECK:
-        src, dst = TREE_PAIR_FORMS[name]
-        if _ms(src, dst) != GENERATORS[name]:
-            bad.append(name)
-    return bad
 
 
 # --- suites ---------------------------------------------------------------
@@ -438,15 +388,3 @@ _SUITES = {
 }
 
 SUITE_IDS = tuple(_SUITES)
-
-
-def bleak_quick_checks() -> SuiteReport:
-    """The compact generating sets: permutational, and built exactly by their
-    tree-pair notation."""
-    ctx = _Ctx()
-    out = []
-    for name, t in BLEAK_QUICK_TERMS.items():
-        out.append((f"{name} permutational", is_permutational(ctx.m, ctx.rel(t))))
-        src, dst = BLEAK_QUICK[name]
-        out.append((f"{name} mapsto form", _ms(src, dst) == t))
-    return SuiteReport("bleak-quick", out)

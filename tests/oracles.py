@@ -6,8 +6,9 @@ relations, a concrete finite semantic model of tree pairs, the element tables
 of an atom structure built from their definitions, the plain brute force
 `reference_violation` for the product formulas J, L and M, the
 enumeration by plain isomorph rejection `enumerate_brute`, tabularity
-by its pairwise definition `is_tabular_pairwise`, and the element-by-element
-extension check `common_post_loop` of the staged construction.
+by its pairwise definition `is_tabular_pairwise`, the element-by-element
+extension check `common_post_loop` of the staged construction, and the five
+structural properties `lemma_properties_hold` of its induced map.
 """
 
 import itertools
@@ -332,3 +333,36 @@ def common_post_loop(s, old, new):
                     comp[new.f[k], z] & new.f[l]
                 ) != 0:
                     raise AssertionError("extension created a zero product")
+
+
+def lemma_properties_hold(rep, xs=None) -> bool:
+    """The five structural properties of the induced map, checked over the
+    given elements (all of them by default)."""
+    s = rep.s
+    comp, conv = s.tables
+    elems = list(xs) if xs is not None else s.elements()
+    h = {x: hat(rep, x) for x in elems}
+    if hat(rep, 0) != frozenset():
+        return False
+    by_first: dict[int, dict[int, list[int]]] = {}
+    for x in elems:
+        idx: dict[int, list[int]] = {}
+        for i, j in h[x]:
+            idx.setdefault(i, []).append(j)
+        by_first[x] = idx
+    for x in elems:
+        if h[x] != frozenset((j, i) for i, j in hat(rep, conv[x])):
+            return False
+        for y in elems:
+            if s.leq(x, y) and not h[x] <= h[y]:
+                return False
+            if (x & y) in h and not h[x] & h[y] <= h[x & y]:
+                return False
+            comp_xy = int(comp[x, y])
+            if comp_xy in h:
+                target = h[comp_xy]
+                for i, k in h[x]:
+                    for j in by_first[y].get(k, ()):
+                        if (i, j) not in target:
+                            return False
+    return True

@@ -10,7 +10,6 @@ from branchalg import branchrel, laws, model, thompson
 from branchalg.finra import (
     build_stage_rep,
     is_tabular,
-    lemma_properties_hold,
     make_proper_ra,
     profile_structures,
     verify_axioms,
@@ -186,7 +185,7 @@ def test_criterion_11_staged_representation():
         report = build_stage_rep(re2, v, w, stages=50, seed=0)
         good = report.all_conditions_hold and report.separates
         for idx in (0, len(report.reps) // 2, len(report.reps) - 1):
-            good = good and lemma_properties_hold(report.reps[idx])
+            good = good and oracles.lemma_properties_hold(report.reps[idx])
         ok = ok and good
         if not good:
             detail.append((v, w))

@@ -130,6 +130,19 @@ def test_check_jlm_file(capsys, re2_file):
     assert "J=pass L=pass M=pass" in out
 
 
+def test_check_jlm_elements_identity_not_a_table_identity(capsys, tmp_path):
+    # a valid cycle-closed file whose identity atom is not the unit of its
+    # composition table: element mode uses the declared identity, as atom
+    # mode does
+    path = tmp_path / "two.ra"
+    path.write_text("atoms=2 identity=0 converse=0,1\ncycle 1 1 1\n")
+    for argv in (["check-jlm", str(path)], ["check-jlm", str(path), "--elements"]):
+        code, out, err = run(capsys, argv)
+        mode = "elements" if "--elements" in argv else "atoms"
+        assert (code, err) == (0, "")
+        assert out == f"JLM {path} mode={mode} J=pass L=pass M=pass\n"
+
+
 def test_represent(capsys, re2_file):
     code, out, _ = run(
         capsys,

@@ -2,7 +2,6 @@ import pytest
 
 from branchalg import laws, model
 from branchalg.finra import check_jlm
-from branchalg.finra import kernels
 from branchalg.finra.atoms import from_cycles
 from branchalg.finra.jlm import FORMULAS, profile_structures
 from branchalg.terms import parse_term
@@ -74,9 +73,10 @@ def test_kernels_agree_with_reference_on_small_algebras(enumerated):
     # restrict the reference brute force to 2-atom algebras (4 elements)
     for s in enumerated("1'a"):
         comp, conv = s.tables
+        failures = check_jlm(s, mode="elements").failures
         for formula in ("J", "L", "M"):
             ref = oracles.reference_violation(comp, conv, formula)
-            got = kernels.find_violation(comp, conv, formula)
+            got = failures[formula]
             assert (ref is None) == (got is None), (s.label, formula)
 
 
@@ -193,10 +193,11 @@ def test_reducible_rejects(hyps, concls, signature):
 def _assert_reduction_agrees(structures, formulas):
     for s in structures:
         m = s.handle()
+        failures = check_jlm(s, mode="elements").failures
         for f in formulas:
             law = laws.law_by_id(f)
             full = model.search(m, law, model.Exhaustive())[1]
-            reduced = kernels.find_violation(*s.tables, f)
+            reduced = failures[f]
             assert (full is None) == (reduced is None), (s.label, f)
             if reduced is not None:
                 assert model.rerun_counterexample(m, law, reduced)

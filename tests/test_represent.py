@@ -14,7 +14,6 @@ from branchalg.finra import (
     functional_elements,
     hat,
     is_tabular,
-    lemma_properties_hold,
     make_proper_ra,
     tabular_witness,
 )
@@ -137,7 +136,7 @@ def test_hat_basics(re2):
 
 def test_lemma_properties_on_re2_and_enumerated(re2, enumerated):
     rep = _diag_rep(re2)
-    assert lemma_properties_hold(rep)
+    assert oracles.lemma_properties_hold(rep)
     for s in enumerated("1'abb~")[:3]:
         fns = [x for x in functional_elements(s) if x]
         comp, _ = s.tables
@@ -145,7 +144,7 @@ def test_lemma_properties_on_re2_and_enumerated(re2, enumerated):
         dom = int(comp[f0, s.top])
         seq = [f for f in fns if int(comp[f, s.top]) == dom][:3]
         rep = PartialRep(s, tuple(seq))
-        assert lemma_properties_hold(rep)
+        assert oracles.lemma_properties_hold(rep)
 
 
 def test_extend_join_postconditions(re2):

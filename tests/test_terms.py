@@ -252,3 +252,23 @@ def test_emit_dot_reverses_converse_edges():
 
 def test_tree_leaves_order():
     assert tree_leaves(parse_tree_expr("3(0(12))")) == ["3", "0", "1", "2"]
+
+
+def test_subterms_preorder_keeps_repeats():
+    t = parse_term("conv(x);x & -(a + x)")
+    x = Var("x")
+    assert list(terms.subterms(t)) == [
+        t,
+        Comp(Conv(x), x),
+        Conv(x),
+        x,
+        x,
+        terms.Compl(terms.Join(A, x)),
+        terms.Join(A, x),
+        A,
+        x,
+    ]
+    assert terms.free_vars(t) == {"x"}
+    assert terms.mentions_generators(t)
+    assert not terms.is_j_term(t)
+    assert terms.is_j_term(parse_term("conv(x);x & a"))
