@@ -19,7 +19,8 @@ The last rule is the constraint-level form of the law that pairing the two
 projections of a point recovers the point; without it the two projections
 would not satisfy the unicity identity.  The tests check the engine against
 a slow bounded breadth-first implementation of the same rule system
-(tests/oracles.py).
+(`entails_bfs` in tests/oracles.py), and an engine built from several
+systems against the one built from their meet.
 """
 
 from __future__ import annotations
@@ -67,27 +68,8 @@ def _rel(cons) -> BranchRelation:
 ZERO = BranchRelation(True, frozenset())
 TOP = _rel([])
 IDENT = _rel([(("L", ""), ("R", ""))])
-
-
-def zero() -> BranchRelation:
-    return ZERO
-
-
-def top() -> BranchRelation:
-    return TOP
-
-
-def ident() -> BranchRelation:
-    return IDENT
-
-
-def gen_a() -> BranchRelation:
-    """Output equals the left subtree of the input."""
-    return _rel([(("R", ""), ("L", "0"))])
-
-
-def gen_b() -> BranchRelation:
-    return _rel([(("R", ""), ("L", "1"))])
+GEN_A = _rel([(("R", ""), ("L", "0"))])  # output equals the input's left subtree
+GEN_B = _rel([(("R", ""), ("L", "1"))])
 
 
 def format_relation(r: BranchRelation) -> str:
@@ -114,18 +96,26 @@ def _fmt_ep(e: Endpoint) -> str:
 class ClosureEngine:
     """Union-find congruence closure over (tag, address) configurations.
 
-    Children links are created on demand and kept per class; merging two
-    classes merges their children pairwise (right append), and saturation
-    repeatedly merges classes whose child pairs coincide (pair
-    reconstruction).  The result is the least fixpoint of the rule system.
+    `ClosureEngine((r, src, dst), ...)` loads each system `(r, src, dst)` (a
+    non-zero relation r whose side L is read as tag src and side R as tag
+    dst) and saturates, so a built engine is always closed.  Children links
+    are created on demand and kept per class; merging two classes merges
+    their children pairwise (right append), and saturation repeatedly merges
+    classes whose child pairs coincide (pair reconstruction).  The result is
+    the least fixpoint of the rule system over all the systems together.
     """
 
     __slots__ = ("_parent", "_child", "_roots")
 
-    def __init__(self):
+    def __init__(self, *systems: tuple[BranchRelation, str, str]):
         self._parent: list[int] = []
         self._child: list[list[int]] = []
         self._roots: dict[str, int] = {}
+        for r, src, dst in systems:
+            tag = {"L": src, "R": dst}
+            for (t1, a1), (t2, a2) in r.constraints:
+                self.union(self.node(tag[t1], a1), self.node(tag[t2], a2))
+        self.saturate()
 
     def _new(self) -> int:
         i = len(self._parent)
@@ -169,10 +159,6 @@ class ClosureEngine:
                 elif cy[d] != -1:
                     cx[d] = cy[d]
 
-    def add_constraint(self, c: Constraint, tag_map: dict[str, str]):
-        (t1, a1), (t2, a2) = c
-        self.union(self.node(tag_map[t1], a1), self.node(tag_map[t2], a2))
-
     def saturate(self):
         child = self._child
         while True:
@@ -195,18 +181,8 @@ class ClosureEngine:
                 return
 
     def same(self, e1: tuple[str, str], e2: tuple[str, str]) -> bool:
-        return self.find(self.node(*e1)) == self.find(self.node(*e2))
-
-
-_LR = {"L": "L", "R": "R"}
-
-
-def _engine_for(r: BranchRelation) -> ClosureEngine:
-    eng = ClosureEngine()
-    for c in r.constraints:
-        eng.add_constraint(c, _LR)
-    eng.saturate()
-    return eng
+        # node() returns a root, and creating nodes never merges classes
+        return self.node(*e1) == self.node(*e2)
 
 
 def leq(r1: BranchRelation, r2: BranchRelation) -> bool:
@@ -218,7 +194,7 @@ def leq(r1: BranchRelation, r2: BranchRelation) -> bool:
         return False
     if r2.constraints <= r1.constraints:
         return True
-    eng = _engine_for(r1)
+    eng = ClosureEngine((r1, "L", "R"))
     return all(eng.same(p, q) for p, q in r2.constraints)
 
 
@@ -245,25 +221,15 @@ def converse(r: BranchRelation) -> BranchRelation:
     )
 
 
-def _product_engine(r1: BranchRelation, r2: BranchRelation) -> ClosureEngine:
-    """The saturated three-tag system of r1 and r2 over one shared middle:
-    r1's input is tag s, its output the middle m, and r2 maps m to t."""
-    eng = ClosureEngine()
-    for c in r1.constraints:
-        eng.add_constraint(c, {"L": "s", "R": "m"})
-    for c in r2.constraints:
-        eng.add_constraint(c, {"L": "m", "R": "t"})
-    eng.saturate()
-    return eng
-
-
 def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     """Relative product: project the shared middle tree out of r1 and r2.
 
-    A breadth-first walk of the saturated three-tag system E3 from the outer
-    roots names each class by the first outer config to reach it (L.u for
-    (s, u), R.u for (t, u)).  Each other child edge, class n along d to
-    class c, emits `name[n].d = name[c]`; roots in one class emit `L.^=R.^`.
+    The engine is the saturated three-tag system E3 of r1 and r2 over one
+    shared middle: r1's input is tag s, its output the middle m, and r2 maps
+    m to t.  A breadth-first walk of E3 from the outer roots names each
+    class by the first outer config to reach it (L.u for (s, u), R.u for
+    (t, u)).  Each other child edge, class n along d to class c, emits
+    `name[n].d = name[c]`; roots in one class emit `L.^=R.^`.
 
     Soundness.  name[n] lies in n and a class's d-child holds x.d for each
     x in it (right append), so E3 derives every emitted constraint, and so
@@ -285,12 +251,12 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     """
     if r1.is_zero or r2.is_zero:
         return ZERO
-    eng = _product_engine(r1, r2)
+    eng = ClosureEngine((r1, "s", "m"), (r2, "m", "t"))
 
     out: list[Constraint] = []
     name: dict[int, Endpoint] = {}
-    rs = eng.find(eng.node("s", ""))
-    rt = eng.find(eng.node("t", ""))
+    rs = eng.node("s", "")
+    rt = eng.node("t", "")
     queue: deque[int] = deque()
     name[rs] = ("L", "")
     queue.append(rs)
@@ -323,12 +289,11 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
 def paths_pool() -> list[BranchRelation]:
     """Deterministic sample pool: compositions of the generators up to
     length 4, their pairwise meets at length <= 2, converses of all of
-    those, and the constants."""
-    a, b = gen_a(), gen_b()
+    those, and the constants, each once in order of first appearance."""
     words: list[BranchRelation] = [IDENT]
     frontier = [IDENT]
     for _ in range(4):
-        frontier = [compose(w, g) for w in frontier for g in (a, b)]
+        frontier = [compose(w, g) for w in frontier for g in (GEN_A, GEN_B)]
         words.extend(frontier)
     short = [w for w in words if len(w.constraints) and _max_addr(w) <= 2]
     meets = [meet(x, y) for x, y in itertools.combinations(short, 2)]
@@ -336,14 +301,7 @@ def paths_pool() -> list[BranchRelation]:
     pool = pool + [converse(r) for r in pool]
     pool.append(TOP)
     pool.append(ZERO)
-    seen = set()
-    out = []
-    for r in pool:
-        key = (r.is_zero, r.constraints)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
+    return list(dict.fromkeys(pool))
 
 
 def _max_addr(r: BranchRelation) -> int:
@@ -395,8 +353,8 @@ def model_handle():
         ident=IDENT,
         equal=_elementwise(memo(lambda x, y: equal(x, y)), 2),
         leq=_elementwise(memo(lambda x, y: leq(x, y)), 2),
-        gen_a=gen_a(),
-        gen_b=gen_b(),
+        gen_a=GEN_A,
+        gen_b=GEN_B,
         elements=None,
         sample_pool=paths_pool,
         format_element=format_relation,

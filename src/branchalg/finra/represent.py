@@ -189,7 +189,6 @@ class StageReport:
     seed: int
     stages: list[Stage] = field(default_factory=list)
     reps: list[PartialRep] = field(default_factory=list)
-    accumulated: dict[int, set] = field(default_factory=dict)
 
     @property
     def all_conditions_hold(self) -> bool:
@@ -197,10 +196,12 @@ class StageReport:
 
     @property
     def separates(self) -> bool:
-        return (0, 1) in self.accumulated.get(self.w, set()) and (
-            0,
-            1,
-        ) not in self.accumulated.get(self.v, set())
+        """(0, 1) lies in the map of w and not in the map of v, over all
+        stages.  The last stage's maps are the union over all stages: every
+        extension asserts (`_assert_common_post`) that each element's map
+        only grows."""
+        last = self.reps[-1]
+        return (0, 1) in hat(last, self.w) and (0, 1) not in hat(last, self.v)
 
     def line(self) -> str:
         ok = self.all_conditions_hold and self.separates
@@ -238,8 +239,6 @@ def build_stage_rep(
     rng = random.Random(seed)
     report = StageReport(s, v, w, seed)
     prev = {x: hat(rep, x) for x in xs}
-    for x in xs:
-        report.accumulated.setdefault(x, set()).update(prev[x])
 
     def record(idx, step, rep, prev):
         cur = {x: hat(rep, x) for x in xs}
@@ -250,8 +249,6 @@ def build_stage_rep(
             Stage(idx, step, len(rep), separated, zero_kept, monotone)
         )
         report.reps.append(rep)
-        for x in xs:
-            report.accumulated[x].update(cur[x])
         return cur
 
     prev = record(0, "init", rep, prev)
@@ -266,8 +263,6 @@ def build_stage_rep(
                 (i, j, x, y) for (i, j) in idx_pairs for (x, y) in elem_pairs
             ]
         i, j, x, y = pending.pop(0)
-        if i >= len(rep) or j >= len(rep):
-            continue
         if stage_idx % 2 == 1:
             if (i, j) in hat(rep, x | y):
                 new = extend_join(s, rep, i, j, x, y)

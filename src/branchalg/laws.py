@@ -41,7 +41,7 @@ def _eq(sides: tuple[Term, Term], op: str = "=") -> Relation:
     return (sides[0], op, sides[1])
 
 
-def _law(law_id, variables, hyps, concls, *, theorem=True, part="II", note=""):
+def _law(law_id, variables, hyps, concls, *, theorem=True, part="II"):
     return Law(
         id=law_id,
         variables=tuple(variables.split()) if variables else (),
@@ -50,7 +50,6 @@ def _law(law_id, variables, hyps, concls, *, theorem=True, part="II", note=""):
         signature="J",
         theorem=theorem,
         part=part,
-        note=note,
     )
 
 
@@ -175,6 +174,8 @@ def _functional_laws():
                 "conv(x);conv(conv(x)) = id",
             ],
         ),
+        # partial identities e are drawn from the tested assignments only; in
+        # the tree model that means sampled elements
         _law(
             "grp",
             "e x y",
@@ -193,8 +194,6 @@ def _functional_laws():
                 "(x;y);conv(x;y) = e",
                 "conv(x;y);(x;y) = e",
             ],
-            note="partial identities e are drawn from the tested assignments "
-            "only; in the tree model that means sampled elements",
         ),
         _law(
             "f-dist",
@@ -301,7 +300,7 @@ def _pairing_laws():
             ],
             [_PAIR_CONCL],
         ),
-        _law("pr", "u v x y", Q_HYPS, [_PAIR_CONCL], note="pairing from Q"),
+        _law("pr", "u v x y", Q_HYPS, [_PAIR_CONCL]),
     ]
 
 
@@ -323,7 +322,6 @@ def _product_formulas():
         [_PAIR_LEQ],
         theorem=False,
         part="I",
-        note="fails in some finite algebras",
     )
     l = _law(
         "L",
@@ -336,7 +334,6 @@ def _product_formulas():
         ],
         theorem=False,
         part="I",
-        note="fails in some finite algebras",
     )
     m = _law(
         "M",
@@ -349,8 +346,8 @@ def _product_formulas():
         ],
         theorem=False,
         part="I",
-        note="fails in some finite algebras",
     )
+    # K, with the guarded element taken to be u;v & x;y
     k = _law(
         "K",
         "u v x y c d",
@@ -367,7 +364,6 @@ def _product_formulas():
         ],
         [_PAIR_CONCL],
         part="I",
-        note="with the guarded element taken to be u;v & x;y",
     )
     return [j, l, m, k]
 

@@ -151,7 +151,6 @@ class Law:
     signature: str = "J"  # "J" or "RA"
     theorem: bool = True  # False for formulas that are known to fail somewhere
     part: str = "II"
-    note: str = ""
 
     def __post_init__(self):
         declared = set(self.variables)
@@ -184,7 +183,6 @@ class Law:
 @dataclass
 class LawReport:
     law_id: str
-    strategy: str
     tested: int
     passed: bool
     counterexample: dict[str, str] | None = None
@@ -225,16 +223,14 @@ def check_law(m: ModelHandle, law: Law, strategy) -> LawReport:
             raise StrategyUnavailableError(
                 f"law {law.id}: {total} assignments exceed the exhaustive cap"
             )
-        label = "exhaustive"
     elif isinstance(strategy, Sample):
         if m.sample_pool is None:
             raise StrategyUnavailableError(f"model {m.name} has no sample pool")
-        label = f"sample(n={strategy.n},seed={strategy.seed})"
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     tested, env = search(m, law, strategy)
     ce = None if env is None else {k: m.format_element(v) for k, v in env.items()}
-    return LawReport(law.id, label, tested, env is None, ce)
+    return LawReport(law.id, tested, env is None, ce)
 
 
 def _assignments(m: ModelHandle, names, strategy):

@@ -561,14 +561,9 @@ def _edge_label(t: Term) -> str:
 def _push_conv(t: Term) -> Term:
     """Rewrite so converse only wraps atoms (edge direction reversal)."""
     if isinstance(t, Conv):
-        inner = _push_conv(t.child)
-        return _push_conv(conv(inner)) if not _is_atom(inner) else conv(inner)
+        return conv(_push_conv(t.child))
     if isinstance(t, Comp):
         return Comp(_push_conv(t.left), _push_conv(t.right))
     if isinstance(t, Meet):
         return Meet(_push_conv(t.left), _push_conv(t.right))
     return t
-
-
-def _is_atom(t: Term) -> bool:
-    return isinstance(t, (Zero, Top, Id, GenA, GenB, Var))

@@ -17,13 +17,7 @@ from collections import deque
 
 import numpy as np
 
-from branchalg.branchrel import (
-    BranchRelation,
-    Constraint,
-    Endpoint,
-    _engine_for,
-    _product_engine,
-)
+from branchalg.branchrel import BranchRelation, ClosureEngine, Constraint, Endpoint
 from branchalg.finra import kernels
 from branchalg.finra.atoms import AtomStructure
 from branchalg.finra.enumeration import (
@@ -42,8 +36,7 @@ def entails(r: BranchRelation, c: Constraint) -> bool:
     """Is the constraint derivable from r under the closure rules?"""
     if r.is_zero:
         raise ValueError("entails is undefined on the zero relation")
-    eng = _engine_for(r)
-    return eng.same(c[0], c[1])
+    return ClosureEngine((r, "L", "R")).same(c[0], c[1])
 
 
 def _pack_ep(ep: Endpoint) -> int:
@@ -116,7 +109,8 @@ def entails_product(r1: BranchRelation, r2: BranchRelation, c: Constraint) -> bo
         raise ValueError("entails_product is undefined on the zero relation")
     tag = {"L": "s", "R": "t"}
     (t1, a1), (t2, a2) = c
-    return _product_engine(r1, r2).same((tag[t1], a1), (tag[t2], a2))
+    eng = ClosureEngine((r1, "s", "m"), (r2, "m", "t"))
+    return eng.same((tag[t1], a1), (tag[t2], a2))
 
 
 # --- finite semantic model --------------------------------------------------

@@ -213,7 +213,7 @@ def test_criterion_12_oracle_equivalence():
         return (
             branchrel.BranchRelation(False, frozenset(cons))
             if cons
-            else branchrel.top()
+            else branchrel.TOP
         )
 
     disagreements = 0

@@ -10,13 +10,13 @@ from branchalg import cli, laws, model, thompson
 
 import oracles
 
-A = br.gen_a()
-B = br.gen_b()
+A = br.GEN_A
+B = br.GEN_B
 CA = br.converse(A)
 CB = br.converse(B)
-ID = br.ident()
-TOP = br.top()
-ZERO = br.zero()
+ID = br.IDENT
+TOP = br.TOP
+ZERO = br.ZERO
 
 
 def c(spec: str):
@@ -154,7 +154,7 @@ def test_semantic_soundness_spot_check():
     rng = random.Random(5)
     pool = [r for r in _pool40() if r.constraints]
     for r in pool[:20]:
-        eng = br._engine_for(r)
+        eng = br.ClosureEngine((r, "L", "R"))
         # collect some entailed constraints among short addresses
         entailed = []
         addrs = [""] + ["0", "1", "00", "01", "10", "11", "010", "101"]
@@ -207,6 +207,22 @@ def test_product_oracle_has_teeth():
     for r1, r2, missing in ((A, CA, c("L.0=R.0")), (CA, A, c("L.^=R.^"))):
         assert _product_gaps(r1, r2, TOP, [missing]) == [missing]
         assert _product_gaps(r1, r2, br.compose(r1, r2), [missing]) == []
+
+
+def test_engine_of_several_systems_is_the_engine_of_their_meet():
+    pool = _pool40()
+    endpoints = list(itertools.product("LR", ["", "0", "1", "00", "01", "10", "11"]))
+    beyond_r1 = 0
+    for r1, r2 in itertools.product(pool, repeat=2):
+        both = br.ClosureEngine((r1, "L", "R"), (r2, "L", "R"))
+        met = br.ClosureEngine((br.meet(r1, r2), "L", "R"))
+        alone = br.ClosureEngine((r1, "L", "R"))
+        for p, q in itertools.combinations(endpoints, 2):
+            got = both.same(p, q)
+            assert got == met.same(p, q), (r1, r2, p, q)
+            beyond_r1 += got != alone.same(p, q)
+    # the second system adds entailments the first alone lacks
+    assert beyond_r1 > 0
 
 
 # --- the per-handle memo ----------------------------------------------------

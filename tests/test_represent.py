@@ -257,6 +257,22 @@ def test_build_stage_rep_many_pairs(re2):
         assert report.all_conditions_hold and report.separates, (v, w)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_separates_reads_the_union_of_the_stage_maps(re2, seed):
+    # separates reads the last stage only; the maps only grow, so that is
+    # the union over every stage
+    ident, top = re2.ident, re2.top
+    criterion_11 = [(0, 2), (0, top), (2, 3), (ident, top), (1, 1 | 2), (2, 2 | 4 | 8)]
+    runs = [(pair, 50) for pair in criterion_11]
+    runs += [(pair, 12) for pair in _strict_pairs(re2)[:8]]
+    for (v, w), stages in runs:
+        report = build_stage_rep(re2, v, w, stages=stages, seed=seed)
+        union = {x: set().union(*(hat(rep, x) for rep in report.reps)) for x in (v, w)}
+        assert union[v] == hat(report.reps[-1], v) and union[w] == hat(report.reps[-1], w)
+        want = (0, 1) in union[w] and (0, 1) not in union[v]
+        assert report.separates == want, (v, w, seed)
+
+
 def test_build_stage_rep_composition_witnesses(re2):
     report = build_stage_rep(re2, 0, 0b0010, stages=60, seed=0)
     assert any(st.step == "comp" and st.length > 2 for st in report.stages)

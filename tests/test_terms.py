@@ -220,7 +220,7 @@ def test_mapsto_self_is_identity_in_the_model():
     for text in ("0", "01", "(01)2", "0(12)", "(01)(23)", "0(1(23))"):
         e = parse_tree_expr(text)
         rel = eval_term(m, mapsto(e, e), {})
-        assert branchrel.equal(rel, branchrel.ident()), text
+        assert branchrel.equal(rel, branchrel.IDENT), text
 
 
 def test_emit_dot_shapes():
@@ -248,6 +248,27 @@ def test_emit_dot_reverses_converse_edges():
     rev_b = lines[1]
     assert 'label="b"' in rev_b
     assert rev_b.split("->")[0].strip() != src_a
+
+
+DOT_HEAD = 'digraph term {\n  rankdir=LR;\n  node [shape=point label=""];\n'
+
+
+@pytest.mark.parametrize(
+    "text, edges",
+    [
+        # converse of a meet of products: each product reversed in place
+        (
+            "conv(a;conv(b) & b;a)",
+            '  n0 -> n1 [label="b"];\n  n2 -> n1 [label="a"];\n'
+            '  n3 -> n0 [label="a"];\n  n2 -> n3 [label="b"];\n',
+        ),
+        # double converse of a product cancels
+        ("conv(conv(a;b))", '  n0 -> n1 [label="a"];\n  n1 -> n2 [label="b"];\n'),
+    ],
+    ids=["meet-of-products", "double-converse"],
+)
+def test_emit_dot_on_converses_of_compound_terms(text, edges):
+    assert terms.emit_dot(parse_term(text)) == DOT_HEAD + edges + "}"
 
 
 def test_tree_leaves_order():
