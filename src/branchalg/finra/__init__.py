@@ -34,34 +34,3 @@ from .represent import (
     is_tabular,
     tabular_witness,
 )
-
-__all__ = [
-    "AtomStructure",
-    "AtomStructureError",
-    "FORMULAS",
-    "JlmRecord",
-    "NotTabular",
-    "PartialRep",
-    "SIGNATURES",
-    "STRETCH_SIGNATURES",
-    "StageReport",
-    "TABLE_TOTALS",
-    "UnsupportedSignatureError",
-    "build_stage_rep",
-    "check_jlm",
-    "enumerate_integral",
-    "extend_comp",
-    "extend_join",
-    "format_structure",
-    "from_cycles",
-    "functional_elements",
-    "hat",
-    "is_tabular",
-    "make_proper_ra",
-    "normalize_signature",
-    "parse_structure",
-    "profile_structures",
-    "profile_tsv",
-    "tabular_witness",
-    "verify_axioms",
-]

@@ -59,12 +59,12 @@ class ModelHandle:
     ident: Any
     equal: Callable[[Any, Any], bool]
     leq: Callable[[Any, Any], bool]
+    sample_pool: Callable[[], list]
     join: Callable[[Any, Any], Any] | None = None
     compl: Callable[[Any], Any] | None = None
     gen_a: Any = None
     gen_b: Any = None
     elements: Callable[[], list] | None = None
-    sample_pool: Callable[[], list] | None = None
     format_element: Callable[[Any], str] = repr
     atoms: Callable[[], list] | None = None
 
@@ -78,56 +78,49 @@ def eval_term(m: ModelHandle, t: Term, env: dict[str, Any]) -> Any:
     return _compile(t, m)(env)
 
 
+# the ModelHandle field that interprets each operator and constant
+_FIELDS = {
+    terms.Zero: "zero",
+    terms.Top: "top",
+    terms.Id: "ident",
+    terms.Conv: "conv",
+    terms.Compl: "compl",
+    terms.Comp: "comp",
+    terms.Meet: "meet",
+    terms.Join: "join",
+}
+
+
 def _compile(t: Term, m: ModelHandle):
     """Build a closure evaluating t; avoids re-dispatching on node types in
-    inner assignment loops."""
-    if isinstance(t, terms.Zero):
-        z = m.zero
-        return lambda env: z
-    if isinstance(t, terms.Top):
-        top = m.top
-        return lambda env: top
-    if isinstance(t, terms.Id):
-        e = m.ident
-        return lambda env: e
-    if isinstance(t, terms.GenA):
-        ga = m.gen_a
-        if ga is None:
-            return lambda env: _lookup(env, "a")
-        return lambda env: env["a"] if "a" in env else ga
-    if isinstance(t, terms.GenB):
-        gb = m.gen_b
-        if gb is None:
-            return lambda env: _lookup(env, "b")
-        return lambda env: env["b"] if "b" in env else gb
-    if isinstance(t, terms.Var):
+    inner assignment loops.
+
+    Variables and the generators read the environment.  Every other node
+    looks its class up in _FIELDS and becomes a constant, unary or binary
+    closure over that field of the handle.
+    """
+    cls = type(t)
+    if cls is terms.Var:
         name = t.name
         return lambda env: _lookup(env, name)
-    if isinstance(t, terms.Conv):
+    if cls is terms.GenA or cls is terms.GenB:
+        sym = terms._LEAVES[cls]
+        g = m.gen_a if cls is terms.GenA else m.gen_b
+        if g is None:
+            return lambda env: _lookup(env, sym)
+        return lambda env: env[sym] if sym in env else g
+    field = _FIELDS[cls]
+    op = getattr(m, field)
+    if op is None:
+        word = "complement" if field == "compl" else field
+        raise UnsupportedOperatorError(f"model {m.name} has no {word}")
+    if cls in terms._BINARY:
+        fl, fr = _compile(t.left, m), _compile(t.right, m)
+        return lambda env: op(fl(env), fr(env))
+    if cls in terms._UNARY:
         f = _compile(t.child, m)
-        cv = m.conv
-        return lambda env: cv(f(env))
-    if isinstance(t, terms.Comp):
-        fl, fr = _compile(t.left, m), _compile(t.right, m)
-        op = m.comp
-        return lambda env: op(fl(env), fr(env))
-    if isinstance(t, terms.Meet):
-        fl, fr = _compile(t.left, m), _compile(t.right, m)
-        op = m.meet
-        return lambda env: op(fl(env), fr(env))
-    if isinstance(t, terms.Join):
-        if m.join is None:
-            raise UnsupportedOperatorError(f"model {m.name} has no join")
-        fl, fr = _compile(t.left, m), _compile(t.right, m)
-        op = m.join
-        return lambda env: op(fl(env), fr(env))
-    if isinstance(t, terms.Compl):
-        if m.compl is None:
-            raise UnsupportedOperatorError(f"model {m.name} has no complement")
-        f = _compile(t.child, m)
-        op = m.compl
         return lambda env: op(f(env))
-    raise TypeError(f"not a term: {t!r}")
+    return lambda env: op
 
 
 def _lookup(env: dict[str, Any], name: str):
@@ -223,10 +216,7 @@ def check_law(m: ModelHandle, law: Law, strategy) -> LawReport:
             raise StrategyUnavailableError(
                 f"law {law.id}: {total} assignments exceed the exhaustive cap"
             )
-    elif isinstance(strategy, Sample):
-        if m.sample_pool is None:
-            raise StrategyUnavailableError(f"model {m.name} has no sample pool")
-    else:
+    elif not isinstance(strategy, Sample):
         raise ValueError(f"unknown strategy {strategy!r}")
     tested, env = search(m, law, strategy)
     ce = None if env is None else {k: m.format_element(v) for k, v in env.items()}
@@ -393,9 +383,8 @@ def reducible(law: Law) -> frozenset[str]:
 def _leaves(t: Term) -> list[str]:
     """Variable names at the leaves of a term, generators as a and b, each
     occurrence once."""
-    generators = {terms.A: "a", terms.B: "b"}
     return [
-        u.name if isinstance(u, terms.Var) else generators[u]
+        u.name if isinstance(u, terms.Var) else terms._LEAVES[type(u)]
         for u in terms.subterms(t)
         if isinstance(u, (terms.Var, terms.GenA, terms.GenB))
     ]

@@ -6,6 +6,11 @@ conv (converse), + (union), and -(x) (complement).  Union and complement are
 only meaningful in full relation algebras; the parser can reject them when a
 caller works in the smaller signature.
 
+Each operator is declared once, in the tables after the node classes: its
+spelling, its binding strength, and whether the J signature has it.  The
+parser, the printer, the DOT labels and the model term compiler all read
+them.
+
 The module also handles the parenthesized tree notation used to describe
 prefix substitutions on infinite binary trees ("0(12)" and friends), the
 root-to-leaf path assignment of such an expression, and the "source maps to
@@ -108,6 +113,14 @@ B = GenB()
 
 _BINARY = frozenset((Comp, Meet, Join))
 _UNARY = frozenset((Conv, Compl))
+_RA_ONLY = (Join, Compl)  # the operators a J-term may not use
+_ATOMS = {"a": A, "b": B, "id": ID, "0": ZERO, "1": TOP}
+_LEAVES = {type(t): word for word, t in _ATOMS.items()}
+_PREFIX = {"conv": Conv, "-": Compl}
+# symbol and binding strength of each infix operator, loosest first
+_INFIX = {Join: ("+", 1), Meet: ("&", 2), Comp: (";", 3)}
+_INFIX_BY_SYMBOL = {sym: (cls, s) for cls, (sym, s) in _INFIX.items()}
+_PREFIX_WORDS = {cls: word for word, cls in _PREFIX.items()}
 
 
 def subterms(t: Term):
@@ -138,7 +151,7 @@ def mentions_generators(t: Term) -> bool:
 
 def is_j_term(t: Term) -> bool:
     """True when the term avoids union and complement."""
-    return not any(isinstance(u, (Join, Compl)) for u in subterms(t))
+    return not any(isinstance(u, _RA_ONLY) for u in subterms(t))
 
 
 # --- helpers used both by the parser and by the tree-notation constructors
@@ -189,9 +202,6 @@ def conv(t: Term) -> Term:
 
 
 # --- parsing ------------------------------------------------------------
-
-_ATOMS = {"a": A, "b": B, "id": ID, "0": ZERO, "1": TOP}
-
 
 # deepest tree and parenthesis nesting parse_term accepts; the parser, printer
 # and evaluators recurse per level and stay far inside Python's limit
@@ -245,7 +255,7 @@ def parse_term(text: str, signature: str = "RA") -> Term:
     if signature not in ("RA", "J"):
         raise ValueError(f"unknown signature {signature!r}")
     sc = _Scanner(text)
-    t = _parse_sum(sc, signature)
+    t = _parse_infix(sc, signature)
     sc.skip_ws()
     if sc.pos != len(text):
         raise TermSyntaxError("trailing input", sc.pos)
@@ -261,60 +271,50 @@ def _height(t: Term) -> int:
     while stack:
         t, h = stack.pop()
         out = max(out, h)
-        if isinstance(t, (Conv, Compl)):
+        cls = type(t)
+        if cls in _UNARY:
             stack.append((t.child, h + 1))
-        elif isinstance(t, (Comp, Meet, Join)):
+        elif cls in _BINARY:
             stack += [(t.left, h + 1), (t.right, h + 1)]
     return out
 
 
-def _parse_sum(sc: _Scanner, sig: str) -> Term:
-    t = _parse_meet(sc, sig)
-    while sc.peek() == "+":
-        pos = sc.pos
-        sc.take("+")
-        if sig == "J":
-            raise RaOnlyOperatorError("+", pos)
-        t = Join(t, _parse_meet(sc, sig))
-    return t
-
-
-def _parse_meet(sc: _Scanner, sig: str) -> Term:
-    t = _parse_comp(sc, sig)
-    while sc.take("&"):
-        t = Meet(t, _parse_comp(sc, sig))
-    return t
-
-
-def _parse_comp(sc: _Scanner, sig: str) -> Term:
+def _parse_infix(sc: _Scanner, sig: str, strength: int = 1) -> Term:
+    """Left-associated chain of operators binding at least as tightly as
+    strength; each right operand binds one level tighter than its operator."""
     t = _parse_unary(sc, sig)
-    while sc.take(";"):
-        t = Comp(t, _parse_unary(sc, sig))
-    return t
+    while True:
+        sym = sc.peek()
+        cls, s = _INFIX_BY_SYMBOL.get(sym, (None, 0))
+        if s < strength:
+            return t
+        pos = sc.pos
+        sc.pos += 1
+        if sig == "J" and cls in _RA_ONLY:
+            raise RaOnlyOperatorError(sym, pos)
+        t = cls(t, _parse_infix(sc, sig, s + 1))
 
 
 def _parse_unary(sc: _Scanner, sig: str) -> Term:
     c = sc.peek()
-    if c == "-":
-        pos = sc.pos
-        sc.take("-")
-        if sig == "J":
-            raise RaOnlyOperatorError("-", pos)
-        return Compl(_parse_group(sc, sig))
     if c == "(":
         return _parse_group(sc, sig)
-    if c in ("0", "1"):
-        sc.pos += 1
-        return _ATOMS[c]
     pos = sc.pos
-    name = sc.ident()
-    if name is None:
-        raise TermSyntaxError("expected a term", sc.pos)
-    if name == "conv":
-        return Conv(_parse_group(sc, sig))
-    if name in _ATOMS:
-        return _ATOMS[name]
-    return Var(name)
+    word = sc.ident()
+    if word is None:
+        # the one-character atoms and prefix operators
+        if c not in _ATOMS and c not in _PREFIX:
+            raise TermSyntaxError("expected a term", pos)
+        word = c
+        sc.pos += 1
+    if word in _ATOMS:
+        return _ATOMS[word]
+    cls = _PREFIX.get(word)
+    if cls is None:
+        return Var(word)
+    if sig == "J" and cls in _RA_ONLY:
+        raise RaOnlyOperatorError(word, pos)
+    return cls(_parse_group(sc, sig))
 
 
 def _parse_group(sc: _Scanner, sig: str) -> Term:
@@ -323,7 +323,7 @@ def _parse_group(sc: _Scanner, sig: str) -> Term:
     sc.depth += 1
     if sc.depth > MAX_DEPTH:
         raise TermSyntaxError(f"term nested deeper than {MAX_DEPTH} levels", sc.pos)
-    t = _parse_sum(sc, sig)
+    t = _parse_infix(sc, sig)
     sc.expect(")")
     sc.depth -= 1
     return t
@@ -331,41 +331,24 @@ def _parse_group(sc: _Scanner, sig: str) -> Term:
 
 # --- printing -----------------------------------------------------------
 
-_PREC_JOIN, _PREC_MEET, _PREC_COMP, _PREC_ATOM = 1, 2, 3, 4
-
-
 def format_term(t: Term) -> str:
     """Print a term so that parse_term(format_term(t)) == t structurally."""
     return _fmt(t, 0)
 
 
 def _fmt(t: Term, ctx: int) -> str:
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Top):
-        return "1"
-    if isinstance(t, Id):
-        return "id"
-    if isinstance(t, GenA):
-        return "a"
-    if isinstance(t, GenB):
-        return "b"
-    if isinstance(t, Var):
+    """t printed inside an operator of binding strength ctx."""
+    cls = type(t)
+    if cls is Var:
         return t.name
-    if isinstance(t, Conv):
-        return f"conv({_fmt(t.child, 0)})"
-    if isinstance(t, Compl):
-        return f"-({_fmt(t.child, 0)})"
-    if isinstance(t, Comp):
-        s = f"{_fmt(t.left, _PREC_COMP)};{_fmt(t.right, _PREC_ATOM)}"
-        return f"({s})" if ctx > _PREC_COMP else s
-    if isinstance(t, Meet):
-        s = f"{_fmt(t.left, _PREC_MEET)} & {_fmt(t.right, _PREC_COMP)}"
-        return f"({s})" if ctx > _PREC_MEET else s
-    if isinstance(t, Join):
-        s = f"{_fmt(t.left, _PREC_JOIN)} + {_fmt(t.right, _PREC_MEET)}"
-        return f"({s})" if ctx > _PREC_JOIN else s
-    raise TypeError(f"not a term: {t!r}")
+    if cls in _LEAVES:
+        return _LEAVES[cls]
+    if cls in _UNARY:
+        return f"{_PREFIX_WORDS[cls]}({_fmt(t.child, 0)})"
+    sym, s = _INFIX[cls]
+    sep = sym if sym == ";" else f" {sym} "
+    text = f"{_fmt(t.left, s)}{sep}{_fmt(t.right, s + 1)}"
+    return f"({text})" if ctx > s else text
 
 
 # --- tree expressions ---------------------------------------------------
@@ -545,17 +528,7 @@ def emit_dot(t: Term) -> str:
 
 
 def _edge_label(t: Term) -> str:
-    if isinstance(t, GenA):
-        return "a"
-    if isinstance(t, GenB):
-        return "b"
-    if isinstance(t, Top):
-        return "1"
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Var):
-        return t.name
-    raise TypeError(f"not an edge atom: {t!r}")
+    return t.name if isinstance(t, Var) else _LEAVES[type(t)]
 
 
 def _push_conv(t: Term) -> Term:

@@ -50,6 +50,14 @@ def test_eval_branchrel(capsys):
     assert out.strip() == "{L.0=R.0; L.1=R.1}"
 
 
+@pytest.mark.parametrize(
+    "text, missing", [("a + b", "join"), ("id & -(a)", "complement")]
+)
+def test_eval_of_an_operator_the_model_lacks(capsys, text, missing):
+    code, out, err = run(capsys, ["eval", text])
+    assert (code, out, err) == (2, "", f"error: model branchrel has no {missing}\n")
+
+
 def test_eval_on_structure_file(capsys, re2_file):
     # names are not stored in the file format; the loader assigns defaults
     code, out, _ = run(capsys, ["eval", "id;1", "--model", re2_file])

@@ -35,8 +35,12 @@ def test_eval_examples(bmodel, fmodel):
 def test_eval_errors(bmodel):
     with pytest.raises(model.UnboundVariableError):
         model.eval_term(bmodel, Var("nope"), {})
-    with pytest.raises(model.UnsupportedOperatorError):
-        model.eval_term(bmodel, terms.Join(terms.A, terms.B), {})
+    for t, message in [
+        (terms.Join(terms.A, terms.B), "model branchrel has no join"),
+        (terms.Compl(terms.A), "model branchrel has no complement"),
+    ]:
+        with pytest.raises(model.UnsupportedOperatorError, match=f"^{message}$"):
+            model.eval_term(bmodel, t, {})
 
 
 def test_generators_quantified_only_without_fixed_model_generators(bmodel, fmodel):

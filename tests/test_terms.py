@@ -50,10 +50,15 @@ def test_precedence_and_associativity():
 
 
 def test_j_mode_rejects_union_and_complement():
-    with pytest.raises(RaOnlyOperatorError):
-        parse_term("x + -(y)", signature="J")
-    with pytest.raises(RaOnlyOperatorError):
-        parse_term("-(x)", signature="J")
+    for text, op, pos in [
+        ("x + -(y)", "+", 2),
+        ("x & -(y)", "-", 4),
+        ("-(x)", "-", 0),
+        ("conv(a) ;  b + c", "+", 13),
+    ]:
+        with pytest.raises(RaOnlyOperatorError) as exc:
+            parse_term(text, signature="J")
+        assert (exc.value.op, exc.value.pos) == (op, pos), text
     t = parse_term("x + -(y)")
     assert t == terms.Join(Var("x"), terms.Compl(Var("y")))
 
@@ -75,6 +80,20 @@ def test_format_examples():
     assert format_term(a_term) == (
         "a;conv(a);conv(a) & b;a;conv(b);conv(a) & b;b;conv(b)"
     )
+    # the round trip also holds for a printer that adds parentheses, so pin
+    # the text: only a looser operator inside, or a right operand of the
+    # same strength, is parenthesised
+    for text in [
+        "(a + b);c",
+        "a & (b + c)",
+        "(a & b);c",
+        "a;(b;c)",
+        "-(a + b) & conv(x;y)",
+        "a + b & c;d",
+        "conv(a & b);-(c)",
+    ]:
+        assert format_term(parse_term(text)) == text
+    assert format_term(parse_term("(a + b) + (c + d)")) == "a + b + (c + d)"
 
 
 def _random_term(rng, depth, signature="RA"):
