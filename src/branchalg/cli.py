@@ -12,12 +12,14 @@ import sys
 
 from . import branchrel, laws, model, terms, thompson
 from .finra import (
+    STRETCH_SIGNATURES,
     NotTabular,
     UnsupportedSignatureError,
     build_stage_rep,
     check_jlm,
     enumerate_integral,
     is_tabular,
+    normalize_signature,
     verify_axioms,
 )
 from .finra import atoms as finra_atoms
@@ -137,6 +139,9 @@ def cmd_check_jlm(args) -> int:
     try:
         structures = enumerate_integral(args.target, stretch=args.stretch)
     except UnsupportedSignatureError:
+        # a stretch row without --stretch is a usage error, not a file path
+        if normalize_signature(args.target) in STRETCH_SIGNATURES:
+            raise
         structures = None
     if structures is not None:
         profile = finra_jlm.count_profile(

@@ -19,14 +19,25 @@ fixes the forced triples (they are defined by the identity and converse
 alone) and carries a structure to an isomorphic copy of itself, so it
 preserves associativity.  The associative masks are therefore a union of
 whole orbits, and the first associative mask of a class in increasing
-order is the minimum of its orbit: the canonical mask.  ``canonical_key``
-is then computed once per class, only to put the classes in their
-published order.
+order is the minimum of its orbit: the canonical mask.
+
+The published order is by canonical key: the least, over the symmetries,
+of a structure's sorted triple list.  ``canonical_key`` computes it for
+every class in one numpy pass per signature (triples as integer codes,
+sorted per symmetry, padded rows compared column by column), and
+``np.lexsort`` orders the masks before any triple set is built.
+
+Validation happens once per signature, not once per structure: the forced
+triples, and the forced triples with each orbit, go through the full
+``AtomStructure`` check, and every class is a union of these cycle-closed
+sets, so it is cycle-closed by construction and skips the per-triple loop.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from .atoms import AtomStructure, peirce_orbit
 from . import kernels
@@ -68,7 +79,8 @@ def signature_spec(signature: str, stretch: bool = False):
     if key in STRETCH_SIGNATURES:
         if not stretch:
             raise UnsupportedSignatureError(
-                f"signature {signature!r} is a stretch target; pass stretch=True"
+                f"signature {signature!r} is a stretch target; pass --stretch"
+                " (stretch=True from Python) to run it"
             )
         return key, *STRETCH_SIGNATURES[key]
     raise UnsupportedSignatureError(f"unsupported signature {signature!r}")
@@ -118,12 +130,43 @@ def orbit_permutations(orbits: list[tuple], perms) -> list[tuple[int, ...]]:
     return [tuple(index[p[x], p[y], p[z]] for x, y, z in firsts) for p in perms]
 
 
-def canonical_key(triples, perms) -> tuple:
+def canonical_key(n: int, forced, orbits, masks, perms) -> np.ndarray:
+    """The sort keys of the structures the masks stand for, one row per mask.
+
+    A triple is written as the code x*n*n + y*n + z, so sorting codes sorts
+    triples.  A row is the least, over the symmetries, of the sorted codes
+    of the structure's image, padded on the right with -1: rows then compare
+    lexicographically as the sorted triple tuples do, a shorter list first.
+    """
+    size = n**3  # below int16's limit for the signatures here (n < 32)
+
+    def code(triples):
+        return [(x * n + y) * n + z for x, y, z in triples]
+
+    member = np.zeros((len(orbits), size), dtype=np.uint8)
+    for i, orbit in enumerate(orbits):
+        member[i, code(orbit)] = 1
+    present = (masks[:, None] >> np.arange(len(orbits))).astype(np.uint8) & 1
+    present = present @ member
+    present[:, code(forced)] = 1
+    # each row's codes in increasing order, then `size` as right padding
+    codes = np.where(present, np.arange(size, dtype=np.int16), np.int16(size))
+    width = int(present.sum(axis=1).max())
+    codes = np.sort(codes, axis=1)[:, :width]
     best = None
+    rows = np.arange(len(masks))
     for p in perms:
-        img = tuple(sorted((p[x], p[y], p[z]) for x, y, z in triples))
-        if best is None or img < best:
-            best = img
+        p = np.asarray(p, dtype=np.int16)
+        lut = np.append(((p[:, None, None] * n + p[:, None]) * n + p).ravel(), size)
+        image = np.sort(lut[codes], axis=1)
+        if best is None:
+            best = image
+            continue
+        # every image of a row holds as many codes, so padding never differs
+        first = (image != best).argmax(axis=1)
+        less = image[rows, first] < best[rows, first]
+        best[less] = image[less]
+    best[best == size] = -1
     return best
 
 
@@ -132,23 +175,31 @@ def enumerate_integral(signature: str, stretch: bool = False) -> list[AtomStruct
 
     Output order is deterministic (sorted canonical keys), so indexed picks
     are stable across runs.
+
+    Every structure is valid by construction: the forced triples, and the
+    forced triples with each orbit, are checked once here by the full
+    constructor, and each class is a union of these sets.  A union of
+    cycle-closed sets is cycle-closed, so the classes skip the per-triple
+    check.
     """
     key, names, conv = signature_spec(signature, stretch=stretch)
+    identity = frozenset({0})
     orbits = diversity_orbits(conv)
     perms = atom_symmetries(conv)
-    masks = kernels.canonical_masks(len(orbits), orbit_permutations(orbits, perms))
     forced = forced_triples(conv)
-    classes = kernels.associative_candidates(len(conv), forced, orbits, masks)
-    classes.sort(key=lambda triples: canonical_key(triples, perms))
+    for orbit in ((), *orbits):
+        AtomStructure(names, conv, identity, forced.union(orbit))
+    masks = kernels.canonical_masks(len(orbits), orbit_permutations(orbits, perms))
+    masks = kernels.associative_candidates(len(conv), forced, orbits, masks)
+    keys = canonical_key(len(conv), forced, orbits, masks, perms)
+    masks = masks[np.lexsort(keys.T[::-1])]
+    selected = (masks[:, None] >> np.arange(len(orbits))) & 1
     return [
-        AtomStructure(
-            atom_names=names,
-            conv=conv,
-            identity=frozenset({0}),
-            triples=triples,
+        AtomStructure._closed(
+            names, conv, identity, forced.union(*itertools.compress(orbits, bits)),
             label=f"{key}#{i}",
         )
-        for i, triples in enumerate(classes)
+        for i, bits in enumerate(selected.tolist())
     ]
 
 

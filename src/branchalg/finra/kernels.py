@@ -9,10 +9,12 @@ on the orbits and keeps a mask only when it is no larger than any of its
 images, that is, when it is the minimum of its orbit under the symmetry
 group.  ``associative_candidates`` then runs the associativity filter on
 the masks it is given, which leaves about 1/|Aut| of the 2^k subsets to
-test.  Nothing is lost: a symmetry fixes the forced triples and preserves
-associativity, so a class of associative masks is a whole orbit, and its
-minimum, the mask a scan over all 2^k in increasing order would keep
-first, is canonical (see ``enumeration``).
+test, and returns the surviving masks as an array: the caller orders them
+(``enumeration.canonical_key``) before it builds any triple set.  Nothing
+is lost: a symmetry fixes the forced triples and preserves associativity,
+so a class of associative masks is a whole orbit, and its minimum, the
+mask a scan over all 2^k in increasing order would keep first, is
+canonical (see ``enumeration``).
 """
 
 from __future__ import annotations
@@ -45,33 +47,26 @@ def canonical_masks(n_orbits: int, orbit_perms) -> np.ndarray:
     return masks
 
 
-def associative_candidates(n: int, forced, orbits, masks):
-    """The triple sets (forced plus the orbits a mask selects) of the masks
-    whose atom-level composition is associative.
+def associative_candidates(n: int, forced, orbits, masks) -> np.ndarray:
+    """The masks whose structure (forced plus the orbits the mask selects)
+    has an associative atom-level composition.
 
-    Returns a list of frozensets in the order of ``masks``.
+    ``masks`` is an int64 array; the survivors come back as one, in its
+    order.
     """
-    n_orbits = len(orbits)
     base = np.zeros((n, n), dtype=np.uint32)
     for x, y, z in forced:
         base[x, y] |= 1 << z
-    contrib = np.zeros((n_orbits, n, n), dtype=np.uint32)
+    contrib = np.zeros((len(orbits), n, n), dtype=np.uint32)
     for i, orbit in enumerate(orbits):
         for x, y, z in orbit:
             contrib[i, x, y] |= 1 << z
     chunk = 1 << 16
-    survivors: list[int] = []
-    for start in range(0, len(masks), chunk):
-        bits = masks[start : start + chunk]
-        survivors.extend(bits[_assoc_chunk_numpy(base, contrib, bits, n)].tolist())
-    out = []
-    for bits in survivors:
-        triples = set(forced)
-        for i in range(n_orbits):
-            if bits >> i & 1:
-                triples.update(orbits[i])
-        out.append(frozenset(triples))
-    return out
+    keep = [
+        _assoc_chunk_numpy(base, contrib, masks[start : start + chunk], n)
+        for start in range(0, len(masks), chunk)
+    ]
+    return masks[np.concatenate(keep)]
 
 
 def _assoc_chunk_numpy(base, contrib, bits, n):

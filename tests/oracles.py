@@ -22,7 +22,6 @@ from branchalg.finra import kernels
 from branchalg.finra.atoms import AtomStructure
 from branchalg.finra.enumeration import (
     atom_symmetries,
-    canonical_key,
     diversity_orbits,
     forced_triples,
     signature_spec,
@@ -262,20 +261,43 @@ def reference_violation(comp, conv, formula: str, limit_elems=None):
 # --- enumeration ------------------------------------------------------------
 
 
+def canonical_key_brute(triples, perms) -> tuple:
+    """The least, over the symmetries, of the sorted tuple of the images of
+    the triples: one structure's place in the published order."""
+    best = None
+    for p in perms:
+        img = tuple(sorted((p[x], p[y], p[z]) for x, y, z in triples))
+        if best is None or img < best:
+            best = img
+    return best
+
+
+def mask_triples(forced, orbits, mask: int) -> frozenset:
+    """The triple set a mask stands for: the forced triples and the orbits
+    of its set bits."""
+    triples = set(forced)
+    for i, orbit in enumerate(orbits):
+        if mask >> i & 1:
+            triples.update(orbit)
+    return frozenset(triples)
+
+
 def enumerate_brute(signature: str, stretch: bool = False) -> list[AtomStructure]:
     """The integral structures over the signature by plain isomorph
     rejection: filter every orbit subset for associativity in increasing
-    mask order, key each survivor by canonical_key, keep the first survivor
-    of each key and order the classes by key."""
+    mask order, key each survivor by canonical_key_brute, keep the first
+    survivor of each key and order the classes by key."""
     key, names, conv = signature_spec(signature, stretch=stretch)
     orbits = diversity_orbits(conv)
     perms = atom_symmetries(conv)
+    forced = forced_triples(conv)
     survivors = kernels.associative_candidates(
-        len(conv), forced_triples(conv), orbits, np.arange(1 << len(orbits))
+        len(conv), forced, orbits, np.arange(1 << len(orbits))
     )
     canon: dict[tuple, frozenset] = {}
-    for triples in survivors:
-        canon.setdefault(canonical_key(triples, perms), triples)
+    for mask in survivors.tolist():
+        triples = mask_triples(forced, orbits, mask)
+        canon.setdefault(canonical_key_brute(triples, perms), triples)
     return [
         AtomStructure(names, conv, frozenset({0}), canon[ck], label=f"{key}#{i}")
         for i, ck in enumerate(sorted(canon))

@@ -105,10 +105,24 @@ def test_enumerate_writes_structures(capsys, tmp_path):
     assert text.count("atoms=2") == 2
 
 
+STRETCH_GUARD = (
+    'error: signature "1\'abcd" is a stretch target;'
+    " pass --stretch (stretch=True from Python) to run it\n"
+)
+
+
 def test_enumerate_stretch_guard(capsys):
-    code, _, err = run(capsys, ["enumerate", "1'abcd"])
-    assert code == 2
-    assert "stretch" in err
+    assert run(capsys, ["enumerate", "1'abcd"]) == (2, "", STRETCH_GUARD)
+
+
+@pytest.mark.parametrize("tsv", [False, True])
+def test_check_jlm_stretch_guard(capsys, tmp_path, tsv):
+    # a stretch row without --stretch is a usage error naming the flag; it
+    # is never read as a structure file or refused as a non-signature
+    tsv_path = tmp_path / "row.tsv"
+    argv = ["check-jlm", "1'abcd"] + (["--tsv", str(tsv_path)] if tsv else [])
+    assert run(capsys, argv) == (2, "", STRETCH_GUARD)
+    assert not tsv_path.exists()
 
 
 def test_check_jlm_signature(capsys):

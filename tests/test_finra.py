@@ -22,7 +22,6 @@ from branchalg.finra.atoms import AXIOM_LAWS, AtomStructure
 from branchalg.finra.enumeration import (
     SIGNATURES,
     atom_symmetries,
-    canonical_key,
     diversity_orbits,
     forced_triples,
     orbit_permutations,
@@ -53,11 +52,12 @@ def _orbit_subsets(signature):
     _, names, conv = signature_spec(signature)
     forced = forced_triples(conv)
     orbits = diversity_orbits(conv)
-    survivors = set(
-        kernels.associative_candidates(
+    survivors = {
+        oracles.mask_triples(forced, orbits, mask)
+        for mask in kernels.associative_candidates(
             len(conv), forced, orbits, np.arange(1 << len(orbits))
-        )
-    )
+        ).tolist()
+    }
     structures = []
     for k in range(len(orbits) + 1):
         for combo in itertools.combinations(orbits, k):
@@ -274,8 +274,30 @@ def test_enumeration_matches_brute_force(signature):
 def test_enumeration_pairwise_nonisomorphic(enumerated):
     _, names, conv = signature_spec("1'abb~")
     perms = atom_symmetries(conv)
-    keys = {canonical_key(s.triples, perms) for s in enumerated("1'abb~")}
+    keys = {oracles.canonical_key_brute(s.triples, perms) for s in enumerated("1'abb~")}
     assert len(keys) == 37
+
+
+@pytest.mark.parametrize("signature", [*SIGNATURES, "1'abcc~"])
+def test_enumerated_structures_pass_full_validation(signature):
+    # enumeration skips the per-triple check on each class; the full
+    # constructor must accept every structure it returns
+    for s in enumerate_integral(signature, stretch=True):
+        rebuilt = AtomStructure(s.atom_names, s.conv, s.identity, s.triples, s.label)
+        assert rebuilt == s
+
+
+def test_stretch_row_order_matches_oracle_keys():
+    # the fast-vs-brute comparison stops at 1'abcc~; on 1'abcd the labels
+    # must still follow strictly increasing per-structure oracle keys
+    _, _, conv = signature_spec("1'abcd", stretch=True)
+    perms = atom_symmetries(conv)
+    keys = [
+        oracles.canonical_key_brute(s.triples, perms)
+        for s in enumerate_integral("1'abcd", stretch=True)
+    ]
+    assert len(keys) == TABLE_TOTALS["1'abcd"]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_unsupported_and_stretch_signatures():
