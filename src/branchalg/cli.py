@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Each subcommand is declared once, in the table ``COMMANDS``: its name, its
+help text, its handler and its arguments.  ``build_parser(command)`` reads
+it and builds, on every call, the parser of the invoked subcommand alone;
+with no subcommand, -h or an unknown name it builds all of them, so the
+choices are listed in full.
+
 Exit codes: 0 when everything checked passes, 1 when a relation or law fails
 or a counterexample is found, 2 for usage or engine errors, 3 for an internal
 error (a bug; the traceback is printed).
@@ -189,74 +195,116 @@ def cmd_dot(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    """One argument of a subcommand: add_argument's arguments."""
+    return flags, options
+
+
+_SEED = _arg("--seed", type=int, default=0)
+
+# Every subcommand, declared once: name -> (help, handler, arguments).  The
+# order is the order of the choices in the usage line and in -h.
+COMMANDS = {
+    "parse": (
+        "parse a term and print its normal form",
+        cmd_parse,
+        (_arg("term"), _arg("--signature", choices=("RA", "J"), default="RA")),
+    ),
+    "eval": (
+        "evaluate a closed term in a model",
+        cmd_eval,
+        (_arg("term"), _arg("--model", default="branchrel")),
+    ),
+    "check-law": (
+        "check a catalog law",
+        cmd_check_law,
+        (
+            _arg("id"),
+            _arg(
+                "--strategy",
+                type=_strategy,
+                default="sample=200",
+                help="exhaustive, sample or sample=N (default sample=200)",
+            ),
+            _SEED,
+            _arg("--model", default="branchrel"),
+        ),
+    ),
+    "suite": (
+        "run a relation suite",
+        cmd_suite,
+        (
+            _arg("id", choices=thompson.SUITE_IDS),
+            _SEED,
+            _arg(
+                "--emit-terms",
+                action="store_true",
+                help="print each named generator in the term grammar first",
+            ),
+        ),
+    ),
+    "enumerate": (
+        "enumerate integral structures",
+        cmd_enumerate,
+        (_arg("signature"), _arg("--stretch", action="store_true"), _arg("--out")),
+    ),
+    "check-jlm": (
+        "product-formula failures",
+        cmd_check_jlm,
+        (
+            _arg("target", help="signature or structure file"),
+            _arg("--elements", action="store_true"),
+            _arg("--sample", type=_at_least(0), default=0, metavar="N"),
+            _SEED,
+            _arg("--stretch", action="store_true"),
+            _arg("--tsv", metavar="FILE", help="also write the profile row as TSV"),
+        ),
+    ),
+    "represent": (
+        "staged partial representation",
+        cmd_represent,
+        (
+            _arg("ra_file"),
+            _arg("--v", required=True),
+            _arg("--w", required=True),
+            _arg("--stages", type=_at_least(1), default=50),
+            _SEED,
+        ),
+    ),
+    "dot": ("series-parallel diagram of a term", cmd_dot, (_arg("term"),)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone when it names a subcommand, else the
+    parser of every subcommand (no command, -h, an unknown name, an option).
+
+    A one-subcommand parser answers every argv that starts with its name as
+    the full parser would: only the top-level usage line, printed with an
+    "unrecognized arguments" error, lists the choices, and the metavar
+    spells it as the full parser does.  The full parser leaves the metavar
+    unset, so its own errors name the argument "command".
+    """
+    one = command in COMMANDS
     ap = argparse.ArgumentParser(prog="branchalg")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a term and print its normal form")
-    p.add_argument("term")
-    p.add_argument("--signature", choices=("RA", "J"), default="RA")
-    p.set_defaults(fn=cmd_parse)
-
-    p = sub.add_parser("eval", help="evaluate a closed term in a model")
-    p.add_argument("term")
-    p.add_argument("--model", default="branchrel")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("check-law", help="check a catalog law")
-    p.add_argument("id")
-    p.add_argument(
-        "--strategy",
-        type=_strategy,
-        default="sample=200",
-        help="exhaustive, sample or sample=N (default sample=200)",
+    sub = ap.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if one else None,
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", default="branchrel")
-    p.set_defaults(fn=cmd_check_law)
-
-    p = sub.add_parser("suite", help="run a relation suite")
-    p.add_argument("id", choices=thompson.SUITE_IDS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--emit-terms",
-        action="store_true",
-        help="print each named generator in the term grammar first",
-    )
-    p.set_defaults(fn=cmd_suite)
-
-    p = sub.add_parser("enumerate", help="enumerate integral structures")
-    p.add_argument("signature")
-    p.add_argument("--stretch", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("check-jlm", help="product-formula failures")
-    p.add_argument("target", help="signature or structure file")
-    p.add_argument("--elements", action="store_true")
-    p.add_argument("--sample", type=_at_least(0), default=0, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stretch", action="store_true")
-    p.add_argument("--tsv", metavar="FILE", help="also write the profile row as TSV")
-    p.set_defaults(fn=cmd_check_jlm)
-
-    p = sub.add_parser("represent", help="staged partial representation")
-    p.add_argument("ra_file")
-    p.add_argument("--v", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--stages", type=_at_least(1), default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_represent)
-
-    p = sub.add_parser("dot", help="series-parallel diagram of a term")
-    p.add_argument("term")
-    p.set_defaults(fn=cmd_dot)
-
+    for name in [command] if one else COMMANDS:
+        help_text, fn, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

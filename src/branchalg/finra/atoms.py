@@ -59,8 +59,13 @@ class AtomStructure:
     label: str = ""
 
     def __post_init__(self):
-        self._check_atoms()
         n, conv, triples = self.n_atoms, self.conv, self.triples
+        if sorted(conv) != list(range(n)):
+            raise AtomStructureError("converse is not a permutation")
+        if any(conv[conv[i]] != i for i in range(n)):
+            raise AtomStructureError("converse is not involutive")
+        if not self.identity or not all(0 <= e < n for e in self.identity):
+            raise AtomStructureError("bad identity atom set")
         for t in triples:
             if not all(0 <= i < n for i in t):
                 raise AtomStructureError(f"triple out of range: {t}")
@@ -70,26 +75,17 @@ class AtomStructure:
             if (conv[x], z, y) not in triples or (z, conv[y], x) not in triples:
                 raise AtomStructureError(f"triples not cycle-closed at {t}")
 
-    def _check_atoms(self):
-        n = self.n_atoms
-        if sorted(self.conv) != list(range(n)):
-            raise AtomStructureError("converse is not a permutation")
-        if any(self.conv[self.conv[i]] != i for i in range(n)):
-            raise AtomStructureError("converse is not involutive")
-        if not self.identity or not all(0 <= e < n for e in self.identity):
-            raise AtomStructureError("bad identity atom set")
-
     @classmethod
     def _closed(cls, atom_names, conv, identity, triples, label="") -> AtomStructure:
-        """A structure whose triples the caller guarantees are in range and
-        cycle-closed, such as a union of sets already validated on this
-        converse: the atoms are checked as by the constructor, the triples
-        are not."""
+        """A structure built without any check.  The caller guarantees what
+        the constructor would check: that the converse and identity passed
+        it, as in a structure already built on them, and that the triples
+        are in range and cycle-closed, such as a union of sets already
+        validated on this converse."""
         s = object.__new__(cls)
         s.__dict__.update(
             atom_names=atom_names, conv=conv, identity=identity, triples=triples, label=label
         )
-        s._check_atoms()
         return s
 
     @property

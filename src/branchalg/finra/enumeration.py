@@ -30,7 +30,8 @@ sorted per symmetry, padded rows compared column by column), and
 Validation happens once per signature, not once per structure: the forced
 triples, and the forced triples with each orbit, go through the full
 ``AtomStructure`` check, and every class is a union of these cycle-closed
-sets, so it is cycle-closed by construction and skips the per-triple loop.
+sets on the same converse and identity, so it is valid by construction and
+skips every check.
 """
 
 from __future__ import annotations
@@ -178,9 +179,9 @@ def enumerate_integral(signature: str, stretch: bool = False) -> list[AtomStruct
 
     Every structure is valid by construction: the forced triples, and the
     forced triples with each orbit, are checked once here by the full
-    constructor, and each class is a union of these sets.  A union of
-    cycle-closed sets is cycle-closed, so the classes skip the per-triple
-    check.
+    constructor, and each class is a union of these sets on the same
+    converse and identity.  A union of cycle-closed sets is cycle-closed, so
+    the classes skip the constructor's checks.
     """
     key, names, conv = signature_spec(signature, stretch=stretch)
     identity = frozenset({0})

@@ -21,6 +21,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -162,11 +163,14 @@ class Law:
         """Variables to range over in the given model: the declared ones plus
         the generator symbols when the model does not fix them."""
         out = list(self.variables)
-        if m.gen_a is None and self._mentions_generators():
+        if m.gen_a is None and self._mentions_generators:
             out += ["a", "b"]
         return tuple(out)
 
+    @cached_property
     def _mentions_generators(self) -> bool:
+        """Whether a term of the law names a or b, worked out once per law.
+        Not a field, so equality and hash ignore it."""
         return any(
             terms.mentions_generators(lhs) or terms.mentions_generators(rhs)
             for lhs, _, rhs in self.hypotheses + self.conclusions
@@ -369,7 +373,7 @@ def reducible(law: Law) -> frozenset[str]:
     if law.signature != "J":
         return frozenset()
     out = set(law.variables)
-    if law._mentions_generators():
+    if law._mentions_generators:
         out |= {"a", "b"}
     for lhs, op, rhs in law.conclusions:
         left, right = Counter(_leaves(lhs)), Counter(_leaves(rhs))

@@ -238,6 +238,80 @@ def test_usage_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def _run_full_parser(capsys, argv):
+    """Exit code and output of argv on a parser built with every subcommand."""
+    try:
+        cli.build_parser(None).parse_args(argv)
+        code = None  # the argv parses; main would go on to run it
+    except SystemExit as exc:
+        code = 2 if exc.code else 0
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# arguments each subcommand parses without error; nothing here is run
+VALID_ARGUMENTS = {
+    "parse": ["a"],
+    "eval": ["a"],
+    "check-law": ["p7"],
+    "suite": ["T"],
+    "enumerate": ["1'"],
+    "check-jlm": ["1'"],
+    "represent": ["re2.ra", "--v", "0", "--w", "a"],
+    "dot": ["a"],
+}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_subcommand_help_and_usage_match_the_full_parser(capsys, name):
+    # every subcommand has a positional argument, so the bare name is a
+    # usage error; an unrecognized argument after valid ones is reported by
+    # the top-level parser, whose usage line lists every choice
+    cases = {
+        "help": ([name, "-h"], 0),
+        "missing-positional": ([name], 2),
+        "unrecognized": ([name, *VALID_ARGUMENTS[name], "--no-such-option"], 2),
+    }
+    for case, (argv, expected) in cases.items():
+        full = _run_full_parser(capsys, argv)
+        assert full[0] == expected, case
+        assert run(capsys, argv) == full, case
+
+
+NAMES = "parse eval check-law suite enumerate check-jlm represent dot".split()
+TOP_LEVEL = {
+    "no-command": (
+        [], 2, "branchalg: error: the following arguments are required: command"
+    ),
+    "help": (["-h"], 0, None),  # help text wraps to the terminal's width
+    "unknown-command": (
+        ["no-such-command"],
+        2,
+        "branchalg: error: argument command: invalid choice: 'no-such-command'"
+        " (choose from " + ", ".join(f"'{name}'" for name in NAMES) + ")",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOP_LEVEL))
+def test_top_level_usage_lists_every_subcommand(capsys, case):
+    argv, expected, last_line = TOP_LEVEL[case]
+    full = _run_full_parser(capsys, argv)
+    assert full[0] == expected
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == full
+    assert list(cli.COMMANDS) == NAMES
+    assert "{" + ",".join(NAMES) + "}" in out + err
+    if last_line is not None:
+        assert err.splitlines()[-1] == last_line
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the [project.scripts] entry point calls main() with no argument
+    monkeypatch.setattr("sys.argv", ["branchalg", "parse", "conv(a) ; b"])
+    assert run(capsys, None) == (0, "conv(a);b\n", "")
+
+
 MALFORMED = {
     "cycle-out-of-range": "atoms=2 identity=0 converse=0,1\ncycle 0 0 5\n",
     "short-converse": "atoms=3 identity=0 converse=0,1\n",
@@ -340,7 +414,8 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(args):
         raise KeyError("not a usage error")
 
-    monkeypatch.setattr(cli, "cmd_parse", broken)
+    help_text, _, arguments = cli.COMMANDS["parse"]
+    monkeypatch.setitem(cli.COMMANDS, "parse", (help_text, broken, arguments))
     code, out, err = run(capsys, ["parse", "a"])
     assert code == 3
     assert err.startswith("internal error: KeyError")
