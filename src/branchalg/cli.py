@@ -18,6 +18,7 @@ import sys
 
 from . import branchrel, laws, model, terms, thompson
 from .finra import (
+    SIGNATURES,
     STRETCH_SIGNATURES,
     NotTabular,
     UnsupportedSignatureError,
@@ -142,14 +143,11 @@ def cmd_check_jlm(args) -> int:
     else:
         mode = "atoms"
     kw = {"samples": args.sample, "seed": args.seed} if args.sample else {}
-    try:
+    # a registered row is a signature, even a stretch row given without
+    # --stretch (enumerate_integral raises the usage error); all else is a file
+    key = normalize_signature(args.target)
+    if key in SIGNATURES or key in STRETCH_SIGNATURES:
         structures = enumerate_integral(args.target, stretch=args.stretch)
-    except UnsupportedSignatureError:
-        # a stretch row without --stretch is a usage error, not a file path
-        if normalize_signature(args.target) in STRETCH_SIGNATURES:
-            raise
-        structures = None
-    if structures is not None:
         profile = finra_jlm.count_profile(
             check_jlm(s, mode=mode, **kw) for s in structures
         )

@@ -10,11 +10,6 @@ Each operator is declared once, in the tables after the node classes: its
 spelling, its binding strength, and whether the J signature has it.  The
 parser, the printer, the DOT labels and the model term compiler all read
 them.
-
-The module also handles the parenthesized tree notation used to describe
-prefix substitutions on infinite binary trees ("0(12)" and friends), the
-root-to-leaf path assignment of such an expression, and the "source maps to
-target" term constructor that turns a pair of tree expressions into a term.
 """
 
 from __future__ import annotations
@@ -154,7 +149,7 @@ def is_j_term(t: Term) -> bool:
     return not any(isinstance(u, _RA_ONLY) for u in subterms(t))
 
 
-# --- helpers used both by the parser and by the tree-notation constructors
+# --- constructors the generators and the catalog laws are built with
 
 
 def comp(*factors: Term) -> Term:
@@ -349,117 +344,6 @@ def _fmt(t: Term, ctx: int) -> str:
     sep = sym if sym == ";" else f" {sym} "
     text = f"{_fmt(t.left, s)}{sep}{_fmt(t.right, s + 1)}"
     return f"({text})" if ctx > s else text
-
-
-# --- tree expressions ---------------------------------------------------
-
-
-class TreeExpr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Leaf(TreeExpr):
-    symbol: str
-
-
-@dataclass(frozen=True, slots=True)
-class Pair(TreeExpr):
-    left: TreeExpr
-    right: TreeExpr
-
-
-def parse_tree_expr(text: str) -> TreeExpr:
-    """Parse parenthesized tree notation.
-
-    Juxtaposition of exactly two items forms a pair; three or more items in a
-    row are rejected because the notation carries no implicit grouping.  A
-    leaf symbol may recur: the repeated leaf then names the same point through
-    both branches, which is how the doubling expression "00" is written.
-    """
-    sc = _Scanner(text)
-    e = _parse_tree_seq(sc)
-    sc.skip_ws()
-    if sc.pos != len(text):
-        raise TermSyntaxError("trailing input", sc.pos)
-    return e
-
-
-def _parse_tree_seq(sc: _Scanner) -> TreeExpr:
-    items = []
-    while True:
-        c = sc.peek()
-        if c == "(":
-            sc.take("(")
-            items.append(_parse_tree_seq(sc))
-            sc.expect(")")
-        elif c.isalnum():
-            items.append(Leaf(c))
-            sc.pos += 1
-        else:
-            break
-    if not items:
-        raise TermSyntaxError("expected a leaf or group", sc.pos)
-    if len(items) == 1:
-        return items[0]
-    if len(items) == 2:
-        return Pair(items[0], items[1])
-    raise TermSyntaxError(
-        "more than two juxtaposed items; parenthesize to binary form", sc.pos
-    )
-
-
-def tree_leaves(e: TreeExpr) -> list[str]:
-    if isinstance(e, Leaf):
-        return [e.symbol]
-    return tree_leaves(e.left) + tree_leaves(e.right)
-
-
-def leaf_paths(e: TreeExpr) -> dict[str, Term]:
-    """Map each leaf to the composition of generators along its address.
-
-    A bare leaf maps to id.  When a symbol occurs in both branches of a pair
-    the two prefixed paths are intersected, so "00" yields {0: a & b}.
-    Insertion order is the left-to-right order of first occurrence, which is
-    also the factor order used by mapsto.
-    """
-    if isinstance(e, Leaf):
-        return {e.symbol: ID}
-    lp = leaf_paths(e.left)
-    rp = leaf_paths(e.right)
-    out: dict[str, Term] = {}
-    for sym, p in lp.items():
-        if sym in rp:
-            out[sym] = Meet(_prefixed(A, p), _prefixed(B, rp[sym]))
-        else:
-            out[sym] = _prefixed(A, p)
-    for sym, p in rp.items():
-        if sym not in lp:
-            out[sym] = _prefixed(B, p)
-    return out
-
-
-def _prefixed(g: Term, path: Term) -> Term:
-    if isinstance(path, Id):
-        return g
-    if isinstance(path, Comp):
-        return Comp(_prefixed(g, path.left), path.right)
-    return Comp(g, path)
-
-
-def mapsto(src: TreeExpr, dst: TreeExpr) -> Term:
-    """Term carrying the source tree shape onto the target tree shape.
-
-    The result is the intersection, over leaves common to both expressions,
-    of source-path;conv(target-path).  Disjoint leaf sets give the top
-    element.
-    """
-    sp = leaf_paths(src)
-    dp = leaf_paths(dst)
-    factors = [comp(sp[u], conv(dp[u])) for u in sp if u in dp]
-    if not factors:
-        return TOP
-    return meet(*factors)
 
 
 # --- series-parallel diagrams -------------------------------------------

@@ -4,7 +4,7 @@ Builds the standard prefix-substitution generators (the two projections, the
 doubling map, the swap, the rotation, and their deferred variants) as terms
 from hand-written closed forms, and verifies whole presentation suites
 against the concrete tree-relation model.  The tests check the closed forms
-against the generators' tree-pair notation (terms.mapsto).
+against the generators' tree-pair notation, kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -126,20 +126,6 @@ class SuiteReport:
             f"SUITE {self.suite_id} {status} relations={len(self.results)}"
             f" failed=[{failed}]"
         )
-
-
-class _Ctx:
-    """Evaluates generator terms in one tree-relation model handle, whose
-    memo serves the repeated compositions and comparisons of a suite."""
-
-    def __init__(self):
-        self.m = branchrel.model_handle()
-
-    def rel(self, t: Term):
-        return model.eval_term(self.m, t, {})
-
-    def holds(self, lhs: Term, rhs: Term) -> bool:
-        return self.m.equal(self.rel(lhs), self.rel(rhs))
 
 
 # --- the suite equations ---------------------------------------------------
@@ -288,22 +274,24 @@ def _fork_pool() -> list[tuple[str, Term]]:
 
 
 def run_suite(suite_id: str, seed: int = 0) -> SuiteReport:
+    """Run one suite on a fresh tree-relation model handle, whose memo serves
+    the suite's repeated compositions and comparisons."""
     suite = _SUITES.get(suite_id)
     if suite is None:
         raise ValueError(f"unknown suite {suite_id!r}")
-    return SuiteReport(suite_id, suite(_Ctx(), seed))
+    return SuiteReport(suite_id, suite(branchrel.model_handle(), seed))
 
 
-def _holds(ctx, relations):
-    return [(name, ctx.holds(l, r)) for name, l, r in relations]
+def _holds(m, lhs: Term, rhs: Term) -> bool:
+    """lhs = rhs in the tree model m, the left side evaluated first."""
+    return m.equal(model.eval_term(m, lhs, {}), model.eval_term(m, rhs, {}))
 
 
-def _suite_qu(ctx, seed):
-    return _holds(ctx, qu_relations())
+def _each_holds(m, relations) -> list[tuple[str, bool]]:
+    return [(name, _holds(m, lhs, rhs)) for name, lhs, rhs in relations]
 
 
-def _suite_perms(ctx, seed):
-    m = ctx.m
+def _suite_perms(m, seed):
     functional_only = {
         "K": GENERATORS["K"],
         "L": GENERATORS["L"],
@@ -315,72 +303,62 @@ def _suite_perms(ctx, seed):
     }
     out = []
     for name, t in functional_only.items():
-        r = ctx.rel(t)
+        r = model.eval_term(m, t, {})
         ok = is_functional(m, r) and not is_permutational(m, r)
         out.append((f"{name} functional-only", ok))
     for name, t in permutational.items():
-        out.append((f"{name} permutational", is_permutational(m, ctx.rel(t))))
+        ok = is_permutational(m, model.eval_term(m, t, {}))
+        out.append((f"{name} permutational", ok))
     return out
 
 
-def _suite_f(ctx, seed):
-    return _holds(ctx, ta_relations()[:2])
-
-
-def _suite_t(ctx, seed):
-    return _holds(ctx, ta_relations()[:6])
-
-
-def _suite_v(ctx, seed):
-    return _holds(ctx, ta_relations())
-
-
-def _suite_m(ctx, seed):
-    out = _holds(ctx, m_relations())
+def _suite_m(m, seed):
+    out = _each_holds(m, m_relations())
     sample = sample_functionals()
-    out += [(f"split[{n}]", ctx.holds(*m_split(x))) for n, x in sample]
-    out += [(f"reconstruct[{n}]", ctx.holds(*m_reconstruct(x))) for n, x in sample]
+    out += [(f"split[{n}]", _holds(m, *m_split(x))) for n, x in sample]
+    out += [(f"reconstruct[{n}]", _holds(m, *m_reconstruct(x))) for n, x in sample]
     for (nx, x), (ny, y) in itertools.product(sample, repeat=2):
-        out.append((f"commute[{nx},{ny}]", ctx.holds(*m_commute(x, y))))
+        out.append((f"commute[{nx},{ny}]", _holds(m, *m_commute(x, y))))
     return out
 
 
-def _suite_same(ctx, seed):
+def _suite_same(m, seed):
     return [
-        ("P0 word", ctx.holds(GENERATORS["P0"], _word("URPRRKPRRKRPRKR"))),
-        ("R0 word", ctx.holds(GENERATORS["R0"], _word("URPRRRPRKRKRRKRRKPRPRR"))),
+        ("P0 word", _holds(m, GENERATORS["P0"], _word("URPRRKPRRKRPRKR"))),
+        ("R0 word", _holds(m, GENERATORS["R0"], _word("URPRRRPRKRKRRKRRKPRPRR"))),
     ]
 
 
-def _suite_fork(ctx, seed):
+def _suite_fork(m, seed):
     pool = _fork_pool()
     f3, f3_bound = fork_f3()
-    out = [("F3", ctx.m.leq(ctx.rel(f3), ctx.rel(f3_bound)))]
+    out = [("F3", m.leq(model.eval_term(m, f3, {}), model.eval_term(m, f3_bound, {})))]
     for (nx, x), (ny, y) in itertools.product(pool, repeat=2):
-        out.append((f"F1[{nx},{ny}]", ctx.holds(*fork_f1(x, y))))
+        out.append((f"F1[{nx},{ny}]", _holds(m, *fork_f1(x, y))))
     rng = random.Random(seed)
     for i in range(200):
         (nu, u), (nv, v), (nx, x), (ny, y) = (rng.choice(pool) for _ in range(4))
-        out.append((f"F2[{nu},{nv},{nx},{ny}]#{i}", ctx.holds(*fork_f2(u, v, x, y))))
+        out.append((f"F2[{nu},{nv},{nx},{ny}]#{i}", _holds(m, *fork_f2(u, v, x, y))))
     return out
 
 
-def _suite_pairing(ctx, seed):
+def _suite_pairing(m, seed):
     pool = _fork_pool()
     rng = random.Random(seed)
     out = []
     for i in range(200):
         (nu, u), (nv, v), (nx, x), (ny, y) = (rng.choice(pool) for _ in range(4))
-        out.append((f"Pr[{nu},{nv},{nx},{ny}]#{i}", ctx.holds(*pairing(u, v, x, y))))
+        out.append((f"Pr[{nu},{nv},{nx},{ny}]#{i}", _holds(m, *pairing(u, v, x, y))))
     return out
 
 
+# each suite maps the model handle and the seed to its named results
 _SUITES = {
-    "qu": _suite_qu,
+    "qu": lambda m, seed: _each_holds(m, qu_relations()),
     "perms": _suite_perms,
-    "F": _suite_f,
-    "T": _suite_t,
-    "V": _suite_v,
+    "F": lambda m, seed: _each_holds(m, ta_relations()[:2]),
+    "T": lambda m, seed: _each_holds(m, ta_relations()[:6]),
+    "V": lambda m, seed: _each_holds(m, ta_relations()),
     "M": _suite_m,
     "same": _suite_same,
     "fork": _suite_fork,

@@ -7,16 +7,22 @@ of an atom structure built from their definitions, the plain brute force
 `reference_violation` for the product formulas J, L and M, the
 enumeration by plain isomorph rejection `enumerate_brute`, tabularity
 by its pairwise definition `is_tabular_pairwise`, the element-by-element
-extension check `common_post_loop` of the staged construction, and the five
-structural properties `lemma_properties_hold` of its induced map.
+extension check `common_post_loop` of the staged construction, the five
+structural properties `lemma_properties_hold` of its induced map, the
+atom-table associativity check `associative_brute` and the parenthesized
+tree-pair notation `parse_tree_expr` / `mapsto`, which writes each generator
+as the prefix substitution between two trees ("0(12)" -> "(01)2") and is
+the reference the closed forms in `thompson.py` are checked against.
 """
 
 import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
+from branchalg import terms
 from branchalg.branchrel import BranchRelation, ClosureEngine, Constraint, Endpoint
 from branchalg.finra import kernels
 from branchalg.finra.atoms import AtomStructure
@@ -282,6 +288,27 @@ def mask_triples(forced, orbits, mask: int) -> frozenset:
     return frozenset(triples)
 
 
+def associative_brute(n: int, triples) -> bool:
+    """Is the atom-level composition of the triples associative?  Plain
+    sets: x;y is the set of z with (x, y, z) a triple, a set of atoms
+    composes with an atom as the union over its members, and
+    (x;y);z = x;(y;z) is checked for every triple of atoms, the identity
+    atom included."""
+    table: dict[tuple[int, int], set[int]] = {}
+    for x, y, z in triples:
+        table.setdefault((x, y), set()).add(z)
+
+    def product(x, y):
+        return table.get((x, y), set())
+
+    for x, y, z in itertools.product(range(n), repeat=3):
+        left = set().union(*(product(w, z) for w in product(x, y)))
+        right = set().union(*(product(x, w) for w in product(y, z)))
+        if left != right:
+            return False
+    return True
+
+
 def enumerate_brute(signature: str, stretch: bool = False) -> list[AtomStructure]:
     """The integral structures over the signature by plain isomorph
     rejection: filter every orbit subset for associativity in increasing
@@ -328,6 +355,126 @@ def is_tabular_pairwise(s) -> bool:
             if v != w and s.leq(v, w) and not ((below_w & v) == 0).any():
                 return False
     return True
+
+
+# --- tree-pair notation -----------------------------------------------------
+
+
+class TreeExpr:
+    __slots__ = ()
+
+
+@dataclass(frozen=True, slots=True)
+class Leaf(TreeExpr):
+    symbol: str
+
+
+@dataclass(frozen=True, slots=True)
+class Pair(TreeExpr):
+    left: TreeExpr
+    right: TreeExpr
+
+
+def parse_tree_expr(text: str) -> TreeExpr:
+    """Parse parenthesized tree notation.
+
+    Juxtaposition of exactly two items forms a pair; three or more items in a
+    row are rejected because the notation carries no implicit grouping.  A
+    leaf symbol may recur: the repeated leaf then names the same point through
+    both branches, which is how the doubling expression "00" is written.
+    Leaves are single alphanumeric characters and whitespace is skipped;
+    malformed text raises terms.TermSyntaxError at the offending position.
+    """
+    # (position, character) of each non-blank character, then an end marker
+    tokens = [(pos, c) for pos, c in enumerate(text) if not c.isspace()]
+    tokens.append((len(text), ""))
+    e, k = _parse_tree_seq(tokens, 0)
+    pos, c = tokens[k]
+    if c:
+        raise terms.TermSyntaxError("trailing input", pos)
+    return e
+
+
+def _parse_tree_seq(tokens, k: int) -> tuple[TreeExpr, int]:
+    """The items juxtaposed from token k on, and the index after them."""
+    items = []
+    while True:
+        c = tokens[k][1]
+        if c == "(":
+            item, k = _parse_tree_seq(tokens, k + 1)
+            pos, c = tokens[k]
+            if c != ")":
+                raise terms.TermSyntaxError("expected ')'", pos)
+            items.append(item)
+            k += 1
+        elif c.isalnum():
+            items.append(Leaf(c))
+            k += 1
+        else:
+            break
+    pos = tokens[k][0]
+    if not items:
+        raise terms.TermSyntaxError("expected a leaf or group", pos)
+    if len(items) == 1:
+        return items[0], k
+    if len(items) == 2:
+        return Pair(items[0], items[1]), k
+    raise terms.TermSyntaxError(
+        "more than two juxtaposed items; parenthesize to binary form", pos
+    )
+
+
+def tree_leaves(e: TreeExpr) -> list[str]:
+    if isinstance(e, Leaf):
+        return [e.symbol]
+    return tree_leaves(e.left) + tree_leaves(e.right)
+
+
+def leaf_paths(e: TreeExpr) -> dict[str, terms.Term]:
+    """Map each leaf to the composition of generators along its address.
+
+    A bare leaf maps to id.  When a symbol occurs in both branches of a pair
+    the two prefixed paths are intersected, so "00" yields {0: a & b}.
+    Insertion order is the left-to-right order of first occurrence, which is
+    also the factor order used by mapsto.
+    """
+    if isinstance(e, Leaf):
+        return {e.symbol: terms.ID}
+    lp = leaf_paths(e.left)
+    rp = leaf_paths(e.right)
+    out: dict[str, terms.Term] = {}
+    for sym, p in lp.items():
+        if sym in rp:
+            out[sym] = terms.Meet(_prefixed(terms.A, p), _prefixed(terms.B, rp[sym]))
+        else:
+            out[sym] = _prefixed(terms.A, p)
+    for sym, p in rp.items():
+        if sym not in lp:
+            out[sym] = _prefixed(terms.B, p)
+    return out
+
+
+def _prefixed(g: terms.Term, path: terms.Term) -> terms.Term:
+    if path == terms.ID:
+        return g
+    if isinstance(path, terms.Comp):
+        return terms.Comp(_prefixed(g, path.left), path.right)
+    return terms.Comp(g, path)
+
+
+def mapsto(src: TreeExpr, dst: TreeExpr) -> terms.Term:
+    """Term carrying the source tree shape onto the target tree shape.
+
+    The result is the intersection, over leaves common to both expressions,
+    of source-path;conv(target-path).  Disjoint leaf sets give the top
+    element.
+    """
+    sp = leaf_paths(src)
+    dp = leaf_paths(dst)
+    factors = [terms.comp(sp[u], terms.conv(dp[u])) for u in sp if u in dp]
+    if not factors:
+        return terms.TOP
+    return terms.meet(*factors)
 
 
 # --- staged representations -------------------------------------------------

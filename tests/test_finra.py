@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ def test_assoc_filter_agrees_with_full_axiom_check():
             rejected += not ok
         checked += len(structures)
     assert (checked, rejected) == (150, 91)
+
+
+@pytest.mark.parametrize("signature, kept", [("1'abcc~", 1316), ("1'abcd", 3013)])
+def test_assoc_filter_agrees_with_plain_python_oracle(signature, kept):
+    # every canonical mask the filter keeps on the two five-atom rows, and a
+    # seeded sample of those it rejects, checked by composing atom sets
+    _, _, conv = signature_spec(signature, stretch=True)
+    forced = forced_triples(conv)
+    orbits = diversity_orbits(conv)
+    sigmas = orbit_permutations(orbits, atom_symmetries(conv))
+    masks = kernels.canonical_masks(len(orbits), sigmas)
+    survivors = kernels.associative_candidates(len(conv), forced, orbits, masks)
+    assert len(survivors) == kept
+
+    def associative(mask):
+        return oracles.associative_brute(
+            len(conv), oracles.mask_triples(forced, orbits, mask)
+        )
+
+    for mask in survivors.tolist():
+        assert associative(mask), mask
+    rejected = np.setdiff1d(masks, survivors).tolist()
+    for mask in random.Random(0).sample(rejected, 2000):
+        assert not associative(mask), mask
 
 
 def test_axiom_laws_reduced_and_full_quantification_agree(enumerated):

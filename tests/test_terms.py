@@ -12,21 +12,17 @@ from branchalg.terms import (
     ZERO,
     Comp,
     Conv,
-    Leaf,
     Meet,
-    Pair,
     RaOnlyOperatorError,
     TermSyntaxError,
     Var,
     comp,
     format_term,
-    leaf_paths,
-    mapsto,
     meet,
     parse_term,
-    parse_tree_expr,
-    tree_leaves,
 )
+
+from oracles import Leaf, Pair, leaf_paths, mapsto, parse_tree_expr, tree_leaves
 
 
 def test_parse_basic_shapes():

@@ -2,7 +2,7 @@ import pytest
 
 from branchalg import branchrel, model, terms, thompson
 from branchalg.model import is_functional, is_permutational
-from branchalg.terms import Conv, Meet, comp, conv, mapsto, meet, parse_tree_expr
+from branchalg.terms import Conv, Meet, comp, conv, meet
 from branchalg.thompson import (
     DERIVED,
     GENERATORS,
@@ -14,6 +14,8 @@ from branchalg.thompson import (
     otimes,
     run_suite,
 )
+
+from oracles import mapsto, parse_tree_expr
 
 A, B = terms.A, terms.B
 
@@ -183,6 +185,27 @@ def test_m_suite_passes(suite_runs):
     assert any(n.startswith("commute[") for n in names)
 
 
+# relations per suite at seed 0, as perfbench/expected.json records them
+SUITE_RELATIONS = {
+    "qu": 6,
+    "perms": 11,
+    "F": 2,
+    "T": 6,
+    "V": 14,
+    "M": 687,
+    "same": 2,
+    "fork": 345,
+    "pairing": 200,
+}
+
+
+@pytest.mark.parametrize("suite_id", thompson.SUITE_IDS)
+def test_suite_relation_counts(suite_id):
+    report = run_suite(suite_id, seed=0)
+    assert len(report.results) == SUITE_RELATIONS[suite_id]
+    assert report.passed, report.failed_names
+
+
 def test_fork_and_pairing_suites(suite_runs):
     for sid in ("fork", "pairing"):
         report = run_suite(sid, seed=0)
@@ -201,7 +224,7 @@ def test_unknown_suite():
 
 
 def test_key_error_inside_a_suite_is_not_an_unknown_suite(monkeypatch):
-    def broken(ctx, seed):
+    def broken(m, seed):
         raise KeyError("missing inside the suite")
 
     monkeypatch.setitem(thompson._SUITES, "qu", broken)
