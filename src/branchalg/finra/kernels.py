@@ -15,11 +15,23 @@ is lost: a symmetry fixes the forced triples and preserves associativity,
 so a class of associative masks is a whole orbit, and its minimum, the
 mask a scan over all 2^k in increasing order would keep first, is
 canonical (see ``enumeration``).
+
+The filter works on chunks of ``CHUNK`` masks.  It builds each chunk's
+composition table with one lookup per byte of mask bits, then walks the
+atom pairs (x, y), testing every z of a pair at once, and drops the masks
+that fail as they fail: few pass the first pairs, so most of the work is
+done on a shrinking set.  Of each pair of triples (x, y, z) and
+(z~, y~, x~) it tests only one, since converse maps associativity at one
+onto the other (proof in ``associative_candidates``).
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+CHUNK = 1 << 16  # masks tested together; comp holds n*n entries per mask
 
 # --- canonicity and associativity over orbit masks -------------------------
 
@@ -52,49 +64,73 @@ def associative_candidates(n: int, forced, orbits, masks) -> np.ndarray:
     has an associative atom-level composition.
 
     ``masks`` is an int64 array; the survivors come back as one, in its
-    order.
+    order.  ``forced`` must hold the identity triples of every integral
+    structure (``enumeration.forced_triples``) and each orbit must be a
+    whole Peirce orbit of diversity triples; the converse is read off the
+    forced triples (x, x~, 1').
+
+    Only diversity triples (x, y, z) with (x, y, z) <= (z~, y~, x~) are
+    tested, and that loses nothing.  The identity: the forced triples make
+    1' an exact two-sided unit (no orbit holds a triple with 1'), so
+    (x;y);z = x;(y;z) holds outright when any of the three is 1'.  The
+    converse: every structure here is forced plus whole orbits, so it is
+    Peirce-closed, and (x, y, z) is a triple exactly when (y~, x~, z~) is;
+    for sets of atoms that says (A;B)~ = B~;A~.  Hence
+    ((x;y);z)~ = z~;(y~;x~) and (x;(y;z))~ = (z~;y~);x~, and as converse is
+    a bijection on atoms, associativity at (x, y, z) holds exactly when it
+    holds at (z~, y~, x~): of each such pair only the smaller is tested.
     """
-    base = np.zeros((n, n), dtype=np.uint32)
+    conv = {x: y for x, y, z in forced if z == 0}
+    dtype = np.min_scalar_type((1 << n) - 1)
+    base = np.zeros(n * n, dtype=dtype)
     for x, y, z in forced:
-        base[x, y] |= 1 << z
-    contrib = np.zeros((len(orbits), n, n), dtype=np.uint32)
+        base[x * n + y] |= 1 << z
+    contrib = np.zeros((len(orbits), n * n), dtype=np.int64)
     for i, orbit in enumerate(orbits):
         for x, y, z in orbit:
-            contrib[i, x, y] |= 1 << z
-    chunk = 1 << 16
+            contrib[i, x * n + y] |= 1 << z
+    # one table per byte of mask bits: column v is the OR of the byte's
+    # orbits whose bit is set in v, a sum since orbits are disjoint
+    byte_bits = np.arange(256) >> np.arange(8)[:, None] & 1
+    tables = []
+    for lo in range(0, len(orbits), 8):
+        part = contrib[lo : lo + 8]
+        tables.append((part.T @ byte_bits[: len(part)]).astype(dtype))
+    steps = []
+    for x, y in itertools.product(range(1, n), repeat=2):
+        zs = [z for z in range(1, n) if (x, y, z) <= (conv[z], conv[y], conv[x])]
+        if zs:
+            steps.append((x, y, np.array(zs)))
     keep = [
-        _assoc_chunk_numpy(base, contrib, masks[start : start + chunk], n)
-        for start in range(0, len(masks), chunk)
+        _assoc_chunk_numpy(n, base, tables, steps, masks[start : start + CHUNK])
+        for start in range(0, len(masks), CHUNK)
     ]
-    return masks[np.concatenate(keep)]
+    return np.concatenate(keep)
 
 
-def _assoc_chunk_numpy(base, contrib, bits, n):
-    """Which masks in bits give an associative atom composition.
+def _assoc_chunk_numpy(n, base, tables, steps, bits):
+    """The masks in bits that pass every step (x, y, zs): (x;y);z = x;(y;z)
+    for each z in zs, in bits' order.
 
-    comp[x, y] holds x;y for every mask, as a contiguous column.  Only
-    diversity atoms x, y, z are tried: the forced triples make 1' an exact
-    two-sided unit (no orbit holds a triple with 1'), so (x;y);z = x;(y;z)
-    holds outright when any of the three is 1'.
+    comp[x*n + y] holds x;y for every live mask, as a contiguous row: bit z
+    set when (x, y, z) is a triple.  One step tests all its z at once, in
+    2n array operations on (len(zs), live) slices, and then drops the masks
+    that failed from comp and bits, so nothing is tested on a dead mask.
     """
-    count = len(bits)
-    comp = np.empty((n, n, count), dtype=np.uint32)
-    comp[...] = base[:, :, None]
-    for i in range(contrib.shape[0]):
-        comp |= contrib[i][:, :, None] * ((bits >> i) & 1).astype(np.uint32)
-    ok = np.ones(count, dtype=bool)
-    for x in range(1, n):
-        for y in range(1, n):
-            cxy = comp[x, y]
-            for z in range(1, n):
-                cyz = comp[y, z]
-                lhs = np.zeros(count, dtype=np.uint32)
-                rhs = np.zeros(count, dtype=np.uint32)
-                for w in range(n):
-                    lhs |= np.where((cxy >> w) & 1, comp[w, z], 0)
-                    rhs |= np.where((cyz >> w) & 1, comp[x, w], 0)
-                ok &= lhs == rhs
-    return ok
+    comp = np.repeat(base[:, None], len(bits), axis=1)
+    for b, table in enumerate(tables):
+        comp |= np.take(table, bits >> 8 * b & 255, axis=1)
+    for x, y, zs in steps:
+        view = comp.reshape(n, n, -1)
+        cxy, cyz = view[x, y], view[y, zs]
+        lhs = np.zeros_like(cyz)
+        rhs = np.zeros_like(cyz)
+        for w in range(n):
+            lhs |= view[w, zs] * (cxy >> w & 1)
+            rhs |= view[x, w] * (cyz >> w & 1)
+        ok = (lhs == rhs).all(axis=0)
+        comp, bits = comp[:, ok], bits[ok]
+    return bits
 
 
 # The formula checks live in jlm.check_jlm; perfbench's tracer still patches this name.

@@ -82,28 +82,72 @@ def test_assoc_filter_agrees_with_full_axiom_check():
     assert (checked, rejected) == (150, 91)
 
 
-@pytest.mark.parametrize("signature, kept", [("1'abcc~", 1316), ("1'abcd", 3013)])
-def test_assoc_filter_agrees_with_plain_python_oracle(signature, kept):
-    # every canonical mask the filter keeps on the two five-atom rows, and a
-    # seeded sample of those it rejects, checked by composing atom sets
-    _, _, conv = signature_spec(signature, stretch=True)
+def _filter_inputs(conv):
+    """The filter's arguments for the signature with converse conv: atom
+    count, forced triples, diversity orbits and the canonical masks."""
     forced = forced_triples(conv)
     orbits = diversity_orbits(conv)
     sigmas = orbit_permutations(orbits, atom_symmetries(conv))
-    masks = kernels.canonical_masks(len(orbits), sigmas)
-    survivors = kernels.associative_candidates(len(conv), forced, orbits, masks)
-    assert len(survivors) == kept
+    return len(conv), forced, orbits, kernels.canonical_masks(len(orbits), sigmas)
 
+
+def _check_against_oracle(n, forced, orbits, masks, survivors):
+    # every survivor, and a seeded sample of 2,000 rejects, checked by
+    # composing atom sets
     def associative(mask):
-        return oracles.associative_brute(
-            len(conv), oracles.mask_triples(forced, orbits, mask)
-        )
+        return oracles.associative_brute(n, oracles.mask_triples(forced, orbits, mask))
 
     for mask in survivors.tolist():
         assert associative(mask), mask
     rejected = np.setdiff1d(masks, survivors).tolist()
     for mask in random.Random(0).sample(rejected, 2000):
         assert not associative(mask), mask
+
+
+@pytest.mark.parametrize("signature, kept", [("1'abcc~", 1316), ("1'abcd", 3013)])
+def test_assoc_filter_agrees_with_plain_python_oracle(signature, kept):
+    # every canonical mask the filter keeps on the two five-atom rows, and a
+    # seeded sample of those it rejects
+    n, forced, orbits, masks = _filter_inputs(signature_spec(signature, stretch=True)[2])
+    survivors = kernels.associative_candidates(n, forced, orbits, masks)
+    assert len(survivors) == kept
+    _check_against_oracle(n, forced, orbits, masks, survivors)
+
+
+def test_assoc_filter_joins_chunks(monkeypatch):
+    # 1'abcd's canonical masks fill 46 chunks of 1,000: the survivors must be
+    # the array one chunk gives
+    n, forced, orbits, masks = _filter_inputs(signature_spec("1'abcd", stretch=True)[2])
+    assert len(masks) == 45_960 <= kernels.CHUNK
+    whole = kernels.associative_candidates(n, forced, orbits, masks)
+    monkeypatch.setattr(kernels, "CHUNK", 1000)
+    assert np.array_equal(kernels.associative_candidates(n, forced, orbits, masks), whole)
+
+
+def test_assoc_filter_keeps_input_order():
+    # dropping the failed masks as they fail must not reorder the rest
+    n, forced, orbits, masks = _filter_inputs(signature_spec("1'abcc~", stretch=True)[2])
+    survivors = kernels.associative_candidates(n, forced, orbits, masks)
+    shuffled = np.random.default_rng(0).permutation(masks)
+    expected = shuffled[np.isin(shuffled, survivors)]
+    assert len(expected) == 1316
+    assert np.array_equal(kernels.associative_candidates(n, forced, orbits, shuffled), expected)
+
+
+@pytest.mark.slow
+def test_six_atom_filter_agrees_with_oracle_and_orbit_count():
+    # 1'abb~cc~: 25 orbits, 8 symmetries, 4,395,264 canonical masks.  Summing
+    # |G|/|stabiliser| over the classes counts the associative masks among
+    # all 2^25, which a filter run on every mask finds to be 312,508
+    conv = (0, 1, 3, 2, 5, 4)
+    n, forced, orbits, masks = _filter_inputs(conv)
+    survivors = kernels.associative_candidates(n, forced, orbits, masks)
+    assert len(survivors) == 47_965
+    sigmas = orbit_permutations(orbits, atom_symmetries(conv))
+    bits = survivors[:, None] >> np.arange(len(orbits)) & 1
+    stabiliser = sum(bits @ (1 << np.array(sigma)) == survivors for sigma in sigmas)
+    assert (len(sigmas) // stabiliser).sum() == 312_508
+    _check_against_oracle(n, forced, orbits, masks, survivors)
 
 
 def test_axiom_laws_reduced_and_full_quantification_agree(enumerated):
