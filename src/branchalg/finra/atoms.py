@@ -170,7 +170,6 @@ class AtomStructure:
         every operation takes ints or, elementwise, int64 arrays of elements.
         """
         comp, conv = self.tables
-        top = self.top
 
         def gather(table):
             def op(*index):
@@ -185,12 +184,12 @@ class AtomStructure:
             comp=gather(comp),
             conv=gather(conv),
             zero=0,
-            top=top,
+            top=self.top,
             ident=self.ident,
             equal=lambda x, y: x == y,
-            leq=lambda x, y: (x & y) == x,
+            leq=self.leq,
             join=lambda x, y: x | y,
-            compl=lambda x: x ^ top,
+            compl=self.compl,
             elements=self.elements,
             sample_pool=self.elements,
             format_element=self.format_element,

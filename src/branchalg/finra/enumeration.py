@@ -37,27 +37,16 @@ skips every check.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
 from .atoms import AtomStructure, peirce_orbit
 from . import kernels
 
-# signature -> (atom names, converse permutation); index 0 is the identity
-SIGNATURES: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = {
-    "1'": (("1'",), (0,)),
-    "1'a": (("1'", "a"), (0, 1)),
-    "1'aa~": (("1'", "a", "a~"), (0, 2, 1)),
-    "1'ab": (("1'", "a", "b"), (0, 1, 2)),
-    "1'abb~": (("1'", "a", "b", "b~"), (0, 1, 3, 2)),
-    "1'abc": (("1'", "a", "b", "c"), (0, 1, 2, 3)),
-    "1'aa~bb~": (("1'", "a", "a~", "b", "b~"), (0, 2, 1, 4, 3)),
-}
-
-STRETCH_SIGNATURES: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = {
-    "1'abcc~": (("1'", "a", "b", "c", "c~"), (0, 1, 2, 4, 3)),
-    "1'abcd": (("1'", "a", "b", "c", "d"), (0, 1, 2, 3, 4)),
-}
+# the registered rows; signature_spec reads the atoms off each key
+SIGNATURES = ("1'", "1'a", "1'aa~", "1'ab", "1'abb~", "1'abc", "1'aa~bb~")
+STRETCH_SIGNATURES = ("1'abcc~", "1'abcd")
 
 
 def normalize_signature(text: str) -> str:
@@ -74,17 +63,24 @@ class UnsupportedSignatureError(Exception):
 
 
 def signature_spec(signature: str, stretch: bool = False):
+    """The key, atom names and converse permutation of a registered row.
+
+    The names are the identity 1' (index 0) and then the key's letters, each
+    optionally followed by ~; x~ is the converse of x, and an atom without a
+    ~ partner is its own converse.
+    """
     key = normalize_signature(signature)
-    if key in SIGNATURES:
-        return key, *SIGNATURES[key]
-    if key in STRETCH_SIGNATURES:
-        if not stretch:
-            raise UnsupportedSignatureError(
-                f"signature {signature!r} is a stretch target; pass --stretch"
-                " (stretch=True from Python) to run it"
-            )
-        return key, *STRETCH_SIGNATURES[key]
-    raise UnsupportedSignatureError(f"unsupported signature {signature!r}")
+    if key in STRETCH_SIGNATURES and not stretch:
+        raise UnsupportedSignatureError(
+            f"signature {signature!r} is a stretch target; pass --stretch"
+            " (stretch=True from Python) to run it"
+        )
+    if key not in SIGNATURES + STRETCH_SIGNATURES:
+        raise UnsupportedSignatureError(f"unsupported signature {signature!r}")
+    names = ("1'", *re.findall(r"[a-z]~?", key[2:]))
+    mates = [n[:-1] if n.endswith("~") else n + "~" for n in names]
+    conv = tuple(names.index(m) if m in names else i for i, m in enumerate(mates))
+    return key, names, conv
 
 
 def forced_triples(conv: tuple[int, ...]) -> frozenset:

@@ -1,13 +1,13 @@
 """Tabularity and staged partial representations of finite algebras.
 
 A structure is tabular when every strict pair v < w is separated by a
-nonzero element of the form conv(p);q with p, q functional; on an algebra
-of atom sets that is one check per atom (is_tabular).  From a tabular
-structure the staged construction grows sequences of nonzero functional
-elements with a common domain; the induced map sending x to the index pairs
-(i, j) with f_i ; x above f_j accumulates, stage by stage, the properties of
-a representation on the scheduled elements while keeping a designated pair
-v < w separated.
+nonzero element of the form conv(p);q with p, q functional; witnesses
+(tabular_witness) and tabularity (is_tabular) read one table of these
+elements (_functional_tables).  From a tabular structure the staged
+construction grows sequences of nonzero functional elements with a common
+domain; the induced map sending x to the index pairs (i, j) with f_i ; x
+above f_j accumulates, stage by stage, the properties of a representation
+on the scheduled elements while keeping a designated pair v < w separated.
 """
 
 from __future__ import annotations
@@ -34,23 +34,28 @@ def functional_elements(s: AtomStructure) -> list[int]:
     return xs[model.is_functional(s.handle(), xs)].tolist()
 
 
+def _functional_tables(s: AtomStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The functional elements fns, increasing, and the table
+    t[i, j] = conv(fns[i]);fns[j] of their products, in one gather."""
+    comp, conv = s.tables
+    fns = np.array(functional_elements(s))
+    return fns, comp[conv[fns][:, None], fns]
+
+
 def tabular_witness(s: AtomStructure, v: int, w: int) -> tuple[int, int]:
     """Functional p, q with 0 != conv(p);q <= w and v & conv(p);q = 0.
 
-    Exhaustive search over functional pairs; raises NotTabular when no
-    witness exists.  Requires v < w.
+    The first such entry of _functional_tables in C order, so the least p
+    and then the least q; raises NotTabular when no witness exists.
+    Requires v < w.
     """
     if not (s.leq(v, w) and v != w):
         raise ValueError("witness requires v < w")
-    comp, conv = s.tables
-    fns = functional_elements(s)
-    for p in fns:
-        cp = conv[p]
-        for q in fns:
-            t = comp[cp, q]
-            if t != 0 and (t & w) == t and (t & v) == 0:
-                return p, q
-    raise NotTabular(f"no functional table for {s.format_element(v)} < {s.format_element(w)}")
+    fns, t = _functional_tables(s)
+    hits = np.argwhere((t != 0) & (t & w == t) & (t & v == 0))
+    if not len(hits):
+        raise NotTabular(f"no functional table for {s.format_element(v)} < {s.format_element(w)}")
+    return tuple(fns[hits[0]].tolist())
 
 
 def is_tabular(s: AtomStructure) -> bool:
@@ -63,14 +68,9 @@ def is_tabular(s: AtomStructure) -> bool:
     of w outside v; then t = {a} is a witness.  The proof uses only that
     elements are atom sets, not the relation-algebra axioms.
     """
-    comp, conv = s.tables
-    fns = np.array(functional_elements(s))
-    found = 0
-    for p in fns:
-        t = comp[conv[p], fns]
-        # the atoms among the tables conv(p);q (t & (t - 1) is 0 for 0 too)
-        found |= int(np.bitwise_or.reduce(t[(t & (t - 1)) == 0]))
-    return found == s.top
+    _, t = _functional_tables(s)
+    # the atoms among the entries (t & (t - 1) is 0 for 0 too)
+    return int(np.bitwise_or.reduce(t[(t & (t - 1)) == 0])) == s.top
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,12 @@ def build_stage_rep(
     Stage 0 builds a two-element sequence from a separating table; after
     that, a deterministic seeded scheduler revisits (index pair, element
     pair) quadruples, alternating join extensions with composition
-    extensions.  Each stage asserts: the pair (0, 1) stays in the map of w,
-    the zero product separating v survives, and the maps grow monotonically.
+    extensions.  Each stage records whether the pair (0, 1) is in the map of
+    w (f_0 ; w >= f_1) and whether the zero product f_0 ; v & f_1 separating
+    v survives.  It records the maps as monotone without rebuilding them:
+    every extension passed _assert_common_post, which checks on every
+    element, a superset of the scheduled ones, that its map only grows, and
+    a stage that does not extend keeps its maps.
     """
     if stages < 1:
         raise ValueError("stage budget must be >= 1")
@@ -238,20 +242,15 @@ def build_stage_rep(
     xs = generated_subalgebra(s, [v, w])
     rng = random.Random(seed)
     report = StageReport(s, v, w, seed)
-    prev = {x: hat(rep, x) for x in xs}
 
-    def record(idx, step, rep, prev):
-        cur = {x: hat(rep, x) for x in xs}
-        separated = (0, 1) in hat(rep, w)
-        zero_kept = (comp[rep.f[0], v] & rep.f[1]) == 0
-        monotone = all(prev[x] <= cur[x] for x in xs)
-        report.stages.append(
-            Stage(idx, step, len(rep), separated, zero_kept, monotone)
-        )
+    def record(idx, step, rep):
+        f0, f1 = rep.f[:2]
+        separated = bool(comp[f0, w] & f1 == f1)
+        zero_kept = bool(comp[f0, v] & f1 == 0)
+        report.stages.append(Stage(idx, step, len(rep), separated, zero_kept, True))
         report.reps.append(rep)
-        return cur
 
-    prev = record(0, "init", rep, prev)
+    record(0, "init", rep)
     pending: list[tuple[int, int, int, int]] = []
     stage_idx = 1
     while stage_idx < stages:
@@ -275,7 +274,7 @@ def build_stage_rep(
                 _assert_comp_post(s, rep, new, i, j, x, y)
                 rep = new
             step = "comp"
-        prev = record(stage_idx, step, rep, prev)
+        record(stage_idx, step, rep)
         stage_idx += 1
     return report
 
@@ -297,20 +296,17 @@ def _assert_common_post(s, old, new):
     """On every element z: the map of z only grows, and no product
     f_k ; z & f_l over the old indices k, l that was zero becomes nonzero.
 
-    One gather per old index k takes f_k ; z and g_k ; z against all
-    elements z at once; the error raised is the one of the first failing z,
-    monotonicity before zero products.
+    One broadcast takes [k, z, l] = f_k ; z & f_l, and g_k ; z & g_l, over
+    every element z at once; the error raised is the one of the first
+    failing z, monotonicity before zero products.
     """
     comp, _ = s.tables
-    f = np.array(old.f)[:, None]
-    g = np.array(new.f[: len(old)])[:, None]
-    mono = np.zeros(s.n_elements, dtype=bool)
-    zero = np.zeros(s.n_elements, dtype=bool)
-    for k in range(len(old)):
-        fz = comp[f[k]] & f  # [l, z] = f_k ; z & f_l
-        gz = comp[g[k]] & g
-        mono |= ((fz == f) & (gz != g)).any(axis=0)
-        zero |= ((fz == 0) & (gz != 0)).any(axis=0)
+    f = np.array(old.f)
+    g = np.array(new.f[: len(old)])
+    fz = comp[f][:, :, None] & f
+    gz = comp[g][:, :, None] & g
+    mono = ((fz == f) & (gz != g)).any(axis=(0, 2))
+    zero = ((fz == 0) & (gz != 0)).any(axis=(0, 2))
     bad = mono | zero
     if bad.any():
         z = int(bad.argmax())

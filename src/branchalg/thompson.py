@@ -329,27 +329,27 @@ def _suite_same(m, seed):
     ]
 
 
-def _suite_fork(m, seed):
+def _fork_draws(seed):
+    """200 seeded draws of four _fork_pool terms, each as (index,
+    comma-joined names, terms)."""
     pool = _fork_pool()
-    f3, f3_bound = fork_f3()
-    out = [("F3", m.leq(model.eval_term(m, f3, {}), model.eval_term(m, f3_bound, {})))]
-    for (nx, x), (ny, y) in itertools.product(pool, repeat=2):
-        out.append((f"F1[{nx},{ny}]", _holds(m, *fork_f1(x, y))))
     rng = random.Random(seed)
     for i in range(200):
-        (nu, u), (nv, v), (nx, x), (ny, y) = (rng.choice(pool) for _ in range(4))
-        out.append((f"F2[{nu},{nv},{nx},{ny}]#{i}", _holds(m, *fork_f2(u, v, x, y))))
+        names, ts = zip(*(rng.choice(pool) for _ in range(4)))
+        yield i, ",".join(names), ts
+
+
+def _suite_fork(m, seed):
+    f3, f3_bound = fork_f3()
+    out = [("F3", m.leq(model.eval_term(m, f3, {}), model.eval_term(m, f3_bound, {})))]
+    for (nx, x), (ny, y) in itertools.product(_fork_pool(), repeat=2):
+        out.append((f"F1[{nx},{ny}]", _holds(m, *fork_f1(x, y))))
+    out += [(f"F2[{ns}]#{i}", _holds(m, *fork_f2(*ts))) for i, ns, ts in _fork_draws(seed)]
     return out
 
 
 def _suite_pairing(m, seed):
-    pool = _fork_pool()
-    rng = random.Random(seed)
-    out = []
-    for i in range(200):
-        (nu, u), (nv, v), (nx, x), (ny, y) = (rng.choice(pool) for _ in range(4))
-        out.append((f"Pr[{nu},{nv},{nx},{ny}]#{i}", _holds(m, *pairing(u, v, x, y))))
-    return out
+    return [(f"Pr[{ns}]#{i}", _holds(m, *pairing(*ts))) for i, ns, ts in _fork_draws(seed)]
 
 
 # each suite maps the model handle and the seed to its named results

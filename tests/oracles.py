@@ -5,7 +5,8 @@ closure `entails_bfs` and the three-tag `entails_product` for the tree
 relations, a concrete finite semantic model of tree pairs, the element tables
 of an atom structure built from their definitions, the plain brute force
 `reference_violation` for the product formulas J, L and M, the
-enumeration by plain isomorph rejection `enumerate_brute`, tabularity
+enumeration by plain isomorph rejection `enumerate_brute`, the first
+tabular witness by a pairwise scan `tabular_witness_loop`, tabularity
 by its pairwise definition `is_tabular_pairwise`, the element-by-element
 extension check `common_post_loop` of the staged construction, the five
 structural properties `lemma_properties_hold` of its induced map, the
@@ -32,7 +33,7 @@ from branchalg.finra.enumeration import (
     forced_triples,
     signature_spec,
 )
-from branchalg.finra.represent import hat
+from branchalg.finra.represent import NotTabular, hat
 
 # --- closure oracles --------------------------------------------------------
 
@@ -340,6 +341,20 @@ def functional_brute(s) -> list[int]:
     comp, conv = s.tables
     e = s.ident
     return [x for x in range(s.n_elements) if (comp[conv[x], x] & e) == comp[conv[x], x]]
+
+
+def tabular_witness_loop(s, v: int, w: int) -> tuple[int, int]:
+    """The first functional pair p, q, in increasing order of p and then of
+    q, with 0 != conv(p);q <= w and v & conv(p);q = 0, one table at a time;
+    raises NotTabular when there is none."""
+    comp, conv = s.tables
+    fns = functional_brute(s)
+    for p in fns:
+        for q in fns:
+            t = comp[conv[p], q]
+            if t != 0 and (t & w) == t and (t & v) == 0:
+                return p, q
+    raise NotTabular(f"no functional table for {s.format_element(v)} < {s.format_element(w)}")
 
 
 def is_tabular_pairwise(s) -> bool:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -182,6 +183,27 @@ def test_represent_on_re3(capsys, tmp_path):
     )
     assert code == 0, out
     assert out.splitlines()[-1] == f"REPRESENT {path} v=0 w=a stages=5 pass"
+
+
+# full stdout of represent: a different schedule or stage flag changes it,
+# and so does a different first witness on the last two pairs, whose w has
+# more than one witness ("{path}" stands for the structure file)
+REPRESENT_PINS = {
+    "re2-seed0": (2, ["--v", "0", "--w", "a", "--stages", "50", "--seed", "0"]),
+    "re2-seed1": (2, ["--v", "0", "--w", "a", "--stages", "50", "--seed", "1"]),
+    "re2-v-e0": (2, ["--v", "e0", "--w", "e0+a+e3", "--stages", "50"]),
+    "re3": (3, ["--v", "0", "--w", "e0+b+c", "--stages", "20"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPRESENT_PINS))
+def test_represent_output_is_pinned(capsys, tmp_path, case):
+    points, args = REPRESENT_PINS[case]
+    path = tmp_path / f"re{points}.ra"
+    path.write_text(format_structure(make_proper_ra(points)))
+    code, out, err = run(capsys, ["represent", str(path), *args])
+    golden = Path(__file__).parent / "golden" / f"represent-{case}.txt"
+    assert (code, out, err) == (0, golden.read_text().replace("{path}", str(path)), "")
 
 
 def test_represent_not_tabular(capsys, tmp_path):

@@ -95,6 +95,31 @@ def test_is_tabular_matches_the_pairwise_definition(enumerated):
     assert verdicts == {True: 90, False: 561}
 
 
+def _witness_or_error(witness, s, v, w):
+    try:
+        return witness(s, v, w)
+    except NotTabular as exc:
+        return str(exc)
+
+
+def test_witness_is_the_first_of_the_pairwise_scan(re2, enumerated):
+    # every strict pair of Re(2), of each tabular structure of the table rows
+    # and of the non-tabular two-atom structure, and a seeded sample of Re(3)
+    bad = [s for s in enumerated("1'a") if not is_tabular(s)][0]
+    structures = [re2, bad]
+    structures += [s for sig in SIGNATURES for s in enumerated(sig) if is_tabular(s)]
+    cases = [(s, _strict_pairs(s)) for s in structures]
+    re3 = make_proper_ra(3)
+    cases.append((re3, random.Random(0).sample(_strict_pairs(re3), 200)))
+    for s, pairs in cases:
+        for v, w in pairs:
+            want = _witness_or_error(oracles.tabular_witness_loop, s, v, w)
+            assert _witness_or_error(tabular_witness, s, v, w) == want, (s.label, v, w)
+    for witness in (tabular_witness, oracles.tabular_witness_loop):
+        with pytest.raises(NotTabular):
+            witness(bad, bad.ident, bad.top)
+
+
 def test_witness_requires_strict_pair(re2):
     with pytest.raises(ValueError):
         tabular_witness(re2, 3, 3)
