@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +58,9 @@ class BranchRelation:
 
     def __repr__(self):
         return f"BranchRelation({format_relation(self)!r})"
+
+
+_SWAP = {"L": "R", "R": "L"}
 
 
 def _rel(cons) -> BranchRelation:
@@ -98,29 +100,57 @@ class ClosureEngine:
 
     `ClosureEngine((r, src, dst), ...)` loads each system `(r, src, dst)` (a
     non-zero relation r whose side L is read as tag src and side R as tag
-    dst) and saturates, so a built engine is always closed.  Children links
-    are created on demand and kept per class; merging two classes merges
-    their children pairwise (right append), and saturation repeatedly merges
-    classes whose child pairs coincide (pair reconstruction).  The result is
-    the least fixpoint of the rule system over all the systems together.
+    dst) and saturates, so a built engine is always closed.  Merging two
+    classes merges their children pairwise (right append), and saturation
+    repeatedly merges classes whose child pairs coincide (pair
+    reconstruction).  The result is the least fixpoint of the rule system
+    over all the systems together.
+
+    Node i's parent is `_parent[i]` and its d-child `_kid[2*i + d]` (-1
+    while absent), in two flat lists.  The constructor first walks the trie
+    of every endpoint, creating one node per (tag, address prefix); no class
+    is merged yet, so no find is needed.  It then unions the endpoints of
+    each constraint and saturates.  Building the tries first changes only
+    the node numbering, not the closure: a config the interleaved order
+    would have reached through an already-merged class has its own node
+    here, and the union of its parent class merges it into the same class
+    by right append.  The least fixpoint does not depend on the order in
+    which the rules fire.
     """
 
-    __slots__ = ("_parent", "_child", "_roots")
+    __slots__ = ("_parent", "_kid", "_roots")
 
     def __init__(self, *systems: tuple[BranchRelation, str, str]):
-        self._parent: list[int] = []
-        self._child: list[list[int]] = []
-        self._roots: dict[str, int] = {}
+        parent: list[int] = []
+        kid: list[int] = []
+        roots: dict[str, int] = {}
+        self._parent, self._kid, self._roots = parent, kid, roots
+        ends: list[int] = []
         for r, src, dst in systems:
-            tag = {"L": src, "R": dst}
-            for (t1, a1), (t2, a2) in r.constraints:
-                self.union(self.node(tag[t1], a1), self.node(tag[t2], a2))
+            for con in r.constraints:
+                for side, addr in con:
+                    tag = src if side == "L" else dst
+                    n = roots.get(tag)
+                    if n is None:
+                        n = roots[tag] = len(parent)
+                        parent.append(n)
+                        kid += (-1, -1)
+                    for ch in addr:
+                        j = 2 * n + (ch == "1")
+                        n = kid[j]
+                        if n == -1:
+                            n = kid[j] = len(parent)
+                            parent.append(n)
+                            kid += (-1, -1)
+                    ends.append(n)
+        for a, b in zip(ends[::2], ends[1::2]):
+            self.union(a, b)
         self.saturate()
 
     def _new(self) -> int:
         i = len(self._parent)
         self._parent.append(i)
-        self._child.append([-1, -1])
+        self._kid += (-1, -1)
         return i
 
     def find(self, i: int) -> int:
@@ -134,51 +164,54 @@ class ClosureEngine:
         n = self._roots.get(tag)
         if n is None:
             n = self._roots[tag] = self._new()
+        kid = self._kid
         for ch in addr:
-            n = self.find(n)
-            d = 1 if ch == "1" else 0
-            c = self._child[n][d]
-            if c == -1:
-                c = self._child[n][d] = self._new()
-            n = c
+            j = 2 * self.find(n) + (ch == "1")
+            n = kid[j]
+            if n == -1:
+                n = kid[j] = self._new()
         return self.find(n)
 
     def union(self, a: int, b: int):
-        stack = [(a, b)]
-        child = self._child
+        parent, kid = self._parent, self._kid
+        stack = [a, b]
         while stack:
-            x, y = stack.pop()
-            x, y = self.find(x), self.find(y)
+            y = stack.pop()
+            x = stack.pop()
+            while parent[x] != x:  # find, halving the path
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
             if x == y:
                 continue
-            self._parent[y] = x
-            cx, cy = child[x], child[y]
-            for d in (0, 1):
-                if cx[d] != -1 and cy[d] != -1:
-                    stack.append((cx[d], cy[d]))
-                elif cy[d] != -1:
-                    cx[d] = cy[d]
+            parent[y] = x
+            for jx, jy in ((2 * x, 2 * y), (2 * x + 1, 2 * y + 1)):
+                cy = kid[jy]
+                if cy != -1:
+                    cx = kid[jx]
+                    if cx == -1:
+                        kid[jx] = cy
+                    else:
+                        stack += (cx, cy)
 
     def saturate(self):
-        child = self._child
-        while True:
+        parent, kid = self._parent, self._kid
+        merged = True
+        while merged:
             merged = False
             buckets: dict[tuple[int, int], int] = {}
-            for i in range(len(self._parent)):
-                if self.find(i) != i:
+            for i in range(len(parent)):
+                c0, c1 = kid[2 * i], kid[2 * i + 1]
+                if parent[i] != i or c0 == -1 or c1 == -1:
                     continue
-                c0, c1 = child[i]
-                if c0 == -1 or c1 == -1:
-                    continue
-                key = (self.find(c0), self.find(c1))
-                other = buckets.get(key)
-                if other is None:
-                    buckets[key] = i
-                elif self.find(other) != self.find(i):
+                while parent[c0] != c0:
+                    parent[c0] = c0 = parent[parent[c0]]
+                while parent[c1] != c1:
+                    parent[c1] = c1 = parent[parent[c1]]
+                other = buckets.setdefault((c0, c1), i)
+                if other != i and self.find(other) != i:
                     self.union(other, i)
                     merged = True
-            if not merged:
-                return
 
     def same(self, e1: tuple[str, str], e2: tuple[str, str]) -> bool:
         # node() returns a root, and creating nodes never merges classes
@@ -213,12 +246,20 @@ def meet(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
 
 
 def converse(r: BranchRelation) -> BranchRelation:
+    """Swap the sides of every constraint.  The result is oriented as
+    `_rel` orients it: by address (shorter, then smaller) when the two
+    addresses differ, else by side, which the swap reverses."""
     if r.is_zero:
         return ZERO
-    swap = {"L": "R", "R": "L"}
-    return _rel(
-        [((swap[t1], a1), (swap[t2], a2)) for (t1, a1), (t2, a2) in r.constraints]
-    )
+    out = []
+    for (t1, a1), (t2, a2) in r.constraints:
+        p, q = (_SWAP[t1], a1), (_SWAP[t2], a2)
+        if a1 == a2:
+            keep = t1 >= t2
+        else:
+            keep = len(a1) < len(a2) or len(a1) == len(a2) and a1 < a2
+        out.append((p, q) if keep else (q, p))
+    return BranchRelation(False, frozenset(out))
 
 
 def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
@@ -246,41 +287,50 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     x', so it is identified only through its parent.  Configs of one E3
     class thus share N, and E2 derives their equality.
 
+    Orientation.  The walk hands out names in increasing (length, side,
+    address) order: the roots come first, and the children of the queued
+    classes are named in queue order, 0 before 1.  So name[c] precedes the
+    new name name[n].d in that order, and the emitted pair is put in `_rel`'s
+    (length, address, side) order by one address comparison when the
+    lengths are equal; equal addresses have name[c] on side L, which is
+    first anyway.  Each constraint is thus emitted oriented, with no sort.
+
     `entails_product` in tests/oracles.py decides E3 directly; the tests
     check compose with it.
     """
     if r1.is_zero or r2.is_zero:
         return ZERO
     eng = ClosureEngine((r1, "s", "m"), (r2, "m", "t"))
+    parent, kid = eng._parent, eng._kid
 
     out: list[Constraint] = []
-    name: dict[int, Endpoint] = {}
     rs = eng.node("s", "")
     rt = eng.node("t", "")
-    queue: deque[int] = deque()
-    name[rs] = ("L", "")
-    queue.append(rs)
+    name: dict[int, Endpoint] = {rs: ("L", "")}
+    queue = [rs]  # grows while the loop below walks it
     if rt == rs:
         out.append((("L", ""), ("R", "")))
     else:
         name[rt] = ("R", "")
         queue.append(rt)
-    while queue:
-        n = queue.popleft()
+    for n in queue:
         side, addr = name[n]
-        for d in (0, 1):
-            c = eng._child[n][d]
+        for j, digit in ((2 * n, "0"), (2 * n + 1, "1")):
+            c = kid[j]
             if c == -1:
                 continue
-            c = eng.find(c)
-            nm = (side, addr + str(d))
-            if c in name:
-                if name[c] != nm:
-                    out.append((nm, name[c]))
-            else:
+            while parent[c] != c:
+                c = parent[c]
+            nm = (side, addr + digit)
+            old = name.get(c)
+            if old is None:
                 name[c] = nm
                 queue.append(c)
-    return _rel(out)
+            elif len(old[1]) == len(nm[1]) and old[1] > nm[1]:
+                out.append((nm, old))
+            else:
+                out.append((old, nm))
+    return BranchRelation(False, frozenset(out))
 
 
 # --- model handle and sampling -------------------------------------------
@@ -289,12 +339,17 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
 def paths_pool() -> list[BranchRelation]:
     """Deterministic sample pool: compositions of the generators up to
     length 4, their pairwise meets at length <= 2, converses of all of
-    those, and the constants, each once in order of first appearance."""
-    words: list[BranchRelation] = [IDENT]
-    frontier = [IDENT]
-    for _ in range(4):
-        frontier = [compose(w, g) for w in frontier for g in (GEN_A, GEN_B)]
-        words.extend(frontier)
+    those, and the constants, each once in order of first appearance.
+
+    The composition of the generator word d1...dk (a for 0, b for 1) is
+    {R.^=L.d1...dk}, output the input's subtree at that address, so the
+    words are written down rather than composed: the empty word is IDENT,
+    then a, b, aa, ab, ... in the order of composing one more generator."""
+    words = [
+        _rel([(("R", ""), ("L", "".join(w)))])
+        for k in range(5)
+        for w in itertools.product("01", repeat=k)
+    ]
     short = [w for w in words if len(w.constraints) and _max_addr(w) <= 2]
     meets = [meet(x, y) for x, y in itertools.combinations(short, 2)]
     pool = words + meets

@@ -100,14 +100,15 @@ class PartialRep:
 
 def hat(rep: PartialRep, x: int) -> frozenset[tuple[int, int]]:
     """Index pairs (i, j) with f_i ; x >= f_j."""
+    n = len(rep)
+    return frozenset((i, j) for i in range(n) for j in range(n) if _in_hat(rep, i, j, x))
+
+
+def _in_hat(rep: PartialRep, i: int, j: int, x: int) -> bool:
+    """Whether (i, j) is in hat(rep, x), without building the whole map."""
     comp, _ = rep.s.tables
-    f = rep.f
-    return frozenset(
-        (i, j)
-        for i in range(len(f))
-        for j in range(len(f))
-        if (comp[f[i], x] & f[j]) == f[j]
-    )
+    fj = rep.f[j]
+    return bool(comp[rep.f[i], x] & fj == fj)
 
 
 def extend_join(
@@ -117,7 +118,7 @@ def extend_join(
     of y, the whole map grows pointwise, zero products stay zero."""
     comp, _ = s.tables
     f = rep.f
-    if (i, j) not in hat(rep, x | y):
+    if not _in_hat(rep, i, j, x | y):
         raise ValueError("(i, j) not in the map of the join")
     r = comp[f[i], x] & f[j]
     if r == 0:
@@ -133,7 +134,7 @@ def extend_comp(
     that (i, m) lies in the map of x and (m, j) in the map of y."""
     comp, conv = s.tables
     f = rep.f
-    if (i, j) not in hat(rep, comp[x, y]):
+    if not _in_hat(rep, i, j, comp[x, y]):
         raise ValueError("(i, j) not in the map of the composite")
     z0 = comp[f[i], x] & comp[f[j], conv[y]]
     if z0 == 0:
@@ -201,7 +202,7 @@ class StageReport:
         extension asserts (`_assert_common_post`) that each element's map
         only grows."""
         last = self.reps[-1]
-        return (0, 1) in hat(last, self.w) and (0, 1) not in hat(last, self.v)
+        return _in_hat(last, 0, 1, self.w) and not _in_hat(last, 0, 1, self.v)
 
     def line(self) -> str:
         ok = self.all_conditions_hold and self.separates
@@ -245,7 +246,7 @@ def build_stage_rep(
 
     def record(idx, step, rep):
         f0, f1 = rep.f[:2]
-        separated = bool(comp[f0, w] & f1 == f1)
+        separated = _in_hat(rep, 0, 1, w)
         zero_kept = bool(comp[f0, v] & f1 == 0)
         report.stages.append(Stage(idx, step, len(rep), separated, zero_kept, True))
         report.reps.append(rep)
@@ -263,13 +264,13 @@ def build_stage_rep(
             ]
         i, j, x, y = pending.pop(0)
         if stage_idx % 2 == 1:
-            if (i, j) in hat(rep, x | y):
+            if _in_hat(rep, i, j, x | y):
                 new = extend_join(s, rep, i, j, x, y)
                 _assert_join_post(s, rep, new, i, j, x, y)
                 rep = new
             step = "join"
         else:
-            if (i, j) in hat(rep, comp[x, y]):
+            if _in_hat(rep, i, j, comp[x, y]):
                 new = extend_comp(s, rep, i, j, x, y)
                 _assert_comp_post(s, rep, new, i, j, x, y)
                 rep = new
@@ -280,14 +281,14 @@ def build_stage_rep(
 
 
 def _assert_join_post(s, old, new, i, j, x, y):
-    if (i, j) not in hat(new, x) | hat(new, y):
+    if not (_in_hat(new, i, j, x) or _in_hat(new, i, j, y)):
         raise AssertionError("join extension lost its target membership")
     _assert_common_post(s, old, new)
 
 
 def _assert_comp_post(s, old, new, i, j, x, y):
     m = len(new) - 1
-    if (i, m) not in hat(new, x) or (m, j) not in hat(new, y):
+    if not (_in_hat(new, i, m, x) and _in_hat(new, m, j, y)):
         raise AssertionError("composition extension lost its witness index")
     _assert_common_post(s, old, new)
 

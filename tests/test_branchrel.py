@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -316,6 +317,22 @@ def test_paths_pool_is_deterministic():
     assert len(br.paths_pool()) >= 40
 
 
+def test_paths_pool_words_are_the_compose_chain():
+    # the reference construction: each generator word is a shorter one
+    # composed with a generator, where paths_pool writes the words down
+    words = [ID]
+    frontier = [ID]
+    for _ in range(4):
+        frontier = [br.compose(w, g) for w in frontier for g in (A, B)]
+        words.extend(frontier)
+    short = [w for w in words if len(w.constraints) and br._max_addr(w) <= 2]
+    meets = [br.meet(x, y) for x, y in itertools.combinations(short, 2)]
+    pool = words + meets
+    pool = pool + [br.converse(r) for r in pool]
+    pool += [TOP, ZERO]
+    assert br.paths_pool() == list(dict.fromkeys(pool))
+
+
 _ep_strategy = st.tuples(
     st.sampled_from("LR"), st.text(alphabet="01", min_size=0, max_size=4)
 )
@@ -411,3 +428,39 @@ def test_engine_laws_beyond_the_generated_carrier():
             z,
         )
         assert br.equal(lhs, rhs)
+
+
+_SWAP = {"L": "R", "R": "L"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.frozensets(_con_strategy, min_size=1, max_size=6))
+def test_converse_orients_as_rel_property(cons):
+    # the constraints are drawn unoriented as often as oriented
+    old = frozenset(
+        br._orient(((_SWAP[t1], a1), (_SWAP[t2], a2))) for (t1, a1), (t2, a2) in cons
+    )
+    assert br.converse(br.BranchRelation(False, cons)).constraints == old
+
+
+def _oriented(r):
+    return all(br._orient(c) == c for c in r.constraints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constraint_systems(), _constraint_systems())
+def test_compose_emits_oriented_constraints_property(r1, r2):
+    assert _oriented(br.compose(r1, r2))
+
+
+def test_compose_output_on_the_pool_is_pinned():
+    # format_relation of every pool pair's product, hashed; a change of the
+    # compose kernel must leave each output's constraint set as it is
+    pool = br.paths_pool()
+    assert len(pool) == 105
+    outs = [br.compose(x, y) for x in pool for y in pool]
+    assert all(_oriented(r) for r in outs)
+    text = "\n".join(br.format_relation(r) for r in outs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3c079ea2acb01470ae1800d0c09e3478aa738655b24f1f33006148068b31be1c"
+    )
