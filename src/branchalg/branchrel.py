@@ -350,7 +350,7 @@ def paths_pool() -> list[BranchRelation]:
         for k in range(5)
         for w in itertools.product("01", repeat=k)
     ]
-    short = [w for w in words if len(w.constraints) and _max_addr(w) <= 2]
+    short = [w for w in words if _max_addr(w) <= 2]
     meets = [meet(x, y) for x, y in itertools.combinations(short, 2)]
     pool = words + meets
     pool = pool + [converse(r) for r in pool]

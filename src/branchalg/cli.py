@@ -177,10 +177,11 @@ def cmd_represent(args) -> int:
         raise EngineError(f"--v {args.v} must lie strictly below --w {args.w}")
     report = build_stage_rep(s, v, w, stages=args.stages, seed=args.seed)
     for st in report.stages:
+        # monotone is always True: build_stage_rep raises from
+        # represent._assert_common_post on any extension whose maps shrink
         print(
             f"  stage {st.index} {st.step} len={st.length}"
-            f" separated={st.separated} zero_kept={st.zero_kept}"
-            f" monotone={st.monotone}"
+            f" separated={st.separated} zero_kept={st.zero_kept} monotone=True"
         )
     print(report.line())
     ok = report.all_conditions_hold and report.separates

@@ -30,7 +30,6 @@ from .represent import (
     extend_comp,
     extend_join,
     functional_elements,
-    hat,
     is_tabular,
     tabular_witness,
 )

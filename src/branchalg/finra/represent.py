@@ -98,24 +98,17 @@ class PartialRep:
         return len(self.f)
 
 
-def hat(rep: PartialRep, x: int) -> frozenset[tuple[int, int]]:
-    """Index pairs (i, j) with f_i ; x >= f_j."""
-    n = len(rep)
-    return frozenset((i, j) for i in range(n) for j in range(n) if _in_hat(rep, i, j, x))
-
-
 def _in_hat(rep: PartialRep, i: int, j: int, x: int) -> bool:
-    """Whether (i, j) is in hat(rep, x), without building the whole map."""
+    """Whether (i, j) is in the map of x: f_i ; x >= f_j."""
     comp, _ = rep.s.tables
     fj = rep.f[j]
     return bool(comp[rep.f[i], x] & fj == fj)
 
 
-def extend_join(
-    s: AtomStructure, rep: PartialRep, i: int, j: int, x: int, y: int
-) -> PartialRep:
+def extend_join(rep: PartialRep, i: int, j: int, x: int, y: int) -> PartialRep:
     """Extension resolving a join membership: (i, j) lands in the map of x or
     of y, the whole map grows pointwise, zero products stay zero."""
+    s = rep.s
     comp, _ = s.tables
     f = rep.f
     if not _in_hat(rep, i, j, x | y):
@@ -127,11 +120,10 @@ def extend_join(
     return PartialRep(s, tuple(dom & fk for fk in f))
 
 
-def extend_comp(
-    s: AtomStructure, rep: PartialRep, i: int, j: int, x: int, y: int
-) -> PartialRep:
+def extend_comp(rep: PartialRep, i: int, j: int, x: int, y: int) -> PartialRep:
     """Extension resolving a composition membership: adds one new index m so
     that (i, m) lies in the map of x and (m, j) in the map of y."""
+    s = rep.s
     comp, conv = s.tables
     f = rep.f
     if not _in_hat(rep, i, j, comp[x, y]):
@@ -179,7 +171,6 @@ class Stage:
     length: int
     separated: bool
     zero_kept: bool
-    monotone: bool
 
 
 @dataclass
@@ -187,13 +178,12 @@ class StageReport:
     s: AtomStructure
     v: int
     w: int
-    seed: int
     stages: list[Stage] = field(default_factory=list)
     reps: list[PartialRep] = field(default_factory=list)
 
     @property
     def all_conditions_hold(self) -> bool:
-        return all(st.separated and st.zero_kept and st.monotone for st in self.stages)
+        return all(st.separated and st.zero_kept for st in self.stages)
 
     @property
     def separates(self) -> bool:
@@ -216,22 +206,19 @@ class StageReport:
 def build_stage_rep(
     s: AtomStructure, v: int, w: int, stages: int, seed: int = 0
 ) -> StageReport:
-    """Run the staged construction for a designated pair v < w.
+    """Run the staged construction for a designated pair v < w
+    (tabular_witness raises ValueError for any other pair).
 
     Stage 0 builds a two-element sequence from a separating table; after
     that, a deterministic seeded scheduler revisits (index pair, element
     pair) quadruples, alternating join extensions with composition
     extensions.  Each stage records whether the pair (0, 1) is in the map of
     w (f_0 ; w >= f_1) and whether the zero product f_0 ; v & f_1 separating
-    v survives.  It records the maps as monotone without rebuilding them:
-    every extension passed _assert_common_post, which checks on every
-    element, a superset of the scheduled ones, that its map only grows, and
-    a stage that does not extend keeps its maps.
+    v survives.  Every extension must pass _assert_common_post, so the maps
+    only grow.
     """
     if stages < 1:
         raise ValueError("stage budget must be >= 1")
-    if not (s.leq(v, w) and v != w):
-        raise ValueError("build_stage_rep requires v < w")
     comp, conv = s.tables
 
     p, q = tabular_witness(s, v, w)
@@ -242,13 +229,13 @@ def build_stage_rep(
 
     xs = generated_subalgebra(s, [v, w])
     rng = random.Random(seed)
-    report = StageReport(s, v, w, seed)
+    report = StageReport(s, v, w)
 
     def record(idx, step, rep):
         f0, f1 = rep.f[:2]
         separated = _in_hat(rep, 0, 1, w)
         zero_kept = bool(comp[f0, v] & f1 == 0)
-        report.stages.append(Stage(idx, step, len(rep), separated, zero_kept, True))
+        report.stages.append(Stage(idx, step, len(rep), separated, zero_kept))
         report.reps.append(rep)
 
     record(0, "init", rep)
@@ -265,14 +252,19 @@ def build_stage_rep(
         i, j, x, y = pending.pop(0)
         if stage_idx % 2 == 1:
             if _in_hat(rep, i, j, x | y):
-                new = extend_join(s, rep, i, j, x, y)
-                _assert_join_post(s, rep, new, i, j, x, y)
+                new = extend_join(rep, i, j, x, y)
+                if not (_in_hat(new, i, j, x) or _in_hat(new, i, j, y)):
+                    raise AssertionError("join extension lost its target membership")
+                _assert_common_post(rep, new)
                 rep = new
             step = "join"
         else:
             if _in_hat(rep, i, j, comp[x, y]):
-                new = extend_comp(s, rep, i, j, x, y)
-                _assert_comp_post(s, rep, new, i, j, x, y)
+                new = extend_comp(rep, i, j, x, y)
+                m = len(new) - 1
+                if not (_in_hat(new, i, m, x) and _in_hat(new, m, j, y)):
+                    raise AssertionError("composition extension lost its witness index")
+                _assert_common_post(rep, new)
                 rep = new
             step = "comp"
         record(stage_idx, step, rep)
@@ -280,20 +272,7 @@ def build_stage_rep(
     return report
 
 
-def _assert_join_post(s, old, new, i, j, x, y):
-    if not (_in_hat(new, i, j, x) or _in_hat(new, i, j, y)):
-        raise AssertionError("join extension lost its target membership")
-    _assert_common_post(s, old, new)
-
-
-def _assert_comp_post(s, old, new, i, j, x, y):
-    m = len(new) - 1
-    if not (_in_hat(new, i, m, x) and _in_hat(new, m, j, y)):
-        raise AssertionError("composition extension lost its witness index")
-    _assert_common_post(s, old, new)
-
-
-def _assert_common_post(s, old, new):
+def _assert_common_post(old, new):
     """On every element z: the map of z only grows, and no product
     f_k ; z & f_l over the old indices k, l that was zero becomes nonzero.
 
@@ -301,7 +280,7 @@ def _assert_common_post(s, old, new):
     every element z at once; the error raised is the one of the first
     failing z, monotonicity before zero products.
     """
-    comp, _ = s.tables
+    comp, _ = old.s.tables
     f = np.array(old.f)
     g = np.array(new.f[: len(old)])
     fz = comp[f][:, :, None] & f

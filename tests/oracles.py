@@ -7,8 +7,9 @@ of an atom structure built from their definitions, the plain brute force
 `reference_violation` for the product formulas J, L and M, the
 enumeration by plain isomorph rejection `enumerate_brute`, the first
 tabular witness by a pairwise scan `tabular_witness_loop`, tabularity
-by its pairwise definition `is_tabular_pairwise`, the element-by-element
-extension check `common_post_loop` of the staged construction, the five
+by its pairwise definition `is_tabular_pairwise`, the whole induced map
+`hat` of a sequence, the element-by-element extension check
+`common_post_loop` of the staged construction, the five
 structural properties `lemma_properties_hold` of its induced map, the
 atom-table associativity check `associative_brute` and the parenthesized
 tree-pair notation `parse_tree_expr` / `mapsto`, which writes each generator
@@ -33,7 +34,7 @@ from branchalg.finra.enumeration import (
     forced_triples,
     signature_spec,
 )
-from branchalg.finra.represent import NotTabular, hat
+from branchalg.finra.represent import NotTabular
 
 # --- closure oracles --------------------------------------------------------
 
@@ -495,11 +496,24 @@ def mapsto(src: TreeExpr, dst: TreeExpr) -> terms.Term:
 # --- staged representations -------------------------------------------------
 
 
-def common_post_loop(s, old, new):
+def hat(rep, x: int) -> frozenset[tuple[int, int]]:
+    """Index pairs (i, j) with f_i ; x >= f_j, read off the element tables."""
+    comp, _ = rep.s.tables
+    f = rep.f
+    return frozenset(
+        (i, j)
+        for i in range(len(f))
+        for j in range(len(f))
+        if comp[f[i], x] & f[j] == f[j]
+    )
+
+
+def common_post_loop(old, new):
     """The checks every extension of the staged construction must pass, one
     element z and one index pair at a time: the map of z only grows, and no
     product f_k ; z & f_l over the old indices that was zero becomes
     nonzero."""
+    s = old.s
     comp, _ = s.tables
     m = len(old)
     for z in range(s.n_elements):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
@@ -204,6 +205,26 @@ def test_represent_output_is_pinned(capsys, tmp_path, case):
     code, out, err = run(capsys, ["represent", str(path), *args])
     golden = Path(__file__).parent / "golden" / f"represent-{case}.txt"
     assert (code, out, err) == (0, golden.read_text().replace("{path}", str(path)), "")
+
+
+def test_represent_output_on_every_re2_pair_is_pinned(capsys, tmp_path):
+    # full stdout of every strict pair v < w of Re(2) at seed 0, hashed
+    path = tmp_path / "re2.ra"
+    path.write_text(format_structure(make_proper_ra(2)))
+    s = cli._load_structure(str(path))
+    outs = []
+    for w in range(1, s.n_elements):
+        for v in range(s.n_elements):
+            if v != w and s.leq(v, w):
+                argv = ["represent", str(path), "--v", s.format_element(v),
+                        "--w", s.format_element(w), "--stages", "20", "--seed", "0"]
+                code, out, err = run(capsys, argv)
+                assert (code, err) == (0, ""), argv
+                outs.append(out.replace(str(path), "{path}"))
+    assert len(outs) == 65
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "971cfdf82d6544fedd7e9d6fc35a39aa6f6b0230cdc42a804de5f8291b7f96aa"
+    )
 
 
 def test_represent_not_tabular(capsys, tmp_path):

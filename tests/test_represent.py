@@ -12,11 +12,11 @@ from branchalg.finra import (
     enumerate_integral,
     from_cycles,
     functional_elements,
-    hat,
     is_tabular,
     make_proper_ra,
     tabular_witness,
 )
+from branchalg.finra import represent
 from branchalg.finra.represent import (
     SUBALGEBRA_CAP,
     PartialRep,
@@ -27,6 +27,7 @@ from branchalg.finra.represent import (
 )
 
 import oracles
+from oracles import hat
 
 
 def _strict_pairs(s):
@@ -179,7 +180,7 @@ def test_extend_join_postconditions(re2):
     targets = hat(rep, x | y)
     assert targets
     i, j = sorted(targets)[0]
-    g = extend_join(re2, rep, i, j, x, y)
+    g = extend_join(rep, i, j, x, y)
     assert (i, j) in hat(g, x) | hat(g, y)
     # when the first branch has a nonzero seed it is the one selected
     if comp[rep.f[i], x] & rep.f[j]:
@@ -191,14 +192,14 @@ def test_extend_join_postconditions(re2):
                 if (comp[rep.f[k], z] & rep.f[l]) == 0:
                     assert (comp[g.f[k], z] & g.f[l]) == 0
     # degenerate join: x joined with itself restricts the domain only
-    g2 = extend_join(re2, rep, i, j, x, x)
+    g2 = extend_join(rep, i, j, x, x)
     assert (i, j) in hat(g2, x)
 
 
 def test_extend_join_precondition(re2):
     rep = _diag_rep(re2)
     with pytest.raises(ValueError):
-        extend_join(re2, rep, 0, 1, 0, 0)
+        extend_join(rep, 0, 1, 0, 0)
 
 
 def test_extend_comp_on_re2(re2):
@@ -206,7 +207,7 @@ def test_extend_comp_on_re2(re2):
     rep = _diag_rep(re2)
     x = y = re2.top
     assert (0, 1) in hat(rep, int(comp[x, y]))
-    g = extend_comp(re2, rep, 0, 1, x, y)
+    g = extend_comp(rep, 0, 1, x, y)
     m = len(g) - 1
     assert m == len(rep)
     assert (0, m) in hat(g, x) and (m, 1) in hat(g, y)
@@ -217,9 +218,9 @@ def test_extend_comp_on_re2(re2):
         assert hat(rep, z) <= hat(g, z)
 
 
-def _post_error(check, s, old, new):
+def _post_error(check, old, new):
     try:
-        check(s, old, new)
+        check(old, new)
     except AssertionError as exc:
         return str(exc)
     return None
@@ -230,10 +231,10 @@ def test_extension_check_rejects_bad_extensions(re2):
     # maps but makes p01 ; p11 & p00 nonzero where p01 ; p11 & p01 was zero
     p00, p01 = PartialRep(re2, (1,)), PartialRep(re2, (2,))
     with pytest.raises(AssertionError, match="not monotone"):
-        _assert_common_post(re2, p00, p01)
+        _assert_common_post(p00, p01)
     with pytest.raises(AssertionError, match="zero product"):
-        _assert_common_post(re2, p01, p00)
-    _assert_common_post(re2, p00, p00)
+        _assert_common_post(p01, p00)
+    _assert_common_post(p00, p00)
 
 
 def test_extension_check_matches_the_loop(re2):
@@ -251,14 +252,67 @@ def test_extension_check_matches_the_loop(re2):
     for old in reps:
         for new in reps:
             if len(new) >= len(old):
-                want = _post_error(oracles.common_post_loop, re2, old, new)
-                assert _post_error(_assert_common_post, re2, old, new) == want
+                want = _post_error(oracles.common_post_loop, old, new)
+                assert _post_error(_assert_common_post, old, new) == want
                 verdicts[want] += 1
     assert verdicts == {
         None: 262,
         "extension is not monotone": 300,
         "extension created a zero product": 270,
     }
+
+
+def _first_raise(s, pairs):
+    """The AssertionError message of the first of the runs that raises."""
+    for v, w in pairs:
+        try:
+            build_stage_rep(s, v, w, stages=20, seed=0)
+        except AssertionError as exc:
+            return str(exc)
+    return None
+
+
+def test_join_check_rejects_an_extension_that_loses_the_target(re2, monkeypatch):
+    # the "extension" puts e at index i and e2 at every other index, for the
+    # first nonzero functional e, e2 with a common domain that leave (i, j)
+    # in neither the map of x nor that of y; the target check runs first
+    real = represent.extend_join
+
+    def bad_extend_join(rep, i, j, x, y):
+        comp, _ = re2.tables
+        fns = [e for e in functional_elements(re2) if e]
+        for e, e2 in itertools.product(fns, repeat=2):
+            if comp[e, re2.top] == comp[e2, re2.top]:
+                g = tuple(e if k == i else e2 for k in range(len(rep)))
+                if all(comp[g[i], z] & g[j] != g[j] for z in (x, y)):
+                    return PartialRep(re2, g)
+        return real(rep, i, j, x, y)
+
+    monkeypatch.setattr(represent, "extend_join", bad_extend_join)
+    msg = _first_raise(re2, _strict_pairs(re2))
+    assert msg == "join extension lost its target membership"
+
+
+def test_comp_check_rejects_an_extension_without_a_witness_index(re2, monkeypatch):
+    # a composition "extension" that appends a functional element e with the
+    # common domain keeps the old maps, so only the witness check can reject
+    # it; e is the first with (i, m) outside the map of x or (m, j) outside
+    # the map of y
+    real = represent.extend_comp
+
+    def bad_extend_comp(rep, i, j, x, y):
+        comp, _ = re2.tables
+        fi, fj = rep.f[i], rep.f[j]
+        dom = comp[rep.f[0], re2.top]
+        for e in functional_elements(re2):
+            if e and comp[e, re2.top] == dom:
+                if not (comp[fi, x] & e == e and comp[e, y] & fj == fj):
+                    return PartialRep(re2, rep.f + (e,))
+        return real(rep, i, j, x, y)
+
+    monkeypatch.setattr(represent, "extend_comp", bad_extend_comp)
+    msg = _first_raise(re2, _strict_pairs(re2))
+    assert msg == "composition extension lost its witness index"
 
 
 def test_generated_subalgebra_cap(re2):
