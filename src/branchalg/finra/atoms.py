@@ -285,7 +285,11 @@ def parse_structure(text: str, label: str = "") -> AtomStructure:
         raise AtomStructureError("missing atoms= header line")
     header: dict[str, str] = {}
     for fieldspec in lines[0].split():
-        key, _, value = fieldspec.partition("=")
+        key, eq, value = fieldspec.partition("=")
+        if key in header:
+            raise AtomStructureError(f"repeated header field {key!r}")
+        if key not in ("atoms", "identity", "converse") or not eq:
+            raise AtomStructureError(f"unknown or valueless header field {fieldspec!r}")
         header[key] = value
     try:
         n = int(header["atoms"])

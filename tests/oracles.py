@@ -508,6 +508,22 @@ def hat(rep, x: int) -> frozenset[tuple[int, int]]:
     )
 
 
+def separates_pair(rep, v: int, w: int) -> bool:
+    """Whether (0, 1) is in the map of w and not in that of v, and
+    f_0 ; v & f_1 = 0."""
+    comp, _ = rep.s.tables
+    return (
+        (0, 1) in hat(rep, w)
+        and (0, 1) not in hat(rep, v)
+        and comp[rep.f[0], v] & rep.f[1] == 0
+    )
+
+
+def stages_separate(report) -> bool:
+    """Whether every stage's sequence separates the report's v < w."""
+    return all(separates_pair(rep, report.v, report.w) for rep in report.reps)
+
+
 def common_post_loop(old, new):
     """The checks every extension of the staged construction must pass, one
     element z and one index pair at a time: the map of z only grows, and no

@@ -183,7 +183,7 @@ def test_criterion_11_staged_representation():
     detail = []
     for v, w in tested_pairs:
         report = build_stage_rep(re2, v, w, stages=50, seed=0)
-        good = report.all_conditions_hold and report.separates
+        good = oracles.stages_separate(report)
         for idx in (0, len(report.reps) // 2, len(report.reps) - 1):
             good = good and oracles.lemma_properties_hold(report.reps[idx])
         ok = ok and good

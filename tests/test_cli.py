@@ -359,6 +359,8 @@ MALFORMED = {
     "cycle-out-of-range": "atoms=2 identity=0 converse=0,1\ncycle 0 0 5\n",
     "short-converse": "atoms=3 identity=0 converse=0,1\n",
     "nine-letters": "atoms=10 identity=0 converse=" + ",".join(map(str, range(10))),
+    "unknown-header-field": "atoms=2 identity=0 converse=0,1 bogus=7\n",
+    "repeated-header-field": "atoms=2 identity=0 converse=0,1 identity=1\n",
 }
 
 

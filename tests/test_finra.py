@@ -232,6 +232,11 @@ def test_parse_structure_errors():
         parse_structure("no header")
     with pytest.raises(AtomStructureError):
         parse_structure("atoms=2 identity=0 converse=0,1\nbad line here\n")
+    head = "atoms=2 identity=0 converse=0,1"
+    bad = [("bogus=7", "'bogus=7'"), ("extra", "'extra'"), ("identity=1", "'identity'")]
+    for extra, named in bad:
+        with pytest.raises(AtomStructureError, match=named):
+            parse_structure(f"{head} {extra}\n")
 
 
 _SMALL = st.integers(-1, 3).map(str)

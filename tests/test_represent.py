@@ -323,23 +323,22 @@ def test_generated_subalgebra_cap(re2):
 
 def test_build_stage_rep_separates(re2):
     report = build_stage_rep(re2, 0, 0b0010, stages=50, seed=0)
-    assert len(report.stages) == 50
-    assert report.all_conditions_hold
-    assert report.separates
+    assert len(report.steps) == len(report.reps) == 50
+    assert oracles.stages_separate(report)
     # separation is achieved at stage 0 already
-    assert report.stages[0].separated and report.stages[0].zero_kept
+    assert oracles.separates_pair(report.reps[0], 0, 0b0010)
 
 
 def test_build_stage_rep_many_pairs(re2):
     for v, w in _strict_pairs(re2)[:8]:
         report = build_stage_rep(re2, v, w, stages=12, seed=1)
-        assert report.all_conditions_hold and report.separates, (v, w)
+        assert oracles.stages_separate(report), (v, w)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_separates_reads_the_union_of_the_stage_maps(re2, seed):
-    # separates reads the last stage only; the maps only grow, so that is
-    # the union over every stage
+    # the maps only grow, so the last stage's maps are the union over every
+    # stage, and that union separates v < w
     ident, top = re2.ident, re2.top
     criterion_11 = [(0, 2), (0, top), (2, 3), (ident, top), (1, 1 | 2), (2, 2 | 4 | 8)]
     runs = [(pair, 50) for pair in criterion_11]
@@ -349,12 +348,21 @@ def test_separates_reads_the_union_of_the_stage_maps(re2, seed):
         union = {x: set().union(*(hat(rep, x) for rep in report.reps)) for x in (v, w)}
         assert union[v] == hat(report.reps[-1], v) and union[w] == hat(report.reps[-1], w)
         want = (0, 1) in union[w] and (0, 1) not in union[v]
-        assert report.separates == want, (v, w, seed)
+        assert want and oracles.stages_separate(report), (v, w, seed)
 
 
 def test_build_stage_rep_composition_witnesses(re2):
     report = build_stage_rep(re2, 0, 0b0010, stages=60, seed=0)
-    assert any(st.step == "comp" and st.length > 2 for st in report.stages)
+    assert any(step == "comp" and len(rep) > 2 for step, rep in zip(report.steps, report.reps))
+    assert oracles.stages_separate(report)
+
+
+def test_initial_check_rejects_a_witness_that_does_not_separate(re2, monkeypatch):
+    # conv(1');1' = 1' is not disjoint from v = 1', so the stage-0 sequence
+    # (1', 1') has f_0 ; v & f_1 = 1'
+    monkeypatch.setattr(represent, "tabular_witness", lambda s, v, w: (s.ident, s.ident))
+    with pytest.raises(AssertionError, match="^initial sequence does not separate v < w$"):
+        build_stage_rep(re2, re2.ident, re2.top, stages=5, seed=0)
 
 
 def test_build_stage_rep_errors(re2):
