@@ -136,12 +136,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_check_jlm(args) -> int:
-    if args.sample:
-        mode = "sample"
-    elif args.elements:
-        mode = "elements"
-    else:
-        mode = "atoms"
+    if args.sample and args.elements:
+        raise EngineError("--sample and --elements choose different modes; give one")
+    mode = "sample" if args.sample else "elements" if args.elements else "atoms"
     kw = {"samples": args.sample, "seed": args.seed} if args.sample else {}
     # a registered row is a signature, even a stretch row given without
     # --stretch (enumerate_integral raises the usage error); all else is a file
@@ -249,7 +246,7 @@ COMMANDS = {
         (
             _arg("target", help="signature or structure file"),
             _arg("--elements", action="store_true"),
-            _arg("--sample", type=_at_least(0), default=0, metavar="N"),
+            _arg("--sample", type=_at_least(1), metavar="N"),
             _SEED,
             _arg("--stretch", action="store_true"),
             _arg("--tsv", metavar="FILE", help="also write the profile row as TSV"),

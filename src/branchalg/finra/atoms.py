@@ -292,11 +292,14 @@ def parse_structure(text: str, label: str = "") -> AtomStructure:
             raise AtomStructureError(f"unknown or valueless header field {fieldspec!r}")
         header[key] = value
     try:
-        n = int(header["atoms"])
-        identity = frozenset(int(i) for i in header["identity"].split(","))
-        conv = tuple(int(c) for c in header["converse"].split(","))
-    except (KeyError, ValueError) as exc:
-        raise AtomStructureError(f"bad header: {exc}") from None
+        atoms, ids, conv = (header[k].split(",") for k in ("atoms", "identity", "converse"))
+    except KeyError as exc:
+        raise AtomStructureError(f"bad header: missing field {exc}") from None
+    if len(atoms) > 1 or not all(p.isascii() and p.isdigit() for p in atoms + ids + conv):
+        raise AtomStructureError(f"bad header: expected unsigned numbers in {lines[0]!r}")
+    n, identity, conv = int(atoms[0]), frozenset(map(int, ids)), tuple(map(int, conv))
+    if len(identity) < len(ids):
+        raise AtomStructureError(f"repeated identity index in {header['identity']!r}")
     if len(conv) != n or not all(0 <= c < n for c in conv):
         raise AtomStructureError(
             f"converse must map each of the {n} atoms into 0..{n - 1}"
@@ -304,7 +307,7 @@ def parse_structure(text: str, label: str = "") -> AtomStructure:
     cycles = []
     for ln in lines[1:]:
         parts = ln.split()
-        numeric = all(p.isdecimal() for p in parts[1:])
+        numeric = all(p.isascii() and p.isdigit() for p in parts[1:])
         if parts[0] != "cycle" or len(parts) != 4 or not numeric:
             raise AtomStructureError(f"bad cycle line: {ln!r}")
         cycle = tuple(int(p) for p in parts[1:])

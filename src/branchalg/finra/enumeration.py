@@ -12,6 +12,9 @@ it acts on masks as a permutation of their bits (``orbit_permutations``),
 and ``kernels.canonical_masks`` keeps the masks that are the minimum of
 their orbit under these permutations.  Only those masks go through the
 associativity filter, and each survivor is the one structure of its class.
+``enumerate_integral`` walks the 2^k masks in ranges of ``kernels.CHUNK``
+and filters each range's canonical masks before the next range, so memory
+grows with ``CHUNK``, not with 2^k.
 
 Why this keeps the same representatives as filtering every mask in
 increasing order and keeping the first member of each class: a symmetry
@@ -154,7 +157,8 @@ def canonical_key(n: int, forced, orbits, masks, perms) -> np.ndarray:
     rows = np.arange(len(masks))
     for p in perms:
         p = np.asarray(p, dtype=np.int16)
-        lut = np.append(((p[:, None, None] * n + p[:, None]) * n + p).ravel(), size)
+        lut = ((p[:, None, None] * n + p[:, None]) * n + p).ravel()
+        lut = np.append(lut, np.int16(size))  # a Python int would widen it to int64
         image = np.sort(lut[codes], axis=1)
         if best is None:
             best = image
@@ -186,8 +190,12 @@ def enumerate_integral(signature: str, stretch: bool = False) -> list[AtomStruct
     forced = forced_triples(conv)
     for orbit in ((), *orbits):
         AtomStructure(names, conv, identity, forced.union(orbit))
-    masks = kernels.canonical_masks(len(orbits), orbit_permutations(orbits, perms))
-    masks = kernels.associative_candidates(len(conv), forced, orbits, masks)
+    sigmas, end = orbit_permutations(orbits, perms), 1 << len(orbits)
+    kept = []
+    for lo in range(0, end, kernels.CHUNK):
+        batch = kernels.canonical_masks(sigmas, lo, min(lo + kernels.CHUNK, end))
+        kept.append(kernels.associative_candidates(len(conv), forced, orbits, batch))
+    masks = np.concatenate(kept)
     keys = canonical_key(len(conv), forced, orbits, masks, perms)
     masks = masks[np.lexsort(keys.T[::-1])]
     selected = (masks[:, None] >> np.arange(len(orbits))) & 1

@@ -14,9 +14,11 @@ test, and returns the surviving masks as an array: the caller orders them
 is lost: a symmetry fixes the forced triples and preserves associativity,
 so a class of associative masks is a whole orbit, and its minimum, the
 mask a scan over all 2^k in increasing order would keep first, is
-canonical (see ``enumeration``).
+canonical (see ``enumeration``).  ``enumeration.enumerate_integral`` runs
+both kernels on one range of ``CHUNK`` masks at a time, so memory grows
+with ``CHUNK``, not with 2^k.
 
-The filter works on chunks of ``CHUNK`` masks.  It builds each chunk's
+The filter works on the batch it is given.  It builds the batch's
 composition table with one lookup per byte of mask bits, then walks the
 atom pairs (x, y), testing every z of a pair at once, and drops the masks
 that fail as they fail: few pass the first pairs, so most of the work is
@@ -31,22 +33,22 @@ import itertools
 
 import numpy as np
 
-CHUNK = 1 << 16  # masks tested together; comp holds n*n entries per mask
+CHUNK = 1 << 20  # masks per range; every registered row (at most 20 orbits) is one
 
 # --- canonicity and associativity over orbit masks -------------------------
 
 
-def canonical_masks(n_orbits: int, orbit_perms) -> np.ndarray:
-    """The masks over n_orbits orbits that are the minimum of their orbit
+def canonical_masks(orbit_perms, lo: int, hi: int) -> np.ndarray:
+    """The masks in [lo, hi) that are the minimum of their orbit
     under the orbit permutations (one per atom symmetry; sigma[i] is where
-    orbit i goes), in increasing order.
+    orbit i goes), in increasing order; hi is at most 2^k over k orbits.
 
     A permutation moves the bits that share one offset sigma[i] - i by a
     single shift, so each image costs one mask, shift and OR per distinct
     offset.  Masks already shown non-minimal are dropped before the next
-    symmetry.
+    symmetry.  Minimality depends on no other mask, so ranges split the work.
     """
-    masks = np.arange(1 << n_orbits, dtype=np.int64)
+    masks = np.arange(lo, hi, dtype=np.int64)
     for sigma in orbit_perms:
         moves: dict[int, int] = {}
         for i, j in enumerate(sigma):
@@ -79,6 +81,10 @@ def associative_candidates(n: int, forced, orbits, masks) -> np.ndarray:
     ((x;y);z)~ = z~;(y~;x~) and (x;(y;z))~ = (z~;y~);x~, and as converse is
     a bijection on atoms, associativity at (x, y, z) holds exactly when it
     holds at (z~, y~, x~): of each such pair only the smaller is tested.
+
+    comp[x*n + y] holds x;y for every live mask (bit z set when (x, y, z)
+    is a triple).  A step (x, y, zs) tests (x;y);z = x;(y;z) for all its z
+    at once and drops the masks that fail, so none is tested once dead.
     """
     conv = {x: y for x, y, z in forced if z == 0}
     dtype = np.min_scalar_type((1 << n) - 1)
@@ -101,25 +107,9 @@ def associative_candidates(n: int, forced, orbits, masks) -> np.ndarray:
         zs = [z for z in range(1, n) if (x, y, z) <= (conv[z], conv[y], conv[x])]
         if zs:
             steps.append((x, y, np.array(zs)))
-    keep = [
-        _assoc_chunk_numpy(n, base, tables, steps, masks[start : start + CHUNK])
-        for start in range(0, len(masks), CHUNK)
-    ]
-    return np.concatenate(keep)
-
-
-def _assoc_chunk_numpy(n, base, tables, steps, bits):
-    """The masks in bits that pass every step (x, y, zs): (x;y);z = x;(y;z)
-    for each z in zs, in bits' order.
-
-    comp[x*n + y] holds x;y for every live mask, as a contiguous row: bit z
-    set when (x, y, z) is a triple.  One step tests all its z at once, in
-    2n array operations on (len(zs), live) slices, and then drops the masks
-    that failed from comp and bits, so nothing is tested on a dead mask.
-    """
-    comp = np.repeat(base[:, None], len(bits), axis=1)
+    comp = np.repeat(base[:, None], len(masks), axis=1)
     for b, table in enumerate(tables):
-        comp |= np.take(table, bits >> 8 * b & 255, axis=1)
+        comp |= np.take(table, masks >> 8 * b & 255, axis=1)
     for x, y, zs in steps:
         view = comp.reshape(n, n, -1)
         cxy, cyz = view[x, y], view[y, zs]
@@ -129,8 +119,8 @@ def _assoc_chunk_numpy(n, base, tables, steps, bits):
             lhs |= view[w, zs] * (cxy >> w & 1)
             rhs |= view[x, w] * (cyz >> w & 1)
         ok = (lhs == rhs).all(axis=0)
-        comp, bits = comp[:, ok], bits[ok]
-    return bits
+        comp, masks = comp[:, ok], masks[ok]
+    return masks
 
 
 # The formula checks live in jlm.check_jlm; perfbench's tracer still patches this name.

@@ -361,6 +361,8 @@ MALFORMED = {
     "nine-letters": "atoms=10 identity=0 converse=" + ",".join(map(str, range(10))),
     "unknown-header-field": "atoms=2 identity=0 converse=0,1 bogus=7\n",
     "repeated-header-field": "atoms=2 identity=0 converse=0,1 identity=1\n",
+    "repeated-identity-index": "atoms=2 identity=0,0 converse=0,1\n",
+    "signed-index": "atoms=2 identity=+0 converse=0,+1\n",
 }
 
 
@@ -418,6 +420,8 @@ BAD_ARGUMENTS = {
     "zero-samples": ["check-law", "p7", "--strategy", "sample=0"],
     "negative-samples": ["check-law", "p7", "--strategy", "sample=-3"],
     "negative-jlm-sample": ["check-jlm", "1'abb~", "--sample", "-5"],
+    "zero-jlm-sample": ["check-jlm", "1'abb~", "--sample", "0"],
+    "jlm-sample-with-elements": ["check-jlm", "{re2}", "--elements", "--sample", "5"],
     "unwritable-out": ["enumerate", "1'a", "--out", "{missing}/structures.txt"],
     "unwritable-tsv": ["check-jlm", "1'a", "--tsv", "{missing}/row.tsv"],
     "zero-stages": ["represent", "{re2}", "--v", "0", "--w", "a", "--stages", "0"],

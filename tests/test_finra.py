@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +92,7 @@ def _filter_inputs(conv):
     forced = forced_triples(conv)
     orbits = diversity_orbits(conv)
     sigmas = orbit_permutations(orbits, atom_symmetries(conv))
-    return len(conv), forced, orbits, kernels.canonical_masks(len(orbits), sigmas)
+    return len(conv), forced, orbits, kernels.canonical_masks(sigmas, 0, 1 << len(orbits))
 
 
 def _check_against_oracle(n, forced, orbits, masks, survivors):
@@ -115,13 +119,27 @@ def test_assoc_filter_agrees_with_plain_python_oracle(signature, kept):
 
 
 def test_assoc_filter_joins_chunks(monkeypatch):
-    # 1'abcd's canonical masks fill 46 chunks of 1,000: the survivors must be
-    # the array one chunk gives
-    n, forced, orbits, masks = _filter_inputs(signature_spec("1'abcd", stretch=True)[2])
-    assert len(masks) == 45_960 <= kernels.CHUNK
-    whole = kernels.associative_candidates(n, forced, orbits, masks)
+    # each five-atom row is one range of kernels.CHUNK masks; in ranges of
+    # 1,000 (66 on 1'abcc~, 1,049 on 1'abcd) enumeration must return the
+    # same structures in the same order
+    rows = ("1'abcc~", "1'abcd")
+    for signature in rows:
+        orbits = diversity_orbits(signature_spec(signature, stretch=True)[2])
+        assert 1 << len(orbits) <= kernels.CHUNK
+    whole = {sig: enumerate_integral(sig, stretch=True) for sig in rows}
     monkeypatch.setattr(kernels, "CHUNK", 1000)
-    assert np.array_equal(kernels.associative_candidates(n, forced, orbits, masks), whole)
+    for signature in rows:
+        ranged = enumerate_integral(signature, stretch=True)
+        assert [(s.label, s.triples) for s in ranged] == [
+            (s.label, s.triples) for s in whole[signature]
+        ]
+
+
+def test_assoc_filter_takes_an_empty_batch():
+    _, _, conv = signature_spec("1'abcc~", stretch=True)
+    forced, orbits = forced_triples(conv), diversity_orbits(conv)
+    empty = np.zeros(0, dtype=np.int64)
+    assert kernels.associative_candidates(len(conv), forced, orbits, empty).shape == (0,)
 
 
 def test_assoc_filter_keeps_input_order():
@@ -136,14 +154,23 @@ def test_assoc_filter_keeps_input_order():
 
 @pytest.mark.slow
 def test_six_atom_filter_agrees_with_oracle_and_orbit_count():
-    # 1'abb~cc~: 25 orbits, 8 symmetries, 4,395,264 canonical masks.  Summing
+    # 1'abb~cc~: 25 orbits, 8 symmetries, 4,395,264 canonical masks, fed to
+    # the filter one range of kernels.CHUNK masks at a time.  Summing
     # |G|/|stabiliser| over the classes counts the associative masks among
     # all 2^25, which a filter run on every mask finds to be 312,508
     conv = (0, 1, 3, 2, 5, 4)
-    n, forced, orbits, masks = _filter_inputs(conv)
-    survivors = kernels.associative_candidates(n, forced, orbits, masks)
-    assert len(survivors) == 47_965
+    n, forced, orbits = len(conv), forced_triples(conv), diversity_orbits(conv)
     sigmas = orbit_permutations(orbits, atom_symmetries(conv))
+    end = 1 << len(orbits)
+    ranges = [
+        kernels.canonical_masks(sigmas, lo, min(lo + kernels.CHUNK, end))
+        for lo in range(0, end, kernels.CHUNK)
+    ]
+    survivors = np.concatenate(
+        [kernels.associative_candidates(n, forced, orbits, masks) for masks in ranges]
+    )
+    masks = np.concatenate(ranges)
+    assert len(masks) == 4_395_264 and len(survivors) == 47_965
     bits = survivors[:, None] >> np.arange(len(orbits)) & 1
     stabiliser = sum(bits @ (1 << np.array(sigma)) == survivors for sigma in sigmas)
     assert (len(sigmas) // stabiliser).sum() == 312_508
@@ -335,7 +362,55 @@ def test_canonical_masks_are_orbit_minima(signature):
         minima.append(mask)
         for sigma in sigmas:
             reached.add(sum(1 << j for i, j in enumerate(sigma) if mask >> i & 1))
-    assert kernels.canonical_masks(len(orbits), sigmas).tolist() == minima
+    assert kernels.canonical_masks(sigmas, 0, 1 << len(orbits)).tolist() == minima
+
+
+def test_canonical_masks_split_into_ranges():
+    # uneven ranges, an empty one and a one-mask one included, concatenate
+    # to the result over the whole range
+    _, _, conv = signature_spec("1'abcc~", stretch=True)
+    orbits = diversity_orbits(conv)
+    sigmas = orbit_permutations(orbits, atom_symmetries(conv))
+    end = 1 << len(orbits)
+    cuts = [0, 1, 1, 1000, 12_345, 40_000, end - 1, end]
+    parts = [kernels.canonical_masks(sigmas, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    whole = kernels.canonical_masks(sigmas, 0, end)
+    assert len(whole) == 18_816
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+SIX_ATOM_PIPELINE = """
+import re
+from branchalg.finra import enumeration
+from branchalg.finra.atoms import AtomStructure
+
+# 1'abb~cc~ is not a registered row, and each class is built as its triple
+# count: 47,965 triple sets alone take about 150 MB, and the bound is on
+# the mask phases (canonicity, filter, canonical_key, lexsort)
+enumeration.STRETCH_SIGNATURES += ("1'abb~cc~",)
+AtomStructure._closed = classmethod(lambda cls, *args, label: len(args[3]))
+classes = enumeration.enumerate_integral("1'abb~cc~", stretch=True)
+with open("/proc/self/status") as fh:
+    print(len(classes), re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1])
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_six_atom_enumeration_fits_in_200_mb():
+    # the whole 2^25 masks at once peaked at 1,085 MB; ranges of
+    # kernels.CHUNK bound the mask phases by the range, not by 2^k.  The
+    # peak is VmHWM, not ru_maxrss, which keeps the forking test process's
+    # peak across exec
+    src = str(Path(kernels.__file__).parents[2])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", SIX_ATOM_PIPELINE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    classes, peak_kb = map(int, run.stdout.split())
+    assert classes == 47_965
+    assert peak_kb < 200 * 1024
 
 
 @pytest.mark.parametrize("signature", [*SIGNATURES, "1'abcc~"])
