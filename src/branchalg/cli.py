@@ -136,18 +136,13 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_check_jlm(args) -> int:
-    if args.sample and args.elements:
-        raise EngineError("--sample and --elements choose different modes; give one")
-    mode = "sample" if args.sample else "elements" if args.elements else "atoms"
-    kw = {"samples": args.sample, "seed": args.seed} if args.sample else {}
+    mode = "elements" if args.elements else "atoms"
     # a registered row is a signature, even a stretch row given without
     # --stretch (enumerate_integral raises the usage error); all else is a file
     key = normalize_signature(args.target)
     if key in SIGNATURES or key in STRETCH_SIGNATURES:
         structures = enumerate_integral(args.target, stretch=args.stretch)
-        profile = finra_jlm.count_profile(
-            check_jlm(s, mode=mode, **kw) for s in structures
-        )
+        profile = finra_jlm.count_profile(check_jlm(s, mode=mode) for s in structures)
         print(f"total={len(structures)}")
         print(finra_jlm.profile_line(profile))
         if args.tsv:
@@ -157,7 +152,7 @@ def cmd_check_jlm(args) -> int:
     if args.tsv:
         raise EngineError(f"--tsv needs a signature; {args.target!r} is not one")
     s = _load_structure(args.target)
-    rec = check_jlm(s, mode=mode, **kw)
+    rec = check_jlm(s, mode=mode)
     print(rec.line())
     return 0 if not rec.failed else 1
 
@@ -246,8 +241,6 @@ COMMANDS = {
         (
             _arg("target", help="signature or structure file"),
             _arg("--elements", action="store_true"),
-            _arg("--sample", type=_at_least(1), metavar="N"),
-            _SEED,
             _arg("--stretch", action="store_true"),
             _arg("--tsv", metavar="FILE", help="also write the profile row as TSV"),
         ),

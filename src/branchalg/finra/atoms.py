@@ -11,6 +11,7 @@ axiom and formula checks all evaluate on it.
 from __future__ import annotations
 
 import itertools
+import string
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -320,14 +321,14 @@ def parse_structure(text: str, label: str = "") -> AtomStructure:
 
 def _default_names(n, conv, identity):
     names = [""] * n
-    letters = iter("abcdefgh")
+    letters = iter(string.ascii_lowercase)
     for i in range(n):
         if i in identity:
             names[i] = "1'" if len(identity) == 1 else f"e{i}"
         elif not names[i]:
             ch = next(letters, None)
             if ch is None:
-                raise AtomStructureError("more than 8 diversity letters needed")
+                raise AtomStructureError("more than 26 diversity letters needed")
             names[i] = ch
             if conv[i] != i:
                 names[conv[i]] = ch + "~"

@@ -55,10 +55,8 @@ STRETCH_SIGNATURES = ("1'abcc~", "1'abcd")
 def normalize_signature(text: str) -> str:
     """Accept the row labels with or without spaces and with overbars."""
     out = text.replace(" ", "")
-    for bar, ascii_ in (("ā", "a~"), ("b̄", "b~"), ("c̄", "c~")):
-        out = out.replace(bar, ascii_)
-    out = out.replace("̄", "~")
-    return out
+    # ā is one precomposed character; a letter with a combining macron is two
+    return out.replace("ā", "a~").replace("̄", "~")
 
 
 class UnsupportedSignatureError(Exception):

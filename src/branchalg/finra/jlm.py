@@ -10,7 +10,8 @@ for J (one structure over three symmetric atoms witnesses the difference)
 and is available as mode="elements".  It is the same exhaustive search with
 only the variables model.reducible admits ranging over atoms: every
 variable except a and b of J, so for L and M the element mode is the atom
-mode.
+mode.  `check-law ID --model FILE` checks any of the four laws on seeded
+random assignments; element mode finds every failure those find.
 """
 
 from __future__ import annotations
@@ -54,30 +55,24 @@ class JlmRecord:
         return f"JLM {self.label} mode={self.mode} {cols}"
 
 
-def check_jlm(
-    s: AtomStructure, mode: str = "atoms", samples: int = 10_000, seed: int = 0
-) -> JlmRecord:
+def check_jlm(s: AtomStructure, mode: str = "atoms") -> JlmRecord:
     """Which of the three formulas fail in the structure; each failure is
     recorded as its first violating assignment {variable: bitmask}.
 
     mode="atoms" quantifies over atoms (the published-table convention);
-    mode="elements" over all elements of the induced algebra; mode="sample"
-    draws seeded random element assignments.  Every mode needs the dense
-    element tables, so at most 12 atoms.
+    mode="elements" over all elements of the induced algebra.  Both modes
+    need the dense element tables, so at most 12 atoms.
     """
-    if mode not in ("atoms", "elements", "sample"):
+    if mode not in ("atoms", "elements"):
         raise ValueError(f"unknown mode {mode!r}")
     rec = JlmRecord(label=s.label or "ra", mode=mode)
     m = s.handle()
     for f in FORMULAS:
         law = law_by_id(f)
-        if mode == "sample":
-            found = model.search(m, law, model.Sample(samples, seed))
-        else:
-            on_atoms = (
-                law.quantified_variables(m) if mode == "atoms" else model.reducible(law)
-            )
-            found = model.search(m, law, model.Exhaustive(), atom_vars=on_atoms)
+        on_atoms = (
+            law.quantified_variables(m) if mode == "atoms" else model.reducible(law)
+        )
+        found = model.search(m, law, model.Exhaustive(), atom_vars=on_atoms)
         rec.failures[f] = found[1]
     return rec
 

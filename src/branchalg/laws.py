@@ -47,7 +47,6 @@ def _law(law_id, variables, hyps, concls, *, theorem=True, part="II"):
         variables=tuple(variables.split()) if variables else (),
         hypotheses=tuple(_rel(h) for h in hyps),
         conclusions=tuple(_rel(c) for c in concls),
-        signature="J",
         theorem=theorem,
         part=part,
     )

@@ -73,8 +73,9 @@ class ModelHandle:
 def eval_term(m: ModelHandle, t: Term, env: dict[str, Any]) -> Any:
     """Homomorphic evaluation of a term under a variable assignment.
 
-    The generator symbols resolve through the environment first ("a"/"b"
-    entries), falling back to the model's distinguished generators.
+    The generator symbols are the model's distinguished generators when it
+    fixes them (the tree); otherwise they are read from the environment as
+    "a" and "b", like variables.
     """
     return _compile(t, m)(env)
 
@@ -96,9 +97,10 @@ def _compile(t: Term, m: ModelHandle):
     """Build a closure evaluating t; avoids re-dispatching on node types in
     inner assignment loops.
 
-    Variables and the generators read the environment.  Every other node
-    looks its class up in _FIELDS and becomes a constant, unary or binary
-    closure over that field of the handle.
+    Variables read the environment, and so do the generators on a model
+    that does not fix them; a fixed generator is a constant.  Every other
+    node looks its class up in _FIELDS and becomes a constant, unary or
+    binary closure over that field of the handle.
     """
     cls = type(t)
     if cls is terms.Var:
@@ -109,7 +111,7 @@ def _compile(t: Term, m: ModelHandle):
         g = m.gen_a if cls is terms.GenA else m.gen_b
         if g is None:
             return lambda env: _lookup(env, sym)
-        return lambda env: env[sym] if sym in env else g
+        return lambda env: g
     field = _FIELDS[cls]
     op = getattr(m, field)
     if op is None:
@@ -142,7 +144,6 @@ class Law:
     variables: tuple[str, ...]
     hypotheses: tuple[Relation, ...]
     conclusions: tuple[Relation, ...]
-    signature: str = "J"  # "J" or "RA"
     theorem: bool = True  # False for formulas that are known to fail somewhere
     part: str = "II"
 
@@ -154,10 +155,6 @@ class Law:
             undeclared = (terms.free_vars(lhs) | terms.free_vars(rhs)) - declared
             if undeclared:
                 raise ValueError(f"law {self.id}: undeclared variables {undeclared}")
-            if self.signature == "J" and not (
-                terms.is_j_term(lhs) and terms.is_j_term(rhs)
-            ):
-                raise ValueError(f"law {self.id}: union/complement in a J law")
 
     def quantified_variables(self, m: ModelHandle) -> tuple[str, ...]:
         """Variables to range over in the given model: the declared ones plus
@@ -166,6 +163,16 @@ class Law:
         if m.gen_a is None and self._mentions_generators:
             out += ["a", "b"]
         return tuple(out)
+
+    @cached_property
+    def signature(self) -> str:
+        """The signature the terms fix: "J" when none uses union or
+        complement, else "RA"."""
+        j = all(
+            terms.is_j_term(lhs) and terms.is_j_term(rhs)
+            for lhs, _, rhs in self.hypotheses + self.conclusions
+        )
+        return "J" if j else "RA"
 
     @cached_property
     def _mentions_generators(self) -> bool:

@@ -315,6 +315,7 @@ def test_signature_normalization():
     assert normalize_signature("1'ab b̄") == "1'abb~"
     assert normalize_signature("1'aā") == "1'aa~"
     assert normalize_signature("1'abb~") == "1'abb~"
+    assert normalize_signature("1'abc c̄") == "1'abcc~"  # c and a combining macron
 
 
 @pytest.mark.parametrize(

@@ -80,19 +80,44 @@ def test_kernels_agree_with_reference_on_small_algebras(enumerated):
             assert (ref is None) == (got is None), (s.label, formula)
 
 
+def _sample_law(s, law_id, samples, seed):
+    law = laws.law_by_id(law_id)
+    return model.check_law(s.handle(), law, model.Sample(samples, seed))
+
+
+def _refails(s, law_id, report):
+    env = {k: s.parse_element(v) for k, v in report.counterexample.items()}
+    return model.rerun_counterexample(s.handle(), laws.law_by_id(law_id), env)
+
+
 def test_sample_mode_sound_and_deterministic(enumerated):
+    # seeded sampling of J, L and M is check-law's Sample strategy
     clean = [s for s in enumerated("1'abb~") if not check_jlm(s).failed][0]
-    rec = check_jlm(clean, mode="sample", samples=5_000, seed=1)
-    assert rec.failed == ()  # sampling never refutes a passing structure
+    for f in FORMULAS:  # sampling never refutes a passing structure
+        assert _sample_law(clean, f, 5_000, 1).passed
 
     failing = [s for s in enumerated("1'abb~") if check_jlm(s).failed][0]
-    r1 = check_jlm(failing, mode="sample", samples=5_000, seed=7)
-    r2 = check_jlm(failing, mode="sample", samples=5_000, seed=7)
-    assert r1.failures == r2.failures
-    m = failing.handle()
-    for formula, assign in r1.failures.items():
-        if assign is not None:
-            assert model.rerun_counterexample(m, laws.law_by_id(formula), assign)
+    for f in FORMULAS:
+        r1 = _sample_law(failing, f, 5_000, 7)
+        r2 = _sample_law(failing, f, 5_000, 7)
+        assert r1 == r2
+        if r1.counterexample is not None:
+            assert _refails(failing, f, r1)
+
+
+def test_element_mode_finds_every_sampled_failure(enumerated):
+    # model.reducible's proof: a violating element assignment has one with
+    # the reducible variables on atoms, which element mode walks in full
+    sampled = 0
+    for s in enumerated("1'abc"):
+        failures = check_jlm(s, mode="elements").failures
+        for f in FORMULAS:
+            report = _sample_law(s, f, 2_000, 0)
+            if not report.passed:
+                sampled += 1
+                assert failures[f] is not None, (s.label, f)
+                assert _refails(s, f, report)
+    assert sampled > 0
 
 
 @pytest.mark.parametrize("index", [0, 18])  # #18 fails all three at atoms
@@ -111,7 +136,7 @@ def test_proper_algebra_has_no_formula_failures(re2):
 
 
 def _check_k(s, samples, seed):
-    return model.check_law(s.handle(), laws.law_by_id("K"), model.Sample(samples, seed))
+    return _sample_law(s, "K", samples, seed)
 
 
 def test_check_k_on_proper_algebra(re2):
@@ -153,13 +178,12 @@ def _rel(spec):
     return (parse_term(lhs), op, parse_term(rhs))
 
 
-def _law(hyps, concls, signature="J"):
+def _law(hyps, concls):
     return model.Law(
         id="synthetic",
         variables=("x", "y"),
         hypotheses=tuple(_rel(h) for h in hyps),
         conclusions=tuple(_rel(c) for c in concls),
-        signature=signature,
     )
 
 
@@ -177,7 +201,7 @@ def test_reducible_admits_a_variable_once_on_each_side_of_an_equation():
 @pytest.mark.parametrize(
     "hyps, concls, signature",
     [
-        (["conv(x);x <= y"], ["x;y <= 1"], "RA"),  # not a J-signature law
+        (["conv(x);x <= y"], ["x;y <= 1 + 0"], "RA"),  # not a J-signature law
         (["conv(x);x <= y"], ["x;y = 1"], "J"),  # not on an equation's right
         (["conv(x);x <= y"], ["x;x;y <= 1"], "J"),  # twice on the left
         (["conv(x);x <= y"], ["x;y <= 1", "y <= x"], "J"),  # missing on a left
@@ -187,7 +211,9 @@ def test_reducible_admits_a_variable_once_on_each_side_of_an_equation():
     ],
 )
 def test_reducible_rejects(hyps, concls, signature):
-    assert "x" not in model.reducible(_law(hyps, concls, signature))
+    law = _law(hyps, concls)
+    assert law.signature == signature  # read off the terms
+    assert "x" not in model.reducible(law)
 
 
 def _assert_reduction_agrees(structures, formulas):

@@ -43,6 +43,14 @@ def test_eval_errors(bmodel):
             model.eval_term(bmodel, t, {})
 
 
+def test_fixed_generators_are_constants(bmodel, fmodel):
+    # the tree fixes a and b, so an environment entry cannot rebind them; a
+    # finite model reads them from the environment like variables
+    got = model.eval_term(bmodel, terms.A, {"a": branchrel.IDENT})
+    assert got is branchrel.GEN_A
+    assert model.eval_term(fmodel, terms.A, {"a": 5}) == 5
+
+
 def test_generators_quantified_only_without_fixed_model_generators(bmodel, fmodel):
     law = laws.law_by_id("swap")
     assert law.quantified_variables(bmodel) == ()
@@ -76,7 +84,6 @@ def test_vacuous_hypotheses_count_as_passes(fmodel):
         variables=("x",),
         hypotheses=((parse_term("x"), "=", parse_term("-(x)")),),
         conclusions=((parse_term("x"), "=", parse_term("0")),),
-        signature="RA",
     )
     report = check_law(fmodel, law, Exhaustive())
     assert report.passed and report.tested == 16
@@ -151,14 +158,18 @@ def test_f2_law_exists_with_fork_shape():
 
 
 def test_j_signature_rejects_union():
-    with pytest.raises(ValueError):
-        model.Law(
-            id="bad",
+    # a law's signature is read off its terms: the catalog is all J, and a
+    # union or a complement anywhere makes a law RA
+    assert {law.signature for law in laws.law_catalog()} == {"J"}
+    x = parse_term("x")
+    for hyp, concl in [(x, parse_term("x + x")), (parse_term("-(x)"), x)]:
+        law = model.Law(
+            id="ra",
             variables=("x",),
-            hypotheses=(),
-            conclusions=((parse_term("x + x"), "=", parse_term("x")),),
-            signature="J",
+            hypotheses=((hyp, "<=", x),),
+            conclusions=((x, "=", concl),),
         )
+        assert law.signature == "RA"
     with pytest.raises(ValueError):
         model.Law(
             id="undeclared",
@@ -190,7 +201,6 @@ FALSE_LAWS = [
         variables=("x", "y"),
         hypotheses=((parse_term("x;y"), "<=", parse_term("y;x")),),
         conclusions=((parse_term("x"), "<=", parse_term("conv(y)")),),
-        signature="RA",
     ),
     model.Law(
         id="false-eq",
@@ -332,7 +342,6 @@ LATE_GRID_LAW = model.Law(
         (parse_term("s"), "<=", parse_term("r")),
     ),
     conclusions=((parse_term("p & q & r & s"), "<=", parse_term("0")),),
-    signature="RA",
 )
 
 
