@@ -384,12 +384,13 @@ MEMO_SIZE = 1024  # entries per memoised operation of one handle
 def model_handle():
     """The tree-relation model.
 
-    `compose`, `leq` and `equal` are memoised, each in a bounded LRU cache
-    made here for this handle (reached as `.__wrapped__` of the handle's
-    operation).  A law check or a suite asks for the same few relations
-    many times over, so most calls are repeats; the CLI builds one handle
-    per command, so a cache lives exactly as long as one job and memory
-    stays bounded.  The module functions stay uncached: a process-global
+    `compose`, `converse`, `leq` and `equal` are memoised, each in a
+    bounded LRU cache made here for this handle (reached as `.__wrapped__`
+    of the handle's operation).  A law check or a suite asks for the same
+    few relations many times over, so most calls are repeats; the CLI
+    builds one handle per command, so a cache lives exactly as long as one
+    job and memory stays bounded.  `meet` is not memoised: its inputs
+    rarely repeat.  The module functions stay uncached: a process-global
     cache would carry answers from one job into the next, which a one-shot
     CLI process never gets.  Each wrapper looks its module function up by
     name on every miss, so a wrapper installed on the module attribute
@@ -402,7 +403,7 @@ def model_handle():
         name="branchrel",
         meet=_elementwise(meet, 2),
         comp=_elementwise(memo(lambda x, y: compose(x, y)), 2),
-        conv=_elementwise(converse, 1),
+        conv=_elementwise(memo(lambda x: converse(x)), 1),
         zero=ZERO,
         top=TOP,
         ident=IDENT,

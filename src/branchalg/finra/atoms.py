@@ -121,6 +121,17 @@ class AtomStructure:
         cv = _union_table(np.left_shift(1, self.conv, dtype=np.int64))
         return comp, cv
 
+    @cached_property
+    def functional_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The functional elements fns (conv(x);x below the identity),
+        increasing, and the table t[i, j] = conv(fns[i]);fns[j] of their
+        products, in one gather.  Built once per structure: the tabular
+        witnesses of represent read it at every composition extension."""
+        comp, conv = self.tables
+        xs = np.arange(self.n_elements)
+        fns = xs[model.is_functional(self.handle(), xs)]
+        return fns, comp[conv[fns][:, None], fns]
+
     # element operations (elements are ints)
 
     def compl(self, x: int) -> int:
@@ -169,12 +180,13 @@ class AtomStructure:
         Elements are atom-set bitmasks, so meet, join and complement are bit
         operations and composition and converse are gathers from `tables`;
         every operation takes ints or, elementwise, int64 arrays of elements.
+        The dense tables are built on the first composition or converse, so
+        a term without either never pays for their 4**n entries.
         """
-        comp, conv = self.tables
 
-        def gather(table):
+        def gather(which):
             def op(*index):
-                out = table[index]
+                out = self.tables[which][index]
                 return out if isinstance(out, np.ndarray) else int(out)
 
             return op
@@ -182,8 +194,8 @@ class AtomStructure:
         return model.ModelHandle(
             name=self.label or "finra",
             meet=lambda x, y: x & y,
-            comp=gather(comp),
-            conv=gather(conv),
+            comp=gather(0),
+            conv=gather(1),
             zero=0,
             top=self.top,
             ident=self.ident,

@@ -3,11 +3,12 @@
 A structure is tabular when every strict pair v < w is separated by a
 nonzero element of the form conv(p);q with p, q functional; witnesses
 (tabular_witness) and tabularity (is_tabular) read one table of these
-elements (_functional_tables).  From a tabular structure the staged
-construction grows sequences of nonzero functional elements with a common
-domain; the induced map sending x to the index pairs (i, j) with f_i ; x
-above f_j accumulates, stage by stage, the properties of a representation
-on the scheduled elements; every stage separates a designated pair v < w.
+elements, built once per structure (AtomStructure.functional_table).  From
+a tabular structure the staged construction grows sequences of nonzero
+functional elements with a common domain; the induced map sending x to the
+index pairs (i, j) with f_i ; x above f_j accumulates, stage by stage, the
+properties of a representation on the scheduled elements; every stage
+separates a designated pair v < w.
 """
 
 from __future__ import annotations
@@ -30,28 +31,19 @@ class NotTabular(Exception):
 
 def functional_elements(s: AtomStructure) -> list[int]:
     """The elements x with conv(x);x below the identity, in increasing order."""
-    xs = np.arange(s.n_elements)
-    return xs[model.is_functional(s.handle(), xs)].tolist()
-
-
-def _functional_tables(s: AtomStructure) -> tuple[np.ndarray, np.ndarray]:
-    """The functional elements fns, increasing, and the table
-    t[i, j] = conv(fns[i]);fns[j] of their products, in one gather."""
-    comp, conv = s.tables
-    fns = np.array(functional_elements(s))
-    return fns, comp[conv[fns][:, None], fns]
+    return s.functional_table[0].tolist()
 
 
 def tabular_witness(s: AtomStructure, v: int, w: int) -> tuple[int, int]:
     """Functional p, q with 0 != conv(p);q <= w and v & conv(p);q = 0.
 
-    The first such entry of _functional_tables in C order, so the least p
+    The first such entry of s.functional_table in C order, so the least p
     and then the least q; raises NotTabular when no witness exists.
     Requires v < w.
     """
     if not (s.leq(v, w) and v != w):
         raise ValueError("witness requires v < w")
-    fns, t = _functional_tables(s)
+    fns, t = s.functional_table
     hits = np.argwhere((t != 0) & (t & w == t) & (t & v == 0))
     if not len(hits):
         raise NotTabular(f"no functional table for {s.format_element(v)} < {s.format_element(w)}")
@@ -68,7 +60,7 @@ def is_tabular(s: AtomStructure) -> bool:
     of w outside v; then t = {a} is a witness.  The proof uses only that
     elements are atom sets, not the relation-algebra axioms.
     """
-    _, t = _functional_tables(s)
+    _, t = s.functional_table
     # the atoms among the entries (t & (t - 1) is 0 for 0 too)
     return int(np.bitwise_or.reduce(t[(t & (t - 1)) == 0])) == s.top
 

@@ -11,7 +11,8 @@ elements (int64 bitmasks on a finite model, object arrays of relations on
 the tree), so a compiled term evaluates a whole block of assignments at
 once.  An exhaustive block is a grid with one axis per variable, so each
 subterm is computed over the axes of its own variables only; a sampled
-block is a row of draws.
+block is a row of draws.  verdicts walks the same blocks for one equation
+whose variables are bound to given values, as the tree suites bind theirs.
 """
 
 from __future__ import annotations
@@ -269,18 +270,13 @@ def search(
         blocks = _rows(_assignments(m, names, strategy))
     hyps = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.hypotheses]
     concls = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.conclusions]
-    rel = {"=": m.equal, "<=": m.leq}
-
-    def holds(fl, op, fr, env, shape):
-        return np.broadcast_to(np.asarray(rel[op](fl(env), fr(env)), bool), shape)
-
     tested = 0
     for values, shape in blocks:
         env = dict(zip(names, values))
         live = np.ones(shape, dtype=bool)
         at = np.arange(live.size)  # block position of each entry of live
         for fl, op, fr in hyps:
-            ok = holds(fl, op, fr, env, live.shape)
+            ok = _holds(m, fl, op, fr, env, live.shape)
             if grid:
                 live &= ok
             else:
@@ -289,7 +285,7 @@ def search(
         if live.any():
             bad = np.zeros(live.shape, dtype=bool)
             for fl, op, fr in concls:
-                bad |= ~holds(fl, op, fr, env, live.shape)
+                bad |= ~_holds(m, fl, op, fr, env, live.shape)
             hit = np.flatnonzero(live & bad)
             if hit.size:
                 i = int(at[hit[0]])
@@ -298,6 +294,32 @@ def search(
                 }
         tested += math.prod(shape)
     return tested, None
+
+
+def verdicts(
+    m: ModelHandle, relation: Relation, names, blocks
+) -> list[bool]:
+    """Whether relation holds at each assignment of blocks, in order.
+
+    The relation (lhs, op, rhs) is compiled once and evaluated a block at a
+    time, as search evaluates a law.  The blocks bind names in order and
+    come from _grids, whose product order the verdicts follow and on which
+    each subterm is computed over the axes of its own variables only, or
+    from _rows, one verdict per row.
+    """
+    lhs, op, rhs = relation
+    fl, fr = _compile(lhs, m), _compile(rhs, m)
+    out: list[bool] = []
+    for values, shape in blocks:
+        out += _holds(m, fl, op, fr, dict(zip(names, values)), shape).ravel().tolist()
+    return out
+
+
+def _holds(m: ModelHandle, fl, op: str, fr, env, shape) -> np.ndarray:
+    """The verdict of the compiled relation fl op fr at every assignment of
+    a block, as a bool array of the block's shape."""
+    rel = m.equal if op == "=" else m.leq
+    return np.broadcast_to(np.asarray(rel(fl(env), fr(env)), bool), shape)
 
 
 def _grids(pools):

@@ -5,6 +5,13 @@ doubling map, the swap, the rotation, and their deferred variants) as terms
 from hand-written closed forms, and verifies whole presentation suites
 against the concrete tree-relation model.  The tests check the closed forms
 against the generators' tree-pair notation, kept in tests/oracles.py.
+
+A closed relation is evaluated as two terms.  A quantified one (m_split,
+m_reconstruct, m_commute, F1, F2, pairing) is built once with variables and
+evaluated by model.verdicts with the variables bound to the values of the
+sample terms: over a grid in product order for M's sample functionals and
+F1's fork pool, so each subterm is computed over the axes of its own
+variables only, and over rows for the seeded draws of F2 and pairing.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .terms import (
     Conv,
     Meet,
     Term,
+    Var,
     comp,
     conv,
     meet,
@@ -287,6 +295,38 @@ def _holds(m, lhs: Term, rhs: Term) -> bool:
     return m.equal(model.eval_term(m, lhs, {}), model.eval_term(m, rhs, {}))
 
 
+def _values(m, named) -> list[tuple[str, object]]:
+    """Each named sample term with its value in m."""
+    return [(name, model.eval_term(m, t, {})) for name, t in named]
+
+
+def _verdicts(m, schema, variables: str, blocks) -> list[bool]:
+    """Whether schema(*variables) holds at each assignment of blocks
+    (model._grids or model._rows), which bind the space-separated
+    variables in order.  The schema is built and compiled once, so each
+    sample is a value bound to a variable, not a term substituted in."""
+    names = variables.split()
+    lhs, rhs = schema(*map(Var, names))
+    return model.verdicts(m, (lhs, "=", rhs), names, blocks)
+
+
+def _on_grid(m, label, schema, variables: str, pool) -> list[tuple[str, bool]]:
+    """schema at every tuple of pool values, in product order, each named
+    label[names]; pool holds (name, value) pairs."""
+    names, values = zip(*pool)
+    k = len(variables.split())
+    oks = _verdicts(m, schema, variables, model._grids([values] * k))
+    tuples = itertools.product(names, repeat=k)
+    return [(f"{label}[{','.join(ns)}]", ok) for ns, ok in zip(tuples, oks)]
+
+
+def _on_draws(m, label, schema, draws) -> list[tuple[str, bool]]:
+    """schema at each of the _fork_draws, in order, named label[names]#i."""
+    names, rows = zip(*draws)
+    oks = _verdicts(m, schema, "u v x y", model._rows(rows))
+    return [(f"{label}[{ns}]#{i}", ok) for i, (ns, ok) in enumerate(zip(names, oks))]
+
+
 def _each_holds(m, relations) -> list[tuple[str, bool]]:
     return [(name, _holds(m, lhs, rhs)) for name, lhs, rhs in relations]
 
@@ -313,13 +353,13 @@ def _suite_perms(m, seed):
 
 
 def _suite_m(m, seed):
-    out = _each_holds(m, m_relations())
-    sample = sample_functionals()
-    out += [(f"split[{n}]", _holds(m, *m_split(x))) for n, x in sample]
-    out += [(f"reconstruct[{n}]", _holds(m, *m_reconstruct(x))) for n, x in sample]
-    for (nx, x), (ny, y) in itertools.product(sample, repeat=2):
-        out.append((f"commute[{nx},{ny}]", _holds(m, *m_commute(x, y))))
-    return out
+    pool = _values(m, sample_functionals())
+    return (
+        _each_holds(m, m_relations())
+        + _on_grid(m, "split", m_split, "x", pool)
+        + _on_grid(m, "reconstruct", m_reconstruct, "x", pool)
+        + _on_grid(m, "commute", m_commute, "x y", pool)
+    )
 
 
 def _suite_same(m, seed):
@@ -329,27 +369,27 @@ def _suite_same(m, seed):
     ]
 
 
-def _fork_draws(seed):
-    """200 seeded draws of four _fork_pool terms, each as (index,
-    comma-joined names, terms)."""
-    pool = _fork_pool()
+def _fork_draws(pool, seed) -> list[tuple[str, tuple]]:
+    """200 seeded draws of four (name, x) pool entries, each as
+    (comma-joined names, the four x), in one stream per seed."""
     rng = random.Random(seed)
-    for i in range(200):
-        names, ts = zip(*(rng.choice(pool) for _ in range(4)))
-        yield i, ",".join(names), ts
+    draws = []
+    for _ in range(200):
+        names, values = zip(*(rng.choice(pool) for _ in range(4)))
+        draws.append((",".join(names), values))
+    return draws
 
 
 def _suite_fork(m, seed):
     f3, f3_bound = fork_f3()
     out = [("F3", m.leq(model.eval_term(m, f3, {}), model.eval_term(m, f3_bound, {})))]
-    for (nx, x), (ny, y) in itertools.product(_fork_pool(), repeat=2):
-        out.append((f"F1[{nx},{ny}]", _holds(m, *fork_f1(x, y))))
-    out += [(f"F2[{ns}]#{i}", _holds(m, *fork_f2(*ts))) for i, ns, ts in _fork_draws(seed)]
-    return out
+    pool = _values(m, _fork_pool())
+    out += _on_grid(m, "F1", fork_f1, "x y", pool)
+    return out + _on_draws(m, "F2", fork_f2, _fork_draws(pool, seed))
 
 
 def _suite_pairing(m, seed):
-    return [(f"Pr[{ns}]#{i}", _holds(m, *pairing(*ts))) for i, ns, ts in _fork_draws(seed)]
+    return _on_draws(m, "Pr", pairing, _fork_draws(_values(m, _fork_pool()), seed))
 
 
 # each suite maps the model handle and the seed to its named results

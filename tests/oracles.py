@@ -14,7 +14,9 @@ structural properties `lemma_properties_hold` of its induced map, the
 atom-table associativity check `associative_brute` and the parenthesized
 tree-pair notation `parse_tree_expr` / `mapsto`, which writes each generator
 as the prefix substitution between two trees ("0(12)" -> "(01)2") and is
-the reference the closed forms in `thompson.py` are checked against.
+the reference the closed forms in `thompson.py` are checked against, and
+`substituted_sides`, which builds one term per sample pair or draw, the
+reference for the suites' grid and row evaluation of their equations.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from branchalg import terms
+from branchalg import model, terms
 from branchalg.branchrel import BranchRelation, ClosureEngine, Constraint, Endpoint
 from branchalg.finra import kernels
 from branchalg.finra.atoms import AtomStructure
@@ -491,6 +493,17 @@ def mapsto(src: TreeExpr, dst: TreeExpr) -> terms.Term:
     if not factors:
         return terms.TOP
     return terms.meet(*factors)
+
+
+# --- suite equations --------------------------------------------------------
+
+
+def substituted_sides(m, schema, sample_terms):
+    """Both sides of the suite equation schema(*sample_terms) in the tree
+    model m, each evaluated from the term with the sample terms substituted
+    for the schema's variables."""
+    lhs, rhs = schema(*sample_terms)
+    return model.eval_term(m, lhs, {}), model.eval_term(m, rhs, {})
 
 
 # --- staged representations -------------------------------------------------

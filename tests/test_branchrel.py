@@ -251,6 +251,26 @@ def test_memoised_operations_agree_with_the_module():
         assert info.hits == 3 * len(draws) - info.misses
 
 
+def test_memoised_converse_agrees_with_the_module(monkeypatch):
+    rng = random.Random(7)
+    draws = [rng.choice(br.paths_pool()[:30]) for _ in range(200)]  # mostly repeats
+    want = [br.converse(x) for x in draws]
+    calls = []
+
+    def counting(x, f=br.converse):
+        calls.append(x)
+        return f(x)
+
+    m = br.model_handle()
+    # patched after the handle is built: a miss looks the name up
+    monkeypatch.setattr(br, "converse", counting)
+    assert [m.conv(x) for x in draws] == want
+    got = m.conv(np.array(draws, dtype=object))
+    assert got.dtype == object and list(got) == want
+    assert len(calls) == len(set(draws)) == m.conv.__wrapped__.cache_info().misses
+    assert br.model_handle().conv.__wrapped__ is not m.conv.__wrapped__
+
+
 def test_handles_share_no_cache_entries(monkeypatch):
     for name, f in MEMOISED:
         calls = []

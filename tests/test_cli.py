@@ -101,6 +101,26 @@ def test_suite_usage_error(capsys):
     assert code == 2
 
 
+# sha256 of the full stdout of the suites that bind sample values to
+# quantified equations, recorded when each pair or draw was a substituted term
+QUANTIFIED_SUITE_STDOUT = {
+    ("M", 0): "ac38d4bf7b17138c0399a3327e076bbc2c2e9c127a378f41c9efe5c4c0c0e0ba",
+    ("M", 1): "ac38d4bf7b17138c0399a3327e076bbc2c2e9c127a378f41c9efe5c4c0c0e0ba",
+    ("fork", 0): "42fb2802302ce498c5b37b74d0d49fce938d62cb0d15257160634fb59339ea04",
+    ("fork", 1): "1463e5b133401fd3d56a548252d8f57fc80d164f958177a0abf3ff058d406045",
+    ("pairing", 0): "82a5cd59a754ec62c4b1049b7487b4f6112129be6a2571b14bcfb52e93b8552a",
+    ("pairing", 1): "e3079c3cd54eb0b0c764a1ff0c4424d705e534685340cf582624d885ef8dfbe9",
+}
+
+
+@pytest.mark.parametrize("suite_id, seed", sorted(QUANTIFIED_SUITE_STDOUT))
+def test_quantified_suite_stdout_is_pinned(capsys, suite_id, seed):
+    code, out, err = run(capsys, ["suite", suite_id, "--seed", str(seed)])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == QUANTIFIED_SUITE_STDOUT[suite_id, seed]
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, ["enumerate", "1'ab"])
     assert code == 0
@@ -466,6 +486,15 @@ def test_bad_arguments_are_usage_errors(capsys, tmp_path, re2_file, case):
     assert code == 2
     assert "error:" in err and "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before  # no output file written
+
+
+def test_thirteen_atoms_evaluate_until_a_composition(capsys, tmp_path):
+    # the dense tables are built on the first composition or converse
+    path = tmp_path / "thirteen.ra"
+    path.write_text(THIRTEEN_ATOMS)
+    assert run(capsys, ["eval", "1 & id", "--model", str(path)])[0] == 0
+    code, out, err = run(capsys, ["eval", "conv(1)", "--model", str(path)])
+    assert (code, out) == (2, "") and "13 atoms is too many" in err
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchalg import laws, model
+from branchalg.terms import parse_term
 from branchalg.finra import (
     AtomStructureError,
     TABLE_TOTALS,
@@ -309,6 +310,17 @@ def test_model_handle_operations():
     assert m.compl(0) == s.top
     assert m.leq(1, 3) and not m.leq(3, 1)
     assert list(m.elements()) == list(range(16))
+
+
+def test_handle_builds_the_tables_on_the_first_composition():
+    s = make_proper_ra(2)
+    m = s.handle()
+    term = parse_term("x & -(y + id) + 1")
+    assert model.eval_term(m, term, {"x": 7, "y": 2}) == s.top
+    assert "tables" not in s.__dict__
+    # the pair atoms p00 = 1 and p01 = 2: conv(p00);p01 = p01
+    assert model.eval_term(m, parse_term("conv(x);y"), {"x": 1, "y": 2}) == 2
+    assert "tables" in s.__dict__
 
 
 def test_signature_normalization():

@@ -1,3 +1,7 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from branchalg import branchrel, model, terms, thompson
@@ -10,12 +14,18 @@ from branchalg.thompson import (
     defer0,
     defer1,
     fkc,
+    fork_f1,
+    fork_f2,
+    m_commute,
+    m_reconstruct,
+    m_split,
     nabla,
     otimes,
+    pairing,
     run_suite,
 )
 
-from oracles import mapsto, parse_tree_expr
+from oracles import mapsto, parse_tree_expr, substituted_sides
 
 A, B = terms.A, terms.B
 
@@ -274,3 +284,102 @@ def test_bleak_quick(m, suite_runs):
     )
     # two of the published generating sets share elements
     assert BLEAK_QUICK_TERMS["v"] == BLEAK_QUICK_TERMS["t011011"]
+
+
+# --- quantified suite equations: grid and rows against substitution ---------
+
+
+def _grid_sides(m, schema, variables, blocks):
+    """Both sides of schema(*variables) at each assignment of blocks, in the
+    order model.verdicts reads them."""
+    names = variables.split()
+    lhs, rhs = schema(*map(terms.Var, names))
+    fl, fr = model._compile(lhs, m), model._compile(rhs, m)
+    out = []
+    for values, shape in blocks:
+        env = dict(zip(names, values))
+        sides = (np.broadcast_to(f(env), shape).ravel().tolist() for f in (fl, fr))
+        out += zip(*sides)
+    return out
+
+
+# (suite, label, schema, variables, pool of (name, term)) of each grid
+GRID_EQUATIONS = [
+    ("M", "split", m_split, "x", thompson.sample_functionals),
+    ("M", "reconstruct", m_reconstruct, "x", thompson.sample_functionals),
+    ("M", "commute", m_commute, "x y", thompson.sample_functionals),
+    ("fork", "F1", fork_f1, "x y", thompson._fork_pool),
+]
+
+
+@pytest.mark.parametrize("suite_id, label, schema, variables, pool", GRID_EQUATIONS)
+def test_grid_matches_substitution_on_seeded_pairs(m, suite_id, label, schema, variables, pool):
+    named = pool()
+    k = len(variables.split())
+    values = [v for _, v in thompson._values(m, named)]
+    sides = _grid_sides(m, schema, variables, model._grids([values] * k))
+    tuples = list(itertools.product(named, repeat=k))
+    assert len(sides) == len(tuples)
+    verdict = dict(run_suite(suite_id, seed=0).results)
+    for i in random.Random(24).sample(range(len(tuples)), min(40, len(tuples))):
+        names, ts = zip(*tuples[i])
+        lhs, rhs = substituted_sides(m, schema, ts)
+        assert m.equal(sides[i][0], lhs) and m.equal(sides[i][1], rhs), (label, names)
+        assert verdict[f"{label}[{','.join(names)}]"] == m.equal(lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "suite_id, label, schema", [("fork", "F2", fork_f2), ("pairing", "Pr", pairing)]
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rows_match_substitution_on_seeded_draws(m, suite_id, label, schema, seed):
+    # the same draw stream over terms and over their values
+    by_term = thompson._fork_draws(thompson._fork_pool(), seed)
+    by_value = thompson._fork_draws(thompson._values(m, thompson._fork_pool()), seed)
+    assert [ns for ns, _ in by_term] == [ns for ns, _ in by_value]
+    rows = [vs for _, vs in by_value]
+    sides = _grid_sides(m, schema, "u v x y", model._rows(rows))
+    verdict = dict(run_suite(suite_id, seed=seed).results)
+    for i in random.Random(seed).sample(range(len(by_term)), 40):
+        ns, ts = by_term[i]
+        lhs, rhs = substituted_sides(m, schema, ts)
+        assert m.equal(sides[i][0], lhs) and m.equal(sides[i][1], rhs), (label, i)
+        assert verdict[f"{label}[{ns}]#{i}"] == m.equal(lhs, rhs)
+
+
+def _at_names(pool, *names):
+    """The values in m of the named entries of pool."""
+    return lambda m: [dict(thompson._values(m, pool()))[n] for n in names]
+
+
+def _at_draw(i):
+    """The four values of draw i of the fork draws at seed 0."""
+    return lambda m: thompson._fork_draws(thompson._values(m, thompson._fork_pool()), 0)[i][1]
+
+
+# (suite, schema, variables, values at the rejected assignment, failing relation)
+FORCED_FAILURES = [
+    ("M", m_commute, "x y", _at_names(thompson.sample_functionals, "P", "ab"),
+     "commute[P,ab]"),
+    ("M", m_split, "x", _at_names(thompson.sample_functionals, "B"), "split[B]"),
+    ("fork", fork_f1, "x y", _at_names(thompson._fork_pool, "a~", "P"), "F1[a~,P]"),
+    ("fork", fork_f2, "u v x y", _at_draw(9), "F2[P,aa,b~,a~]#9"),
+    ("pairing", pairing, "u v x y", _at_draw(33), "Pr[ba,U,a,a~]#33"),
+]
+
+
+@pytest.mark.parametrize("suite_id, schema, variables, at, name", FORCED_FAILURES)
+def test_forced_failure_names_exactly_its_relation(
+    monkeypatch, suite_id, schema, variables, at, name
+):
+    # equal rejects the two sides at one assignment, whose values no other
+    # relation of the suite has; a mis-ordered grid or row index would name
+    # another relation
+    m = branchrel.model_handle()
+    names = variables.split()
+    env = dict(zip(names, at(m)))
+    lhs, rhs = schema(*map(terms.Var, names))
+    target = (model.eval_term(m, lhs, env), model.eval_term(m, rhs, env))
+    real = branchrel.equal
+    monkeypatch.setattr(branchrel, "equal", lambda x, y: (x, y) != target and real(x, y))
+    assert run_suite(suite_id, seed=0).failed_names == [name]
