@@ -67,11 +67,18 @@ def _rel(cons) -> BranchRelation:
     return BranchRelation(False, frozenset(_orient(c) for c in cons))
 
 
+def _word(w: str, root: str = "R") -> BranchRelation:
+    """The word {R.^=L.w}: the output is the input's subtree at address w.
+    With root "L" it is the co-word {L.^=R.w}, the word's converse.  The
+    empty word is the identity in either form."""
+    return _rel([((root, ""), (_SWAP[root], w))])
+
+
 ZERO = BranchRelation(True, frozenset())
 TOP = _rel([])
-IDENT = _rel([(("L", ""), ("R", ""))])
-GEN_A = _rel([(("R", ""), ("L", "0"))])  # output equals the input's left subtree
-GEN_B = _rel([(("R", ""), ("L", "1"))])
+IDENT = _word("")
+GEN_A = _word("0")  # output equals the input's left subtree
+GEN_B = _word("1")
 
 
 def format_relation(r: BranchRelation) -> str:
@@ -95,46 +102,73 @@ def _fmt_ep(e: Endpoint) -> str:
 # --- the closure engine ---------------------------------------------------
 
 
+def _union(parent: list[int], kid: list[int], stack: list[int]):
+    """Merge the classes of each pair (x, y) on the stack, read as a flat
+    list x1, y1, x2, y2, ..., and, by right append, the classes of their
+    d-children for each d both have.  A child only one side has becomes the
+    merged class's child.  The stack is consumed."""
+    while stack:
+        y = stack.pop()
+        x = stack.pop()
+        while parent[x] != x:  # find, halving the path
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            continue
+        parent[y] = x
+        for jx, jy in ((2 * x, 2 * y), (2 * x + 1, 2 * y + 1)):
+            cy = kid[jy]
+            if cy != -1:
+                cx = kid[jx]
+                if cx == -1:
+                    kid[jx] = cy
+                else:
+                    stack += (cx, cy)
+
+
 class ClosureEngine:
     """Union-find congruence closure over (tag, address) configurations.
 
     `ClosureEngine((r, src, dst), ...)` loads each system `(r, src, dst)` (a
     non-zero relation r whose side L is read as tag src and side R as tag
     dst) and saturates, so a built engine is always closed.  Merging two
-    classes merges their children pairwise (right append), and saturation
-    repeatedly merges classes whose child pairs coincide (pair
+    classes merges their children pairwise (right append, `_union`), and
+    saturation repeatedly merges classes whose child pairs coincide (pair
     reconstruction).  The result is the least fixpoint of the rule system
     over all the systems together.
 
     Node i's parent is `_parent[i]` and its d-child `_kid[2*i + d]` (-1
-    while absent), in two flat lists.  The constructor first walks the trie
-    of every endpoint, creating one node per (tag, address prefix); no class
-    is merged yet, so no find is needed.  It then unions the endpoints of
-    each constraint and saturates.  Building the tries first changes only
-    the node numbering, not the closure: a config the interleaved order
-    would have reached through an already-merged class has its own node
-    here, and the union of its parent class merges it into the same class
-    by right append.  The least fixpoint does not depend on the order in
-    which the rules fire.
+    while absent), in two flat lists.  The constructor first gives every
+    tag a root slot, in the order the systems name them, so compose's tags
+    s, m and t are nodes 0, 1 and 2 whatever their constraints.  It then
+    walks the trie of every endpoint, creating one node per (tag, address
+    prefix); no class is merged yet, so no find is needed.  Last, it merges
+    the endpoints of every constraint in one `_union` stack and saturates.
+    Building the tries first and merging all pairs in one stack change only
+    the node numbering and the choice of class representatives, not the
+    closure: a config the interleaved order would have reached through an
+    already-merged class has its own node here, and the union of its
+    parent class merges it into the same class by right append.  The least
+    fixpoint does not depend on the order in which the rules fire.
     """
 
     __slots__ = ("_parent", "_kid", "_roots")
 
     def __init__(self, *systems: tuple[BranchRelation, str, str]):
-        parent: list[int] = []
-        kid: list[int] = []
         roots: dict[str, int] = {}
+        for _, src, dst in systems:
+            roots.setdefault(src, len(roots))
+            roots.setdefault(dst, len(roots))
+        parent = list(range(len(roots)))
+        kid = [-1] * (2 * len(roots))
         self._parent, self._kid, self._roots = parent, kid, roots
         ends: list[int] = []
         for r, src, dst in systems:
+            at = {"L": roots[src], "R": roots[dst]}
             for con in r.constraints:
                 for side, addr in con:
-                    tag = src if side == "L" else dst
-                    n = roots.get(tag)
-                    if n is None:
-                        n = roots[tag] = len(parent)
-                        parent.append(n)
-                        kid += (-1, -1)
+                    n = at[side]
                     for ch in addr:
                         j = 2 * n + (ch == "1")
                         n = kid[j]
@@ -143,8 +177,7 @@ class ClosureEngine:
                             parent.append(n)
                             kid += (-1, -1)
                     ends.append(n)
-        for a, b in zip(ends[::2], ends[1::2]):
-            self.union(a, b)
+        _union(parent, kid, ends)
         self.saturate()
 
     def _new(self) -> int:
@@ -172,46 +205,41 @@ class ClosureEngine:
                 n = kid[j] = self._new()
         return self.find(n)
 
-    def union(self, a: int, b: int):
-        parent, kid = self._parent, self._kid
-        stack = [a, b]
-        while stack:
-            y = stack.pop()
-            x = stack.pop()
-            while parent[x] != x:  # find, halving the path
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x == y:
-                continue
-            parent[y] = x
-            for jx, jy in ((2 * x, 2 * y), (2 * x + 1, 2 * y + 1)):
-                cy = kid[jy]
-                if cy != -1:
-                    cx = kid[jx]
-                    if cx == -1:
-                        kid[jx] = cy
-                    else:
-                        stack += (cx, cy)
-
     def saturate(self):
+        """Pair reconstruction to a fixpoint, one round at a time.
+
+        A round collects the classes that have both children and buckets
+        them by their children's classes; every bucket collision goes on
+        one stack, which `_union` then merges with its right appends.  The
+        rounds stop when a round finds no collision, or when fewer than two
+        classes have both children: pair reconstruction merges two distinct
+        classes that both have two children, and no other rule fires here
+        except through such a merge, so with fewer than two nothing can
+        change.
+        """
         parent, kid = self._parent, self._kid
-        merged = True
-        while merged:
-            merged = False
+        while True:
+            full = [
+                i
+                for i in range(len(parent))
+                if parent[i] == i and kid[2 * i] != -1 and kid[2 * i + 1] != -1
+            ]
+            if len(full) < 2:
+                return
             buckets: dict[tuple[int, int], int] = {}
-            for i in range(len(parent)):
+            stack: list[int] = []
+            for i in full:
                 c0, c1 = kid[2 * i], kid[2 * i + 1]
-                if parent[i] != i or c0 == -1 or c1 == -1:
-                    continue
                 while parent[c0] != c0:
                     parent[c0] = c0 = parent[parent[c0]]
                 while parent[c1] != c1:
                     parent[c1] = c1 = parent[parent[c1]]
                 other = buckets.setdefault((c0, c1), i)
-                if other != i and self.find(other) != i:
-                    self.union(other, i)
-                    merged = True
+                if other != i:
+                    stack += (other, i)
+            if not stack:
+                return
+            _union(parent, kid, stack)
 
     def same(self, e1: tuple[str, str], e2: tuple[str, str]) -> bool:
         # node() returns a root, and creating nodes never merges classes
@@ -265,12 +293,80 @@ def converse(r: BranchRelation) -> BranchRelation:
 def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     """Relative product: project the shared middle tree out of r1 and r2.
 
+    When both operands are words, co-words or TOP the product is written
+    down (`_compose_words`); every other product is projected out of the
+    closure engine (`_compose_engine`).
+
+    Words.  Write W_u = {R.^=L.u} and C_u = {L.^=R.u} (`_word`); the
+    identity is W_^ = C_^.  Read with r1 from s to the middle m and r2 from
+    m to t, W_u as r1 says m = s.u and C_u says s = m.u; as r2, W_v says
+    t = m.v and C_v says m = t.v.  Substituting the middle away:
+
+      * W_u;W_v: t = m.v = s.uv, so W_uv;
+      * C_u;C_v: s = m.u = t.vu, so C_vu;
+      * W_u;C_v: s.u = m = t.v, the one constraint L.u=R.v;
+      * C_u;W_v: s = m.u and t = m.v are two subtrees of a free middle.  If
+        v = u.w then t = s.w, W_w; if u = v.w then s = t.w, C_w.  If
+        neither address is a prefix of the other the two subtrees are
+        disjoint, so a middle holding any s and any t exists: TOP.  This
+        is the Domain condition conv(a);b = 1, at u = 0 and v = 1;
+      * TOP on either side: a word or co-word relates every outer tree to
+        some middle, and TOP relates that middle to every tree: TOP.
+
+    The tests check that each of these constraint sets is exactly the one
+    the engine path emits, for every pair of words and co-words up to
+    length 5 and TOP.
+    """
+    if r1.is_zero or r2.is_zero:
+        return ZERO
+    w1 = _word_parts(r1)
+    if w1 is not None:
+        w2 = _word_parts(r2)
+        if w2 is not None:
+            return _compose_words(w1, w2)
+    return _compose_engine(r1, r2)
+
+
+def _word_parts(r: BranchRelation) -> tuple[str, str] | None:
+    """(root, w) when r is `_word(w, root)`, ("", "") when r is TOP, else
+    None.  An oriented word has its empty address first."""
+    cons = r.constraints
+    if not cons:
+        return ("", "")
+    if len(cons) != 1:
+        return None
+    (((s1, a1), (s2, a2)),) = cons
+    if a1 or s1 == s2:
+        return None
+    return (s1, a2)
+
+
+def _compose_words(w1: tuple[str, str], w2: tuple[str, str]) -> BranchRelation:
+    """The product of two `_word_parts` results, by the rules in compose."""
+    (k1, u), (k2, v) = w1, w2
+    if not k1 or not k2:
+        return TOP
+    if k1 == "R":
+        return _word(u + v) if k2 == "R" else _rel([(("L", u), ("R", v))])
+    if k2 == "L":
+        return _word(v + u, "L")
+    if v.startswith(u):
+        return _word(v[len(u) :])
+    if u.startswith(v):
+        return _word(u[len(v) :], "L")
+    return TOP
+
+
+def _compose_engine(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
+    """compose of two non-zero relations through the closure engine.
+
     The engine is the saturated three-tag system E3 of r1 and r2 over one
     shared middle: r1's input is tag s, its output the middle m, and r2 maps
-    m to t.  A breadth-first walk of E3 from the outer roots names each
-    class by the first outer config to reach it (L.u for (s, u), R.u for
-    (t, u)).  Each other child edge, class n along d to class c, emits
-    `name[n].d = name[c]`; roots in one class emit `L.^=R.^`.
+    m to t; s and t are the engine's root slots 0 and 2.  A breadth-first
+    walk of E3 from the outer roots names each class by the first outer
+    config to reach it (L.u for (s, u), R.u for (t, u)).  Each other child
+    edge, class n along d to class c, emits `name[n].d = name[c]`; roots in
+    one class emit `L.^=R.^`.
 
     Soundness.  name[n] lies in n and a class's d-child holds x.d for each
     x in it (right append), so E3 derives every emitted constraint, and so
@@ -298,14 +394,15 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     `entails_product` in tests/oracles.py decides E3 directly; the tests
     check compose with it.
     """
-    if r1.is_zero or r2.is_zero:
-        return ZERO
     eng = ClosureEngine((r1, "s", "m"), (r2, "m", "t"))
     parent, kid = eng._parent, eng._kid
+    rs, rt = 0, 2
+    while parent[rs] != rs:
+        rs = parent[rs]
+    while parent[rt] != rt:
+        rt = parent[rt]
 
     out: list[Constraint] = []
-    rs = eng.node("s", "")
-    rt = eng.node("t", "")
     name: dict[int, Endpoint] = {rs: ("L", "")}
     queue = [rs]  # grows while the loop below walks it
     if rt == rs:
@@ -315,21 +412,23 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
         queue.append(rt)
     for n in queue:
         side, addr = name[n]
-        for j, digit in ((2 * n, "0"), (2 * n + 1, "1")):
+        j = 2 * n - 1  # then kid[2n], the 0-child, and kid[2n + 1]
+        for digit in "01":
+            j += 1
             c = kid[j]
             if c == -1:
                 continue
             while parent[c] != c:
                 c = parent[c]
-            nm = (side, addr + digit)
+            a = addr + digit
             old = name.get(c)
             if old is None:
-                name[c] = nm
+                name[c] = (side, a)
                 queue.append(c)
-            elif len(old[1]) == len(nm[1]) and old[1] > nm[1]:
-                out.append((nm, old))
+            elif len(old[1]) == len(a) and old[1] > a:
+                out.append(((side, a), old))
             else:
-                out.append((old, nm))
+                out.append((old, (side, a)))
     return BranchRelation(False, frozenset(out))
 
 
@@ -346,7 +445,7 @@ def paths_pool() -> list[BranchRelation]:
     words are written down rather than composed: the empty word is IDENT,
     then a, b, aa, ab, ... in the order of composing one more generator."""
     words = [
-        _rel([(("R", ""), ("L", "".join(w)))])
+        _word("".join(w))
         for k in range(5)
         for w in itertools.product("01", repeat=k)
     ]

@@ -50,6 +50,12 @@ class StrategyUnavailableError(ModelError):
     pass
 
 
+class UnconfirmedCounterexample(RuntimeError):
+    """The block search found an assignment that the scalar evaluator does
+    not refute.  That is a bug, not a law failure, so it is no ModelError:
+    the CLI reports it as an internal error (exit 3), never as a fail."""
+
+
 @dataclass
 class ModelHandle:
     name: str
@@ -260,6 +266,11 @@ def search(
     computed only where every hypothesis holds.  Returns how many
     assignments were tested, up to and including the counterexample, and
     the counterexample as {variable: element}, or None.
+
+    Every counterexample must re-fail: before it is returned, and so before
+    check_law or jlm.check_jlm reports it, rerun_counterexample evaluates
+    it again, one scalar term at a time, and UnconfirmedCounterexample is
+    raised if it does not refute the law.
     """
     names = law.quantified_variables(m)
     grid = isinstance(strategy, Exhaustive)
@@ -289,9 +300,13 @@ def search(
             hit = np.flatnonzero(live & bad)
             if hit.size:
                 i = int(at[hit[0]])
-                return tested + i + 1, {
-                    k: _entry(v, shape, i) for k, v in zip(names, values)
-                }
+                found = {k: _entry(v, shape, i) for k, v in zip(names, values)}
+                if not rerun_counterexample(m, law, found):
+                    shown = {k: m.format_element(v) for k, v in found.items()}
+                    raise UnconfirmedCounterexample(
+                        f"law {law.id}: {shown} does not refute it again"
+                    )
+                return tested + i + 1, found
         tested += math.prod(shape)
     return tested, None
 

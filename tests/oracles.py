@@ -1,8 +1,9 @@
 """Slow, independent oracles the tests check the fast paths against.
 
 Nothing in the package calls these.  They are the bounded breadth-first
-closure `entails_bfs` and the three-tag `entails_product` for the tree
-relations, a concrete finite semantic model of tree pairs, the element tables
+closure `entails_bfs`, the endpoint partition `partition_bfs` it induces,
+and the three-tag `entails_product` for the tree relations, a concrete
+finite semantic model of tree pairs, the element tables
 of an atom structure built from their definitions, the plain brute force
 `reference_violation` for the product formulas J, L and M, the
 enumeration by plain isomorph rejection `enumerate_brute`, the first
@@ -59,16 +60,25 @@ def _pack_ep(ep: Endpoint) -> int:
 def entails_bfs(r: BranchRelation, c: Constraint, bound: int) -> bool:
     """Independent oracle: closure restricted to addresses of length <= bound.
 
+    Sound, and complete for derivations that stay within the address bound
+    (see derived_pairs).
+    """
+    known = derived_pairs(r, bound)
+    p, q = _pack_ep(c[0]), _pack_ep(c[1])
+    return p == q or (min(p, q), max(p, q)) in known
+
+
+def derived_pairs(r: BranchRelation, bound: int) -> set[tuple[int, int]]:
+    """Every pair (p, q), p < q, of packed endpoints that the closure rules
+    derive from r with addresses of length <= bound.
+
     Plain worklist saturation over an explicit set of derived pairs, with no
-    lazy node creation and no union-find; sound, and complete for derivations
-    that stay within the address bound.
+    lazy node creation and no union-find.  The set is transitively closed:
+    each pair is joined, when it is taken from the queue, with every pair
+    known then, and a pair found later is joined with it in turn.
     """
     if r.is_zero:
-        raise ValueError("entails_bfs is undefined on the zero relation")
-    goal_p, goal_q = _pack_ep(c[0]), _pack_ep(c[1])
-    if goal_p == goal_q:
-        return True
-    goal = (min(goal_p, goal_q), max(goal_p, goal_q))
+        raise ValueError("the bounded closure is undefined on the zero relation")
     known: set[tuple[int, int]] = set()
     adj: dict[int, list[int]] = {}
     queue: deque[tuple[int, int]] = deque()
@@ -108,7 +118,21 @@ def entails_bfs(r: BranchRelation, c: Constraint, bound: int) -> bool:
             sq = (qa ^ 1) << 1 | (q & 1)
             if (min(sp, sq), max(sp, sq)) in known:
                 push((pa >> 1) << 1 | (p & 1), (qa >> 1) << 1 | (q & 1))
-    return goal in known
+    return known
+
+
+def partition_bfs(r: BranchRelation, endpoints: list[Endpoint], bound: int) -> list[int]:
+    """The partition of the endpoints under one bounded saturation of r:
+    for each endpoint, the index of the first endpoint in the list that
+    derived_pairs identifies with it (its own index when there is none)."""
+    index = {_pack_ep(e): i for i, e in enumerate(endpoints)}
+    label = list(range(len(endpoints)))
+    for p, q in derived_pairs(r, bound):
+        i, j = index.get(p), index.get(q)
+        if i is not None and j is not None:
+            lo, hi = min(i, j), max(i, j)
+            label[hi] = min(label[hi], lo)
+    return label
 
 
 def entails_product(r1: BranchRelation, r2: BranchRelation, c: Constraint) -> bool:

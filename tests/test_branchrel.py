@@ -203,6 +203,80 @@ def _product_gaps(r1, r2, candidate, queries):
     ]
 
 
+def test_word_products_are_the_engine_products():
+    # compose writes these products down; the engine path is the reference.
+    # Every word {R.^=L.w} and co-word {L.^=R.w} with |w| <= 5, the
+    # identity in both forms, then TOP
+    words = [
+        br._word("".join(w), root)
+        for root in "RL"
+        for n in range(6)
+        for w in itertools.product("01", repeat=n)
+    ] + [TOP]
+    assert len(words) == 127
+    assert words[0] == words[63] == ID and words[1] == A and words[64] == CA
+    assert all(br._word_parts(w) is not None for w in words)
+    for x, y in itertools.product(words, repeat=2):
+        assert br.compose(x, y) == br._compose_engine(x, y), (x, y)
+
+
+def test_only_words_take_the_closed_form():
+    not_words = [
+        br.meet(A, B),
+        br.BranchRelation(False, frozenset([c("L.^=L.0")])),
+        br.BranchRelation(False, frozenset([c("L.0=R.1")])),
+        br.BranchRelation(False, frozenset([c("R.0=L.^")])),  # unoriented
+    ]
+    assert [br._word_parts(r) for r in not_words] == [None] * 4
+    assert br._word_parts(br._word("01", "L")) == ("L", "01")
+    for x, y in itertools.product(not_words + [A, CB, ID, TOP], repeat=2):
+        assert br.compose(x, y) == br._compose_engine(x, y)
+
+
+def _criterion_12_relation(rng):
+    """A relation drawn as acceptance criterion 12 draws its relations."""
+
+    def ep(lo, hi):
+        return (
+            rng.choice("LR"),
+            "".join(rng.choice("01") for _ in range(rng.randint(lo, hi))),
+        )
+
+    cons = [(ep(3, 6), ep(3, 6)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.4:
+        t1, u = ep(2, 5)
+        t2, v = ep(2, 5)
+        cons += [((t1, u + "0"), (t2, v + "0")), ((t1, u + "1"), (t2, v + "1"))]
+    cons = [c for c in cons if c[0] != c[1]]
+    return br.BranchRelation(False, frozenset(cons)) if cons else TOP
+
+
+ENDPOINTS_6 = [
+    (side, "".join(w))
+    for n in range(7)
+    for w in itertools.product("01", repeat=n)
+    for side in "LR"
+]
+
+
+def test_engine_partition_matches_the_bounded_saturation():
+    # each relation checks all 32,131 endpoint pairs at once: the engine's
+    # classes against one bounded worklist saturation of the same rules
+    assert len(ENDPOINTS_6) == 254
+    rng = random.Random(8)
+    merged = 0
+    for _ in range(2000):
+        r = _criterion_12_relation(rng)
+        eng = br.ClosureEngine((r, "L", "R"))
+        first: dict[int, int] = {}
+        got = [first.setdefault(eng.node(*e), i) for i, e in enumerate(ENDPOINTS_6)]
+        assert got == oracles.partition_bfs(r, ENDPOINTS_6, bound=8), r
+        merged += sum(label != i for i, label in enumerate(got))
+    # endpoints joined to an earlier one: far more entailed pairs than the
+    # 25 of criterion 12's 100,000 queries
+    assert merged > 10_000, merged
+
+
 def test_product_oracle_has_teeth():
     # TOP drops the only constraint of each composite; the oracle sees it
     for r1, r2, missing in ((A, CA, c("L.0=R.0")), (CA, A, c("L.^=R.^"))):
@@ -339,11 +413,12 @@ def test_paths_pool_is_deterministic():
 
 def test_paths_pool_words_are_the_compose_chain():
     # the reference construction: each generator word is a shorter one
-    # composed with a generator, where paths_pool writes the words down
+    # composed with a generator through the engine, where paths_pool writes
+    # the words down (and compose would too)
     words = [ID]
     frontier = [ID]
     for _ in range(4):
-        frontier = [br.compose(w, g) for w in frontier for g in (A, B)]
+        frontier = [br._compose_engine(w, g) for w in frontier for g in (A, B)]
         words.extend(frontier)
     short = [w for w in words if len(w.constraints) and br._max_addr(w) <= 2]
     meets = [br.meet(x, y) for x, y in itertools.combinations(short, 2)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from test_terms import TERM_TEXT
 
-from branchalg import cli, laws
+from branchalg import cli, laws, model
 from branchalg.cli import main
 from branchalg.finra import (
     STRETCH_SIGNATURES,
@@ -507,6 +507,27 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert err.startswith("internal error: KeyError")
     assert "Traceback" in err
+
+
+def test_a_counterexample_that_does_not_refail_exits_3(
+    capsys, monkeypatch, enumerated, tmp_path
+):
+    # J fails on this structure, in sampling and on elements; with every
+    # variable read back as the zero element the reported assignment
+    # satisfies J, and must not be printed
+    s = next(s for s in enumerated("1'abc") if s.label == "1'abc#17")
+    path = tmp_path / "fails-j.ra"
+    path.write_text(format_structure(s))
+    argvs = [
+        ["check-law", "J", "--model", str(path), "--strategy", "sample=2000"],
+        ["check-jlm", str(path), "--elements"],
+    ]
+    assert [run(capsys, argv)[0] for argv in argvs] == [1, 1]
+    monkeypatch.setattr(model, "_entry", lambda v, shape, i: 0)
+    for argv in argvs:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: UnconfirmedCounterexample")
 
 
 def _quiet_main(argv) -> int:
