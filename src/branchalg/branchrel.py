@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,8 @@ Constraint = tuple[Endpoint, Endpoint]
 
 
 def _orient(c: Constraint) -> Constraint:
+    """The constraint's endpoints in (length, address, side) order, the
+    order in which this module stores every constraint it builds."""
     p, q = c
     return (p, q) if _ep_key(p) <= _ep_key(q) else (q, p)
 
@@ -51,10 +53,16 @@ class BranchRelation:
 
     The empty constraint set is the universal relation; structural equality
     of values is incidental, semantic equality is decided by `equal`.
+
+    `normal` marks a constraint set that `_compose_engine` itself would
+    emit, which is the normal form of its relation (proved there).  Only
+    compose's outputs, the words and TOP carry it; equality and hashing
+    ignore it.
     """
 
     is_zero: bool
     constraints: frozenset[Constraint]
+    normal: bool = field(default=False, compare=False)
 
     def __repr__(self):
         return f"BranchRelation({format_relation(self)!r})"
@@ -63,19 +71,24 @@ class BranchRelation:
 _SWAP = {"L": "R", "R": "L"}
 
 
-def _rel(cons) -> BranchRelation:
-    return BranchRelation(False, frozenset(_orient(c) for c in cons))
-
-
 def _word(w: str, root: str = "R") -> BranchRelation:
     """The word {R.^=L.w}: the output is the input's subtree at address w.
     With root "L" it is the co-word {L.^=R.w}, the word's converse.  The
-    empty word is the identity in either form."""
-    return _rel([((root, ""), (_SWAP[root], w))])
+    empty word is the identity in either form.  Each is the engine's
+    product of shorter words, so it is normal."""
+    con = ((root, ""), (_SWAP[root], w)) if w else (("L", ""), ("R", ""))
+    return BranchRelation(False, frozenset((con,)), True)
+
+
+def _lr(a: str, b: str) -> Constraint:
+    """The constraint L.a=R.b, oriented as `_orient` orients it."""
+    if len(a) < len(b) or len(a) == len(b) and a <= b:
+        return (("L", a), ("R", b))
+    return (("R", b), ("L", a))
 
 
 ZERO = BranchRelation(True, frozenset())
-TOP = _rel([])
+TOP = BranchRelation(False, frozenset(), True)
 IDENT = _word("")
 GEN_A = _word("0")  # output equals the input's left subtree
 GEN_B = _word("1")
@@ -102,11 +115,12 @@ def _fmt_ep(e: Endpoint) -> str:
 # --- the closure engine ---------------------------------------------------
 
 
-def _union(parent: list[int], kid: list[int], stack: list[int]):
+def _union(parent: list[int], kid: list[int], stack: list[int], full: list[int]):
     """Merge the classes of each pair (x, y) on the stack, read as a flat
     list x1, y1, x2, y2, ..., and, by right append, the classes of their
     d-children for each d both have.  A child only one side has becomes the
-    merged class's child.  The stack is consumed."""
+    merged class's child; a class that gains its second child that way is
+    appended to `full`.  The stack is consumed."""
     while stack:
         y = stack.pop()
         x = stack.pop()
@@ -117,14 +131,25 @@ def _union(parent: list[int], kid: list[int], stack: list[int]):
         if x == y:
             continue
         parent[y] = x
-        for jx, jy in ((2 * x, 2 * y), (2 * x + 1, 2 * y + 1)):
-            cy = kid[jy]
-            if cy != -1:
-                cx = kid[jx]
-                if cx == -1:
-                    kid[jx] = cy
-                else:
-                    stack += (cx, cy)
+        jx, jy = 2 * x, 2 * y
+        cy = kid[jy]
+        if cy != -1:
+            cx = kid[jx]
+            if cx == -1:
+                kid[jx] = cy
+                if kid[jx + 1] != -1:
+                    full.append(x)
+            else:
+                stack += (cx, cy)
+        cy = kid[jy + 1]
+        if cy != -1:
+            cx = kid[jx + 1]
+            if cx == -1:
+                kid[jx + 1] = cy
+                if kid[jx] != -1:
+                    full.append(x)
+            else:
+                stack += (cx, cy)
 
 
 class ClosureEngine:
@@ -151,9 +176,17 @@ class ClosureEngine:
     already-merged class has its own node here, and the union of its
     parent class merges it into the same class by right append.  The least
     fixpoint does not depend on the order in which the rules fire.
+
+    `_full` lists every node that has had both children at some point: the
+    trie walk appends a node when it creates its second child, and `_union`
+    appends a class that gains its second child through a moved child.  A
+    class never loses a child, and a merged class keeps the children of
+    both sides, so the classes with both children are exactly the classes
+    of the listed nodes.  Nodes that `node()` creates after saturation are
+    not listed; nothing saturates again.
     """
 
-    __slots__ = ("_parent", "_kid", "_roots")
+    __slots__ = ("_parent", "_kid", "_roots", "_full")
 
     def __init__(self, *systems: tuple[BranchRelation, str, str]):
         roots: dict[str, int] = {}
@@ -162,7 +195,8 @@ class ClosureEngine:
             roots.setdefault(dst, len(roots))
         parent = list(range(len(roots)))
         kid = [-1] * (2 * len(roots))
-        self._parent, self._kid, self._roots = parent, kid, roots
+        full: list[int] = []
+        self._parent, self._kid, self._roots, self._full = parent, kid, roots, full
         ends: list[int] = []
         for r, src, dst in systems:
             at = {"L": roots[src], "R": roots[dst]}
@@ -176,8 +210,10 @@ class ClosureEngine:
                             n = kid[j] = len(parent)
                             parent.append(n)
                             kid += (-1, -1)
+                            if kid[j ^ 1] != -1:  # node j >> 1 has both children
+                                full.append(j >> 1)
                     ends.append(n)
-        _union(parent, kid, ends)
+        _union(parent, kid, ends, full)
         self.saturate()
 
     def _new(self) -> int:
@@ -208,27 +244,23 @@ class ClosureEngine:
     def saturate(self):
         """Pair reconstruction to a fixpoint, one round at a time.
 
-        A round collects the classes that have both children and buckets
-        them by their children's classes; every bucket collision goes on
-        one stack, which `_union` then merges with its right appends.  The
+        A round buckets the classes of the `_full` nodes, the classes with
+        both children, by their children's classes; every bucket collision
+        goes on one stack, which `_union` then merges with its right
+        appends.  A node listed twice, or two nodes of one class, fall in
+        the same bucket with the same class and collide with nothing.  The
         rounds stop when a round finds no collision, or when fewer than two
-        classes have both children: pair reconstruction merges two distinct
-        classes that both have two children, and no other rule fires here
-        except through such a merge, so with fewer than two nothing can
-        change.
+        nodes are listed: pair reconstruction merges two distinct classes
+        that both have two children, and no other rule fires here except
+        through such a merge, so with fewer than two nothing can change.
         """
-        parent, kid = self._parent, self._kid
-        while True:
-            full = [
-                i
-                for i in range(len(parent))
-                if parent[i] == i and kid[2 * i] != -1 and kid[2 * i + 1] != -1
-            ]
-            if len(full) < 2:
-                return
+        parent, kid, full = self._parent, self._kid, self._full
+        while len(full) > 1:
             buckets: dict[tuple[int, int], int] = {}
             stack: list[int] = []
             for i in full:
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]
                 c0, c1 = kid[2 * i], kid[2 * i + 1]
                 while parent[c0] != c0:
                     parent[c0] = c0 = parent[parent[c0]]
@@ -239,7 +271,7 @@ class ClosureEngine:
                     stack += (other, i)
             if not stack:
                 return
-            _union(parent, kid, stack)
+            _union(parent, kid, stack, full)
 
     def same(self, e1: tuple[str, str], e2: tuple[str, str]) -> bool:
         # node() returns a root, and creating nodes never merges classes
@@ -248,23 +280,65 @@ class ClosureEngine:
 
 def leq(r1: BranchRelation, r2: BranchRelation) -> bool:
     """r1 below r2: r1's constraints entail each of r2's.  A constraint set
-    entails its subsets outright, without building an engine."""
+    entails its subsets outright, without building an engine.
+
+    A normal r1 needs no engine either.  Each of its constraints joins a
+    class name to a later config of that class, so mapping every later
+    endpoint to its name and walking an endpoint from its root through that
+    map gives the N(x) of `_compose_engine`'s completeness proof
+    (`_walk`); r1 entails x = y exactly when N(x) = N(y).  Any other r1 is
+    closed in a two-tag engine."""
     if r1.is_zero:
         return True
     if r2.is_zero:
         return False
     if r2.constraints <= r1.constraints:
         return True
+    if r1.normal:
+        names = _names(r1)
+        return all(_walk(names, p) == _walk(names, q) for p, q in r2.constraints)
     eng = ClosureEngine((r1, "L", "R"))
     return all(eng.same(p, q) for p, q in r2.constraints)
 
 
+def _names(r: BranchRelation) -> dict[Endpoint, Endpoint]:
+    """Each constraint's later endpoint in (length, side, address) order,
+    mapped to its first.  `_orient`'s order (length, address, side) differs
+    only on two sides at one length, where side L comes first."""
+    names = {}
+    for p, q in r.constraints:
+        if p[0] == "R" and q[0] == "L" and len(p[1]) == len(q[1]):
+            names[p] = q
+        else:
+            names[q] = p
+    return names
+
+
+def _walk(names: dict[Endpoint, Endpoint], e: Endpoint) -> Endpoint:
+    """N(e): from e's root, append e's address one digit at a time and
+    replace each config found in `names` by its name."""
+    side, addr = e
+    x = names.get((side, ""), (side, ""))
+    for ch in addr:
+        x = (x[0], x[1] + ch)
+        x = names.get(x, x)
+    return x
+
+
 def equal(r1: BranchRelation, r2: BranchRelation) -> bool:
+    """Equal as relations: identical normal forms (`_nf`).  Two normal
+    operands are compared as they are; any other operand costs one engine."""
     if r1.is_zero or r2.is_zero:
         return r1.is_zero and r2.is_zero
     if r1.constraints == r2.constraints:
         return True
-    return leq(r1, r2) and leq(r2, r1)
+    return _nf(r1).constraints == _nf(r2).constraints
+
+
+def _nf(r: BranchRelation) -> BranchRelation:
+    """The normal form of a non-zero r: r itself when it is normal, else
+    `_compose_engine(r, IDENT)`."""
+    return r if r.normal else _compose_engine(r, IDENT)
 
 
 def meet(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
@@ -275,7 +349,7 @@ def meet(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
 
 def converse(r: BranchRelation) -> BranchRelation:
     """Swap the sides of every constraint.  The result is oriented as
-    `_rel` orients it: by address (shorter, then smaller) when the two
+    `_orient` orients it: by address (shorter, then smaller) when the two
     addresses differ, else by side, which the swap reverses."""
     if r.is_zero:
         return ZERO
@@ -294,8 +368,10 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     """Relative product: project the shared middle tree out of r1 and r2.
 
     When both operands are words, co-words or TOP the product is written
-    down (`_compose_words`); every other product is projected out of the
-    closure engine (`_compose_engine`).
+    down (`_compose_words`).  So is a word times a normal relation, unless
+    a class name would flip (`_prefixed`).  Every other product is
+    projected out of the closure engine (`_compose_engine`).  Every
+    non-zero product is normal.
 
     Words.  Write W_u = {R.^=L.u} and C_u = {L.^=R.u} (`_word`); the
     identity is W_^ = C_^.  Read with r1 from s to the middle m and r2 from
@@ -316,6 +392,32 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     The tests check that each of these constraint sets is exactly the one
     the engine path emits, for every pair of words and co-words up to
     length 5 and TOP.
+
+    Substitution.  In W_u;r the middle is s.u, so the product's closure is
+    r's closure with each input config L.a moved to L.ua; the configs of s
+    off the path to u are constrained by nothing, and those on it are
+    named by themselves.  By the characterisation in `_compose_engine`,
+    the engine then emits r's constraints with every side-L address
+    prefixed by u, provided r is normal and every class keeps its first
+    config as its name.  Likewise r;C_v is r with every side-R address
+    prefixed by v.  Prefixing side L lengthens only L configs, so only a
+    class named L.a with a member on side R can change its name: it does
+    when its first R member R.b has |b| < |a| + |u|.  On side R a class
+    named R.b flips when its first L member L.a has |a| <= |b| + |v|.
+
+    Such a flip shows in a constraint of r.  Let C, named L.a, flip, and
+    let R.b be its first R member.  If b = ^, then a = ^ and r holds
+    L.^=R.^.  Else b = b'.d.  If R.b' names its class D, the engine emits
+    L.a=R.b.  If not, D's name precedes R.b' and lies on side L (a name
+    R.c with c before b' would put R.c.d, before R.b, in C), say L.c; then
+    L.c.d is in C, so |a| <= |c| + 1 and |b'| < |a| + |u| - 1 <= |c| + |u|:
+    D flips too, with a shorter first R member.  The descent ends at a
+    constraint L.a'=R.b'' with |a'| <= |b''| < |a'| + |u|, which
+    `_prefixed` sees.  Side R is symmetric.  W_^ and C_^ flip nothing, so
+    IDENT;r = r;IDENT = r for normal r, and IDENT counts as W_^ on the
+    left though `_word_parts` reads it as C_^.  The tests check the rule
+    against the engine for every normal pool product and every word and
+    co-word up to length 4, on both sides.
     """
     if r1.is_zero or r2.is_zero:
         return ZERO
@@ -324,7 +426,41 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
         w2 = _word_parts(r2)
         if w2 is not None:
             return _compose_words(w1, w2)
+        if r2.normal and (w1[0] == "R" or w1 == ("L", "")):
+            out = _prefixed(r2, "L", w1[1])
+            if out is not None:
+                return out
+    elif r1.normal:
+        w2 = _word_parts(r2)
+        if w2 is not None and w2[0] == "L":
+            out = _prefixed(r1, "R", w2[1])
+            if out is not None:
+                return out
     return _compose_engine(r1, r2)
+
+
+def _prefixed(r: BranchRelation, side: str, u: str) -> BranchRelation | None:
+    """The normal r with every address on `side` prefixed by u: the product
+    W_u;r for side L, r;C_u for side R.  None when a class name would flip
+    (see compose)."""
+    n = len(u)
+    out = []
+    for p, q in r.constraints:
+        if p[0] == q[0]:
+            if p[0] == side:
+                p, q = (side, u + p[1]), (side, u + q[1])
+            out.append((p, q))
+            continue
+        a, b = (p[1], q[1]) if p[0] == "L" else (q[1], p[1])
+        if side == "L":
+            if len(a) <= len(b) < len(a) + n:  # L.a names the class
+                return None
+            out.append(_lr(u + a, b))
+        else:
+            if len(b) < len(a) <= len(b) + n:  # R.b names the class
+                return None
+            out.append(_lr(a, u + b))
+    return BranchRelation(False, frozenset(out), True)
 
 
 def _word_parts(r: BranchRelation) -> tuple[str, str] | None:
@@ -347,7 +483,9 @@ def _compose_words(w1: tuple[str, str], w2: tuple[str, str]) -> BranchRelation:
     if not k1 or not k2:
         return TOP
     if k1 == "R":
-        return _word(u + v) if k2 == "R" else _rel([(("L", u), ("R", v))])
+        if k2 == "R":
+            return _word(u + v)
+        return BranchRelation(False, frozenset((_lr(u, v),)), True)
     if k2 == "L":
         return _word(v + u, "L")
     if v.startswith(u):
@@ -386,13 +524,37 @@ def _compose_engine(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     Orientation.  The walk hands out names in increasing (length, side,
     address) order: the roots come first, and the children of the queued
     classes are named in queue order, 0 before 1.  So name[c] precedes the
-    new name name[n].d in that order, and the emitted pair is put in `_rel`'s
-    (length, address, side) order by one address comparison when the
-    lengths are equal; equal addresses have name[c] on side L, which is
-    first anyway.  Each constraint is thus emitted oriented, with no sort.
+    new name name[n].d in that order, and the emitted pair is put in
+    `_orient`'s (length, address, side) order by one address comparison
+    when the lengths are equal; equal addresses have name[c] on side L,
+    which is first anyway.  Each constraint is thus emitted oriented, with no sort.
 
-    `entails_product` in tests/oracles.py decides E3 directly; the tests
-    check compose with it.
+    Normal form.  For a relation r and an outer config x, let min[x] be
+    the first config of x's class in the closure of r, in (length, side,
+    address) order, and let K(r) hold min[x]=x, oriented, for each x that
+    is R.^ or a child y.d of some y = min[y], whenever x != min[x].  The
+    claim: this function emits K(r1;r2).  So, as K(r) depends on r's
+    closure alone, relations that are equal as relations give identical
+    sets.  By soundness and completeness the closure of r1;r2 is E3 on the
+    outer configs, and N is constant on its classes.  Also N(x) <= x: for
+    x = y.d, N(x) is N(y).d or the name of N(y).d's class, handed out no
+    later than the walk offered N(y).d <= y.d.  As N(x) lies in x's
+    class, N(x) = N(min[x]) <= min[x] <= N(x): every name is the first
+    config of its class.  The walk reaches the class of every name, so it
+    emits min[x]=x for each child x = name[n].d of a class with a d-child
+    in the engine, whenever x is not that child's name; and a child with
+    no node is its own class's first config.  That is K(r1;r2).
+
+    Now let nf(r) = _compose_engine(r, IDENT).  IDENT joins m to t at the
+    root, so the closure of r;IDENT is r's, and nf(r) = K(r).  A set r this
+    function emitted is then a fixed point: nf(r) = K(r) = K(r1;r2) = r.
+    And two relations are equal exactly when their closures agree, that is
+    when their nf agree.  Every set marked `normal` is one this function
+    emits for some pair, which the tests check, so `equal` compares normal
+    forms and `leq` walks N over a normal r1 with no engine.
+
+    `entails_product` in tests/oracles.py decides E3 by a bounded worklist
+    saturation with no union-find; the tests check compose with it.
     """
     eng = ClosureEngine((r1, "s", "m"), (r2, "m", "t"))
     parent, kid = eng._parent, eng._kid
@@ -410,17 +572,13 @@ def _compose_engine(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     else:
         name[rt] = ("R", "")
         queue.append(rt)
-    for n in queue:
+    for n in queue:  # the two digits unrolled, 0 first
         side, addr = name[n]
-        j = 2 * n - 1  # then kid[2n], the 0-child, and kid[2n + 1]
-        for digit in "01":
-            j += 1
-            c = kid[j]
-            if c == -1:
-                continue
+        c = kid[2 * n]
+        if c != -1:
             while parent[c] != c:
                 c = parent[c]
-            a = addr + digit
+            a = addr + "0"
             old = name.get(c)
             if old is None:
                 name[c] = (side, a)
@@ -429,7 +587,20 @@ def _compose_engine(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
                 out.append(((side, a), old))
             else:
                 out.append((old, (side, a)))
-    return BranchRelation(False, frozenset(out))
+        c = kid[2 * n + 1]
+        if c != -1:
+            while parent[c] != c:
+                c = parent[c]
+            a = addr + "1"
+            old = name.get(c)
+            if old is None:
+                name[c] = (side, a)
+                queue.append(c)
+            elif len(old[1]) == len(a) and old[1] > a:
+                out.append(((side, a), old))
+            else:
+                out.append((old, (side, a)))
+    return BranchRelation(False, frozenset(out), True)
 
 
 # --- model handle and sampling -------------------------------------------

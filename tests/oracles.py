@@ -2,9 +2,9 @@
 
 Nothing in the package calls these.  They are the bounded breadth-first
 closure `entails_bfs`, the endpoint partition `partition_bfs` it induces,
-and the three-tag `entails_product` for the tree relations, a concrete
-finite semantic model of tree pairs, the element tables
-of an atom structure built from their definitions, the plain brute force
+and the three-tag `entails_product` on the same saturation for the tree
+relations, a concrete finite semantic model of tree pairs, the element
+tables of an atom structure built from their definitions, the plain brute force
 `reference_violation` for the product formulas J, L and M, the
 enumeration by plain isomorph rejection `enumerate_brute`, the first
 tabular witness by a pairwise scan `tabular_witness_loop`, tabularity
@@ -20,6 +20,7 @@ the reference the closed forms in `thompson.py` are checked against, and
 reference for the suites' grid and row evaluation of their equations.
 """
 
+import functools
 import itertools
 import random
 from collections import deque
@@ -49,101 +50,131 @@ def entails(r: BranchRelation, c: Constraint) -> bool:
     return ClosureEngine((r, "L", "R")).same(c[0], c[1])
 
 
-def _pack_ep(ep: Endpoint) -> int:
-    """Endpoint as an int: 1-prefixed address bits, tag in the low bit."""
+# Two tag bits: the outer tags s and t of a product pack as sides L and R,
+# so a query on the product reads as one on the composite; m is tag 2.
+_TAG = {"L": 0, "R": 1, "s": 0, "t": 1, "m": 2}
+
+
+def _pack_ep(ep: tuple[str, str]) -> int:
+    """A (tag, address) config as an int: 1-prefixed address bits, then
+    the two tag bits."""
     code = 1
     for ch in ep[1]:
         code = code << 1 | (ch == "1")
-    return code << 1 | (ep[0] == "R")
+    return code << 2 | _TAG[ep[0]]
 
 
 def entails_bfs(r: BranchRelation, c: Constraint, bound: int) -> bool:
     """Independent oracle: closure restricted to addresses of length <= bound.
 
     Sound, and complete for derivations that stay within the address bound
-    (see derived_pairs).
+    (see derived_classes).
     """
-    known = derived_pairs(r, bound)
+    leader = derived_classes(bound, (r, "L", "R"))
     p, q = _pack_ep(c[0]), _pack_ep(c[1])
-    return p == q or (min(p, q), max(p, q)) in known
+    return p == q or leader.get(p, p) == leader.get(q, q)
 
 
-def derived_pairs(r: BranchRelation, bound: int) -> set[tuple[int, int]]:
-    """Every pair (p, q), p < q, of packed endpoints that the closure rules
-    derive from r with addresses of length <= bound.
+def derived_classes(bound: int, *systems) -> dict[int, int]:
+    """The classes of packed configs that the closure rules derive from the
+    systems with addresses of length <= bound, as a map from each config
+    the saturation touched to its class's leader; an untouched config is a
+    class of its own.  A system (r, src, dst) reads r's side L as tag src
+    and side R as tag dst, as `ClosureEngine` reads it.
 
-    Plain worklist saturation over an explicit set of derived pairs, with no
-    lazy node creation and no union-find.  The set is transitively closed:
-    each pair is joined, when it is taken from the queue, with every pair
-    known then, and a pair found later is joined with it in turn.
+    Plain worklist saturation over explicit classes, with no lazy node tree
+    and no union-find forest: a class is the list of its members under a
+    leader config, and a merge relabels every member of the smaller class.
+    Merging two classes right-appends their shortest members; every other
+    pair of members whose addresses are both shorter than the bound then
+    follows by transitivity, since each class was closed before.  A config
+    whose two children are both touched is filed under its children's
+    leaders, and two configs filed under one pair of leaders are merged
+    (pair reconstruction).  A merge re-files the parents of the configs it
+    relabels.
     """
-    if r.is_zero:
-        raise ValueError("the bounded closure is undefined on the zero relation")
-    known: set[tuple[int, int]] = set()
-    adj: dict[int, list[int]] = {}
+    leader: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
+    shortest: dict[int, int] = {}
+    filed: dict[tuple[int, int], int] = {}
     queue: deque[tuple[int, int]] = deque()
-    # a packed endpoint has address length bit_length(ep >> 1) - 1
-    applim = 1 << (bound + 1)  # appendable while (ep >> 1) < applim / 2
+    # a packed config is its 1-prefixed address a = ep >> 2 and its tag
+    # ep & 3; a smaller a is a shorter address, and a < limit can append
+    limit = 1 << bound
 
-    def push(p: int, q: int):
-        if p == q:
-            return
-        key = (p, q) if p < q else (q, p)
-        if key in known:
-            return
-        known.add(key)
-        adj.setdefault(p, []).append(q)
-        adj.setdefault(q, []).append(p)
-        queue.append(key)
+    def file(x: int):
+        a, t = x >> 2, x & 3
+        c0, c1 = (a << 1) << 2 | t, (a << 1 | 1) << 2 | t
+        if c0 in leader and c1 in leader:
+            y = filed.setdefault((leader[c0], leader[c1]), x)
+            if y != x:
+                queue.append((x, y))
 
-    for ep1, ep2 in r.constraints:
-        push(_pack_ep(ep1), _pack_ep(ep2))
+    for r, src, dst in systems:
+        if r.is_zero:
+            raise ValueError("the bounded closure is undefined on the zero relation")
+        tag = {"L": src, "R": dst}
+        for (t1, a1), (t2, a2) in r.constraints:
+            queue.append((_pack_ep((tag[t1], a1)), _pack_ep((tag[t2], a2))))
     while queue:
         p, q = queue.popleft()
-        # transitivity through shared endpoints
-        for x, other in ((p, q), (q, p)):
-            for mate in list(adj.get(x, ())):
-                push(other, mate)
-        # right append within the bound
-        pa, qa = p >> 1, q >> 1
-        if pa < applim // 2 and qa < applim // 2:
+        for x in (p, q):
+            if x not in leader:  # a new config, a class of its own
+                leader[x] = shortest[x] = x
+                members[x] = [x]
+                if x >> 2 > 1:
+                    file(x >> 3 << 2 | x & 3)
+        lp, lq = leader[p], leader[q]
+        if lp == lq:
+            continue
+        if len(members[lp]) < len(members[lq]):
+            lp, lq = lq, lp
+        sp, sq = shortest[lp], shortest.pop(lq)
+        if sp >> 2 < limit and sq >> 2 < limit:
             for d in (0, 1):
-                push(
-                    (pa << 1 | d) << 1 | (p & 1),
-                    (qa << 1 | d) << 1 | (q & 1),
-                )
-        # pair reconstruction: merged siblings force the parents
-        if pa > 1 and qa > 1 and (pa & 1) == (qa & 1):
-            sp = (pa ^ 1) << 1 | (p & 1)
-            sq = (qa ^ 1) << 1 | (q & 1)
-            if (min(sp, sq), max(sp, sq)) in known:
-                push((pa >> 1) << 1 | (p & 1), (qa >> 1) << 1 | (q & 1))
-    return known
+                queue.append(((sp >> 2 << 1 | d) << 2 | sp & 3, (sq >> 2 << 1 | d) << 2 | sq & 3))
+        if sq >> 2 < sp >> 2:
+            shortest[lp] = sq
+        moved = members.pop(lq)
+        for x in moved:
+            leader[x] = lp
+        members[lp] += moved
+        for x in moved:
+            if x >> 2 > 1:
+                file(x >> 3 << 2 | x & 3)
+    return leader
 
 
 def partition_bfs(r: BranchRelation, endpoints: list[Endpoint], bound: int) -> list[int]:
     """The partition of the endpoints under one bounded saturation of r:
     for each endpoint, the index of the first endpoint in the list that
-    derived_pairs identifies with it (its own index when there is none)."""
-    index = {_pack_ep(e): i for i, e in enumerate(endpoints)}
-    label = list(range(len(endpoints)))
-    for p, q in derived_pairs(r, bound):
-        i, j = index.get(p), index.get(q)
-        if i is not None and j is not None:
-            lo, hi = min(i, j), max(i, j)
-            label[hi] = min(label[hi], lo)
-    return label
+    derived_classes puts in its class (its own index when there is none)."""
+    leader = derived_classes(bound, (r, "L", "R"))
+    first: dict[int, int] = {}
+    return [first.setdefault(leader.get(p, p), i) for i, p in enumerate(map(_pack_ep, endpoints))]
+
+
+PRODUCT_BOUND = 8
+
+
+@functools.lru_cache(maxsize=16)
+def _product_classes(r1: BranchRelation, r2: BranchRelation) -> dict[int, int]:
+    return derived_classes(PRODUCT_BOUND, (r1, "s", "m"), (r2, "m", "t"))
 
 
 def entails_product(r1: BranchRelation, r2: BranchRelation, c: Constraint) -> bool:
     """Oracle for compose: is the outer constraint c (side L the input of r1,
-    side R the output of r2) derivable in the three-tag closure?"""
+    side R the output of r2) derivable in the three-tag closure?  The
+    bounded saturation `derived_classes` of r1 from s to m and r2 from m to
+    t, addresses up to PRODUCT_BOUND, with no `ClosureEngine`; m is
+    projected out by asking only about s and t configs.  The last few
+    products' classes are kept, since the tests ask many queries of one
+    product."""
     if r1.is_zero or r2.is_zero:
         raise ValueError("entails_product is undefined on the zero relation")
-    tag = {"L": "s", "R": "t"}
-    (t1, a1), (t2, a2) = c
-    eng = ClosureEngine((r1, "s", "m"), (r2, "m", "t"))
-    return eng.same((tag[t1], a1), (tag[t2], a2))
+    leader = _product_classes(r1, r2)
+    p, q = _pack_ep(c[0]), _pack_ep(c[1])
+    return p == q or leader.get(p, p) == leader.get(q, q)
 
 
 # --- finite semantic model --------------------------------------------------

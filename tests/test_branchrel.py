@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -559,3 +560,137 @@ def test_compose_output_on_the_pool_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3c079ea2acb01470ae1800d0c09e3478aa738655b24f1f33006148068b31be1c"
     )
+
+
+# --- the normal form ---------------------------------------------------------
+
+
+def _nf(r):
+    """nf(r) = _compose_engine(r, IDENT), through the engine whatever r's
+    flag says."""
+    return br._compose_engine(r, ID)
+
+
+@functools.cache
+def _pool_products():
+    pool = br.paths_pool()
+    products = dict.fromkeys(br.compose(x, y) for x in pool for y in pool)
+    return [r for r in products if not r.is_zero]
+
+
+def _two_level_products(n, seed):
+    pool, products = br.paths_pool(), _pool_products()
+    rng = random.Random(seed)
+    out = [br.compose(rng.choice(products), rng.choice(pool)) for _ in range(n)]
+    return [r for r in out if not r.is_zero]
+
+
+def test_normal_relations_are_fixed_points_of_nf():
+    products = _pool_products()
+    two_level = _two_level_products(600, 26)
+    normal = [r for r in br.paths_pool() + products + two_level if r.normal]
+    assert len(normal) > len(products) + 500
+    for r in normal:
+        assert _nf(r).constraints == r.constraints, r
+    # nf is idempotent on any relation, normal or not
+    rng = random.Random(27)
+    others = [br.meet(rng.choice(products), rng.choice(two_level)) for _ in range(300)]
+    others += [br.converse(r) for r in products[:300]]
+    for r in others:
+        once = _nf(r)
+        assert once.normal and _nf(once).constraints == once.constraints
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constraint_systems(), _constraint_systems())
+def test_nf_on_drawn_operands_property(r1, r2):
+    product = br.compose(r1, r2)
+    assert product.normal and _nf(product).constraints == product.constraints
+    for r in (r1, br.meet(r1, r2)):
+        once = _nf(r)
+        assert _nf(once).constraints == once.constraints
+
+
+def _equal_by_engine(x, y):
+    """Equality as two-way entailment, each constraint closed in its own
+    two-tag engine."""
+    return all(oracles.entails(x, q) for q in y.constraints) and all(
+        oracles.entails(y, q) for q in x.constraints
+    )
+
+
+def test_equal_is_equality_of_normal_forms():
+    products = _pool_products()
+    rng = random.Random(28)
+    pairs = []
+    for _ in range(300):
+        x, y = rng.choice(products), rng.choice(products)
+        met = br.meet(x, y)
+        pairs += [(x, y), (met, _nf(met)), (met, br.meet(met, _nf(x))), (br.converse(x), y)]
+    for _ in range(300):
+        r = _criterion_12_relation(rng)
+        pairs += [(r, _nf(r)), (r, br.meet(r, _nf(r))), (r, _criterion_12_relation(rng))]
+    verdicts = []
+    for x, y in pairs:
+        want = _equal_by_engine(x, y)
+        assert (_nf(x) == _nf(y)) == want, (x, y)
+        assert br.equal(x, y) == br.equal(y, x) == want, (x, y)
+        verdicts.append(want)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_normal_leq_walk_matches_the_engine():
+    # leq's walk over a normal r1 partitions all 254 endpoints of length
+    # <= 6 (32,131 pairs) as the engine of r1 does
+    rng = random.Random(29)
+    normal = rng.sample(_pool_products(), 200) + _two_level_products(100, 30)
+    joined = 0
+    for r in normal:
+        names = br._names(r)
+        eng = br.ClosureEngine((r, "L", "R"))
+        by_walk: dict = {}
+        by_engine: dict = {}
+        walked = [by_walk.setdefault(br._walk(names, e), i) for i, e in enumerate(ENDPOINTS_6)]
+        closed = [by_engine.setdefault(eng.node(*e), i) for i, e in enumerate(ENDPOINTS_6)]
+        assert walked == closed, r
+        joined += sum(label != i for i, label in enumerate(walked))
+    assert joined > 1000, joined
+    # and leq itself, normal r1 against the engine's entailment
+    others = normal[:100] + [br.meet(r, rng.choice(normal)) for r in normal[:100]]
+    for r1, r2 in zip(normal, others):
+        for x, y in ((r1, r2), (r1, br.meet(r1, r2)), (r1, r1)):
+            assert br.leq(x, y) == all(oracles.entails(x, q) for q in y.constraints)
+
+
+def test_prefix_rule_is_the_engine_product(monkeypatch):
+    # every normal pool product r against every word W_u on the left and
+    # every co-word C_v on the right, |u|, |v| <= 4; IDENT is both
+    left, right = (
+        [br._word("".join(w), root) for n in range(5) for w in itertools.product("01", repeat=n)]
+        for root in "RL"
+    )
+    assert len(left) == len(right) == 31 and left[0] == right[0] == ID
+    normal = [r for r in _pool_products() if br._word_parts(r) is None]
+    engine, flipped = br._compose_engine, []
+    # compose reaches the engine here only when a class name flips
+    monkeypatch.setattr(br, "_compose_engine", lambda x, y: flipped.append(1) or engine(x, y))
+    for pairs in ([(w, r) for r in normal for w in left], [(r, w) for r in normal for w in right]):
+        flipped.clear()
+        for x, y in pairs:
+            assert br.compose(x, y).constraints == engine(x, y).constraints, (x, y)
+        assert 1000 < len(flipped) < len(pairs) - 10_000, len(flipped)
+    # IDENT;r and r;IDENT are r, with no engine
+    monkeypatch.setattr(br, "_compose_engine", None)
+    for r in normal:
+        assert br.compose(ID, r) == r == br.compose(r, ID)
+
+
+def test_only_products_words_and_top_are_normal():
+    x, y = br.compose(A, br.meet(A, CB)), br.compose(CB, br.meet(B, CA))
+    assert x.normal and y.normal and TOP.normal and ID.normal and A.normal
+    assert not br.meet(x, y).normal and not br.meet(TOP, x).normal
+    assert not br.converse(x).normal and not br.converse(ID).normal
+    assert not br.BranchRelation(False, x.constraints).normal
+    # the flag is not part of the value
+    plain = br.BranchRelation(False, x.constraints)
+    assert plain == x and hash(plain) == hash(x) and len({plain, x}) == 1
