@@ -25,7 +25,7 @@ systems against the one built from their meet.
 
 from __future__ import annotations
 
-import functools
+import collections
 import itertools
 from dataclasses import dataclass, field
 
@@ -47,7 +47,7 @@ def _ep_key(e: Endpoint):
     return (len(addr), addr, side)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BranchRelation:
     """Zero, or a finite set of subtree-equality constraints.
 
@@ -58,6 +58,14 @@ class BranchRelation:
     emit, which is the normal form of its relation (proved there).  Only
     compose's outputs, the words and TOP carry it; equality and hashing
     ignore it.
+
+    The class is not `frozen`: a frozen dataclass sets each field through
+    `object.__setattr__`, which made construction about three times
+    slower, and the tree model builds tens of thousands of relations per
+    law check.  No code mutates a relation after construction, and sets,
+    dict keys and the handle's memo (`_memo`) rely on that;
+    tests/test_branchrel.py checks the package's source for assignments
+    to these fields.
     """
 
     is_zero: bool
@@ -650,35 +658,75 @@ def _elementwise(f, nin: int):
 
 MEMO_SIZE = 1024  # entries per memoised operation of one handle
 
+CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _memo(f):
+    """f on one or two relations, memoised in a bounded LRU cache of
+    `MEMO_SIZE` entries, read when the memo is made (0 keeps nothing).
+
+    The key is each argument's `(is_zero, constraints)`, the fields that
+    equality reads, laid out flat in one tuple.  Hashing it stays in C: a
+    frozenset caches its hash, where hashing the relations themselves
+    would call the dataclass's generated `__hash__` once per argument per
+    lookup.  Eviction is `functools.lru_cache`'s: a hit moves its entry to
+    the newest end of the dict, and a miss calls f first, then drops the
+    oldest entry if the cache is full.  `cache_info()` reports what
+    `lru_cache`'s does."""
+    size = MEMO_SIZE
+    cache = {}
+    hits = misses = 0
+
+    def memo(x, y=None):
+        nonlocal hits, misses
+        if y is None:
+            key = (x.is_zero, x.constraints)
+        else:
+            key = (x.is_zero, x.constraints, y.is_zero, y.constraints)
+        out = cache.pop(key, cache)  # the cache itself marks a miss
+        if out is not cache:
+            hits += 1
+            cache[key] = out
+            return out
+        misses += 1
+        out = f(x) if y is None else f(x, y)
+        if size:
+            if len(cache) >= size:
+                del cache[next(iter(cache))]
+            cache[key] = out
+        return out
+
+    memo.cache_info = lambda: CacheInfo(hits, misses, size, len(cache))
+    return memo
+
 
 def model_handle():
     """The tree-relation model.
 
     `compose`, `converse`, `leq` and `equal` are memoised, each in a
-    bounded LRU cache made here for this handle (reached as `.__wrapped__`
-    of the handle's operation).  A law check or a suite asks for the same
-    few relations many times over, so most calls are repeats; the CLI
-    builds one handle per command, so a cache lives exactly as long as one
-    job and memory stays bounded.  `meet` is not memoised: its inputs
-    rarely repeat.  The module functions stay uncached: a process-global
-    cache would carry answers from one job into the next, which a one-shot
-    CLI process never gets.  Each wrapper looks its module function up by
-    name on every miss, so a wrapper installed on the module attribute
-    (a tracer, a test) sees every miss.
+    bounded LRU cache made here for this handle by `_memo` (reached as
+    `.__wrapped__` of the handle's operation).  A law check or a suite
+    asks for the same few relations many times over, so most calls are
+    repeats; the CLI builds one handle per command, so a cache lives
+    exactly as long as one job and memory stays bounded.  `meet` is not
+    memoised: its inputs rarely repeat.  The module functions stay
+    uncached: a process-global cache would carry answers from one job into
+    the next, which a one-shot CLI process never gets.  Each memo calls its
+    module function by name on every miss, so a wrapper installed on the
+    module attribute (a tracer, a test) sees every miss.
     """
     from .model import ModelHandle
 
-    memo = functools.lru_cache(maxsize=MEMO_SIZE)
     return ModelHandle(
         name="branchrel",
         meet=_elementwise(meet, 2),
-        comp=_elementwise(memo(lambda x, y: compose(x, y)), 2),
-        conv=_elementwise(memo(lambda x: converse(x)), 1),
+        comp=_elementwise(_memo(lambda x, y: compose(x, y)), 2),
+        conv=_elementwise(_memo(lambda x: converse(x)), 1),
         zero=ZERO,
         top=TOP,
         ident=IDENT,
-        equal=_elementwise(memo(lambda x, y: equal(x, y)), 2),
-        leq=_elementwise(memo(lambda x, y: leq(x, y)), 2),
+        equal=_elementwise(_memo(lambda x, y: equal(x, y)), 2),
+        leq=_elementwise(_memo(lambda x, y: leq(x, y)), 2),
         gen_a=GEN_A,
         gen_b=GEN_B,
         elements=None,

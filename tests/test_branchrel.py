@@ -1,7 +1,9 @@
+import ast
 import functools
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,8 +405,124 @@ def test_outputs_do_not_depend_on_the_memo(capsys, monkeypatch):
         return out
 
     memoised = outputs()
-    monkeypatch.setattr(br, "MEMO_SIZE", 0)  # lru_cache(maxsize=0) keeps nothing
+    monkeypatch.setattr(br, "MEMO_SIZE", 0)  # a memo made with size 0 keeps nothing
     assert outputs() == memoised
+
+
+@pytest.mark.parametrize("size", [0, 1, 8])
+@pytest.mark.parametrize("nin", [1, 2])
+def test_memo_evicts_as_lru_cache_does(monkeypatch, size, nin):
+    rng = random.Random(size * 10 + nin)
+    rels = br.paths_pool()[:40]
+    stream = []
+    for _ in range(2000):
+        if stream and rng.random() < 0.5:  # a recent call again: recency matters
+            stream.append(rng.choice(stream[-12:]))
+        else:
+            stream.append(tuple(rng.choice(rels[: 40 if k == 0 else 3]) for k in range(nin)))
+    # equal copies with the flag dropped: both caches must key on the value
+    stream = [
+        tuple(br.BranchRelation(r.is_zero, r.constraints) if rng.random() < 0.3 else r for r in args)
+        for args in stream
+    ]
+
+    def run(wrap):
+        calls = []
+
+        def f(*args):
+            calls.append(args)
+            return br.compose(*args) if nin == 2 else br.converse(*args)
+
+        op = wrap(f)
+        out = [op(*args) for args in stream]
+        return calls, out, op.cache_info()
+
+    monkeypatch.setattr(br, "MEMO_SIZE", size)
+    calls, out, info = run(br._memo)
+    want_calls, want_out, want = run(functools.lru_cache(maxsize=size))
+    assert calls == want_calls and out == want_out
+    assert (info.hits, info.misses, info.currsize) == (want.hits, want.misses, want.currsize)
+    assert info.maxsize == size and info.misses == len(calls)
+    if size:
+        assert info.hits > 0
+    else:
+        assert info.hits == info.currsize == 0
+
+
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_memo_keeps_zero_and_top_apart(zero_first):
+    # ZERO and TOP both have the empty constraint set
+    m = br.model_handle()
+    firsts = (ZERO, TOP) if zero_first else (TOP, ZERO)
+    for z in firsts:
+        for x, y in ((z, z), (z, A), (A, z)):
+            for name, f in MEMOISED:
+                assert getattr(m, name)(x, y) == f(x, y), (name, x, y)
+        assert m.conv(z) == br.converse(z)
+    assert m.comp(ZERO, A) == ZERO and m.comp(TOP, A) == TOP
+    assert m.leq(ZERO, A) and not m.leq(TOP, A)
+    assert m.equal(ZERO, ZERO) and not m.equal(TOP, ZERO)
+
+
+def test_memo_ignores_the_normal_flag():
+    flagged = br.compose(A, CB)
+    plain = br.BranchRelation(False, flagged.constraints)
+    assert flagged.normal and not plain.normal
+    m = br.model_handle()
+    for name in ("comp", "leq", "equal"):
+        op = getattr(m, name)
+        assert op(flagged, A) == op(plain, A)
+        assert op(A, plain) == op(A, flagged)
+        info = op.__wrapped__.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+    assert m.conv(flagged) == m.conv(plain)
+    assert m.conv.__wrapped__.cache_info()[:2] == (1, 1)
+
+
+RELATION_FIELDS = {"is_zero", "constraints", "normal"}
+
+
+def _relation_field_writes(tree: ast.AST) -> list[int]:
+    """Lines of `tree` that assign or delete an attribute named like a
+    `BranchRelation` field, or call setattr, delattr, `__setattr__` or
+    `__delattr__` with such a name or with a name that is not a literal."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            if node.attr in RELATION_FIELDS:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("setattr", "delattr", "__setattr__", "__delattr__"):
+                names = [
+                    a.value for a in node.args
+                    if isinstance(a, ast.Constant) and isinstance(a.value, str)
+                ]
+                if not names or RELATION_FIELDS & set(names):
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_no_code_mutates_a_relation():
+    # BranchRelation is not frozen; sets and the handle's memo rely on its
+    # fields never changing after construction
+    package = Path(br.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) >= 7
+    writes = {
+        str(path.relative_to(package)): lines
+        for path in modules
+        if (lines := _relation_field_writes(ast.parse(path.read_text(), str(path))))
+    }
+    assert not writes
+    # the guard itself sees each kind of write
+    probe = ast.parse(
+        "r.normal = True\nr.is_zero += 1\nfor r.constraints in x: pass\n"
+        "del r.normal\nsetattr(r, 'normal', 1)\nobject.__setattr__(r, 'is_zero', 0)\n"
+        "setattr(r, name, 1)\nr.other = 1\nsetattr(r, 'other', 1)\n"
+    )
+    assert sorted(_relation_field_writes(probe)) == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_paths_pool_is_deterministic():
