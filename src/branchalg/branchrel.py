@@ -29,22 +29,22 @@ import collections
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 Endpoint = tuple[str, str]  # (side, address), sides "L"/"R", address over "01"
 Constraint = tuple[Endpoint, Endpoint]
 
 
 def _orient(c: Constraint) -> Constraint:
-    """The constraint's endpoints in (length, address, side) order, the
-    order in which this module stores every constraint it builds."""
+    """The constraint's endpoints in `_ep_key` order, the order in which
+    this module stores every constraint it builds."""
     p, q = c
     return (p, q) if _ep_key(p) <= _ep_key(q) else (q, p)
 
 
 def _ep_key(e: Endpoint):
+    """(length, side, address): the order in which `_compose_engine` names
+    classes, so a stored normal constraint has its class's name first."""
     side, addr = e
-    return (len(addr), addr, side)
+    return (len(addr), side, addr)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -89,8 +89,8 @@ def _word(w: str, root: str = "R") -> BranchRelation:
 
 
 def _lr(a: str, b: str) -> Constraint:
-    """The constraint L.a=R.b, oriented as `_orient` orients it."""
-    if len(a) < len(b) or len(a) == len(b) and a <= b:
+    """The constraint L.a=R.b, oriented: side L first at equal length."""
+    if len(a) <= len(b):
         return (("L", a), ("R", b))
     return (("R", b), ("L", a))
 
@@ -104,20 +104,16 @@ GEN_B = _word("1")
 
 def format_relation(r: BranchRelation) -> str:
     """Text form: `0`, `1` for the unconstrained relation, otherwise
-    `{L.u=R.v; ...}` with the empty address printed as `^`."""
+    `{L.u=R.v; ...}` with the empty address printed as `^`.  The text
+    orders endpoints by (length, address, side), within each constraint
+    and across them, whatever order the constraints are stored in."""
     if r.is_zero:
         return "0"
     if not r.constraints:
         return "1"
-    body = "; ".join(
-        f"{_fmt_ep(p)}={_fmt_ep(q)}"
-        for p, q in sorted(r.constraints, key=lambda c: (_ep_key(c[0]), _ep_key(c[1])))
-    )
+    ends = sorted(sorted((len(a), a, side) for side, a in c) for c in r.constraints)
+    body = "; ".join(f"{s}.{a or '^'}={t}.{b or '^'}" for (_, a, s), (_, b, t) in ends)
     return "{" + body + "}"
-
-
-def _fmt_ep(e: Endpoint) -> str:
-    return f"{e[0]}.{e[1] or '^'}"
 
 
 # --- the closure engine ---------------------------------------------------
@@ -310,16 +306,8 @@ def leq(r1: BranchRelation, r2: BranchRelation) -> bool:
 
 
 def _names(r: BranchRelation) -> dict[Endpoint, Endpoint]:
-    """Each constraint's later endpoint in (length, side, address) order,
-    mapped to its first.  `_orient`'s order (length, address, side) differs
-    only on two sides at one length, where side L comes first."""
-    names = {}
-    for p, q in r.constraints:
-        if p[0] == "R" and q[0] == "L" and len(p[1]) == len(q[1]):
-            names[p] = q
-        else:
-            names[q] = p
-    return names
+    """Each constraint's later endpoint mapped to its first, the name."""
+    return {q: p for p, q in r.constraints}
 
 
 def _walk(names: dict[Endpoint, Endpoint], e: Endpoint) -> Endpoint:
@@ -356,19 +344,14 @@ def meet(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
 
 
 def converse(r: BranchRelation) -> BranchRelation:
-    """Swap the sides of every constraint.  The result is oriented as
-    `_orient` orients it: by address (shorter, then smaller) when the two
-    addresses differ, else by side, which the swap reverses."""
+    """Swap the sides of every constraint, and orient each swapped pair by
+    `_ep_key`."""
     if r.is_zero:
         return ZERO
     out = []
     for (t1, a1), (t2, a2) in r.constraints:
         p, q = (_SWAP[t1], a1), (_SWAP[t2], a2)
-        if a1 == a2:
-            keep = t1 >= t2
-        else:
-            keep = len(a1) < len(a2) or len(a1) == len(a2) and a1 < a2
-        out.append((p, q) if keep else (q, p))
+        out.append((p, q) if _ep_key(p) <= _ep_key(q) else (q, p))
     return BranchRelation(False, frozenset(out))
 
 
@@ -451,23 +434,17 @@ def _prefixed(r: BranchRelation, side: str, u: str) -> BranchRelation | None:
     """The normal r with every address on `side` prefixed by u: the product
     W_u;r for side L, r;C_u for side R.  None when a class name would flip
     (see compose)."""
-    n = len(u)
     out = []
-    for p, q in r.constraints:
-        if p[0] == q[0]:
-            if p[0] == side:
-                p, q = (side, u + p[1]), (side, u + q[1])
-            out.append((p, q))
-            continue
-        a, b = (p[1], q[1]) if p[0] == "L" else (q[1], p[1])
-        if side == "L":
-            if len(a) <= len(b) < len(a) + n:  # L.a names the class
+    for p, q in r.constraints:  # p names the class, q is a later member
+        if p[0] == side:
+            p = (side, u + p[1])
+            if q[0] == side:
+                q = (side, u + q[1])
+            elif _ep_key(q) < _ep_key(p):  # q would name the class
                 return None
-            out.append(_lr(u + a, b))
-        else:
-            if len(b) < len(a) <= len(b) + n:  # R.b names the class
-                return None
-            out.append(_lr(a, u + b))
+        elif q[0] == side:
+            q = (side, u + q[1])
+        out.append((p, q))
     return BranchRelation(False, frozenset(out), True)
 
 
@@ -530,12 +507,10 @@ def _compose_engine(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     class thus share N, and E2 derives their equality.
 
     Orientation.  The walk hands out names in increasing (length, side,
-    address) order: the roots come first, and the children of the queued
-    classes are named in queue order, 0 before 1.  So name[c] precedes the
-    new name name[n].d in that order, and the emitted pair is put in
-    `_orient`'s (length, address, side) order by one address comparison
-    when the lengths are equal; equal addresses have name[c] on side L,
-    which is first anyway.  Each constraint is thus emitted oriented, with no sort.
+    address) order, `_ep_key`'s: the roots come first, and the children of
+    the queued classes are named in queue order, 0 before 1.  So name[c]
+    precedes the new config name[n].d, and each constraint is emitted
+    oriented, name first, with no comparison and no sort.
 
     Normal form.  For a relation r and an outer config x, let min[x] be
     the first config of x's class in the closure of r, in (length, side,
@@ -586,28 +561,22 @@ def _compose_engine(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
         if c != -1:
             while parent[c] != c:
                 c = parent[c]
-            a = addr + "0"
             old = name.get(c)
             if old is None:
-                name[c] = (side, a)
+                name[c] = (side, addr + "0")
                 queue.append(c)
-            elif len(old[1]) == len(a) and old[1] > a:
-                out.append(((side, a), old))
             else:
-                out.append((old, (side, a)))
+                out.append((old, (side, addr + "0")))
         c = kid[2 * n + 1]
         if c != -1:
             while parent[c] != c:
                 c = parent[c]
-            a = addr + "1"
             old = name.get(c)
             if old is None:
-                name[c] = (side, a)
+                name[c] = (side, addr + "1")
                 queue.append(c)
-            elif len(old[1]) == len(a) and old[1] > a:
-                out.append(((side, a), old))
             else:
-                out.append((old, (side, a)))
+                out.append((old, (side, addr + "1")))
     return BranchRelation(False, frozenset(out), True)
 
 
@@ -639,21 +608,6 @@ def paths_pool() -> list[BranchRelation]:
 
 def _max_addr(r: BranchRelation) -> int:
     return max((max(len(p[1]), len(q[1])) for p, q in r.constraints), default=0)
-
-
-def _elementwise(f, nin: int):
-    """f on single relations, and elementwise through np.frompyfunc when an
-    argument is an array of relations.  A single call stays a direct call:
-    the suites make many, and frompyfunc costs several times more."""
-    vf = np.frompyfunc(f, nin, 1)
-    if nin == 1:
-        g = lambda x: vf(x) if isinstance(x, np.ndarray) else f(x)
-    else:
-        g = lambda x, y: (
-            vf(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else f(x, y)
-        )
-    g.__wrapped__ = f
-    return g
 
 
 MEMO_SIZE = 1024  # entries per memoised operation of one handle
@@ -705,7 +659,8 @@ def model_handle():
 
     `compose`, `converse`, `leq` and `equal` are memoised, each in a
     bounded LRU cache made here for this handle by `_memo` (reached as
-    `.__wrapped__` of the handle's operation).  A law check or a suite
+    `.__wrapped__` of the handle's operation, which `model.elementwise`
+    lifts over object arrays of relations).  A law check or a suite
     asks for the same few relations many times over, so most calls are
     repeats; the CLI builds one handle per command, so a cache lives
     exactly as long as one job and memory stays bounded.  `meet` is not
@@ -715,18 +670,18 @@ def model_handle():
     module function by name on every miss, so a wrapper installed on the
     module attribute (a tracer, a test) sees every miss.
     """
-    from .model import ModelHandle
+    from .model import ModelHandle, elementwise
 
     return ModelHandle(
         name="branchrel",
-        meet=_elementwise(meet, 2),
-        comp=_elementwise(_memo(lambda x, y: compose(x, y)), 2),
-        conv=_elementwise(_memo(lambda x: converse(x)), 1),
+        meet=elementwise(meet, 2),
+        comp=elementwise(_memo(lambda x, y: compose(x, y)), 2),
+        conv=elementwise(_memo(lambda x: converse(x)), 1),
         zero=ZERO,
         top=TOP,
         ident=IDENT,
-        equal=_elementwise(_memo(lambda x, y: equal(x, y)), 2),
-        leq=_elementwise(_memo(lambda x, y: leq(x, y)), 2),
+        equal=elementwise(_memo(lambda x, y: equal(x, y)), 2),
+        leq=elementwise(_memo(lambda x, y: leq(x, y)), 2),
         gen_a=GEN_A,
         gen_b=GEN_B,
         elements=None,

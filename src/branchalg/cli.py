@@ -16,7 +16,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import branchrel, laws, model, terms, thompson
+# model before laws: model imports numpy, and numpy imported two imports
+# deeper, from inside laws -> thompson -> model, loaded about 20 ms slower
+# under CPython 3.11 (its typing modules, `python -X importtime`), an effect
+# of the stack depth at which it runs, not of any work
+from . import branchrel, model, laws, terms, thompson
 from .finra import (
     SIGNATURES,
     STRETCH_SIGNATURES,

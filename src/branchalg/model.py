@@ -77,6 +77,22 @@ class ModelHandle:
     atoms: Callable[[], list] | None = None
 
 
+def elementwise(f, nin: int):
+    """f on single elements, and elementwise through np.frompyfunc when an
+    argument is an array, as the tree model's object arrays of relations
+    are.  A single call stays a direct call: the suites make many, and
+    frompyfunc costs several times more."""
+    vf = np.frompyfunc(f, nin, 1)
+    if nin == 1:
+        g = lambda x: vf(x) if isinstance(x, np.ndarray) else f(x)
+    else:
+        g = lambda x, y: (
+            vf(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else f(x, y)
+        )
+    g.__wrapped__ = f
+    return g
+
+
 def eval_term(m: ModelHandle, t: Term, env: dict[str, Any]) -> Any:
     """Homomorphic evaluation of a term under a variable assignment.
 

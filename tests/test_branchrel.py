@@ -2,7 +2,10 @@ import ast
 import functools
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,20 @@ def test_generators_and_text_form():
     assert br.format_relation(TOP) == "1"
     assert br.format_relation(ZERO) == "0"
     assert br.format_relation(br.converse(A)) == "{L.^=R.0}"
+    # the text orders endpoints by (length, address, side), not by the
+    # stored (length, side, address) order
+    assert br.format_relation(br.compose(B, CA)) == "{R.0=L.1}"
+    assert br.format_relation(br.compose(A, CB)) == "{L.0=R.1}"
+    assert br.format_relation(br.meet(A, B)) == "{R.^=L.0; R.^=L.1}"
+
+
+def test_importing_branchrel_leaves_numpy_unloaded():
+    src = str(Path(br.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, branchalg.branchrel; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.strip() == "False"
 
 
 def test_meet_basics():
