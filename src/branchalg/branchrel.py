@@ -591,23 +591,19 @@ def paths_pool() -> list[BranchRelation]:
     The composition of the generator word d1...dk (a for 0, b for 1) is
     {R.^=L.d1...dk}, output the input's subtree at that address, so the
     words are written down rather than composed: the empty word is IDENT,
-    then a, b, aa, ab, ... in the order of composing one more generator."""
-    words = [
-        _word("".join(w))
-        for k in range(5)
-        for w in itertools.product("01", repeat=k)
-    ]
-    short = [w for w in words if _max_addr(w) <= 2]
-    meets = [meet(x, y) for x, y in itertools.combinations(short, 2)]
-    pool = words + meets
-    pool = pool + [converse(r) for r in pool]
+    then a, b, aa, ab, ... in the order of composing one more generator.
+    Their converses are written down too, as the co-words `_word(w, "L")`,
+    and the converse of a meet of words is the meet of their co-words.
+    Words and co-words are normal; meets are not flagged."""
+    words = ["".join(w) for k in range(5) for w in itertools.product("01", repeat=k)]
+    pool = []
+    for root in ("R", "L"):
+        rels = [_word(w, root) for w in words]
+        short = [r for r, w in zip(rels, words) if len(w) <= 2]
+        pool += rels + [meet(x, y) for x, y in itertools.combinations(short, 2)]
     pool.append(TOP)
     pool.append(ZERO)
     return list(dict.fromkeys(pool))
-
-
-def _max_addr(r: BranchRelation) -> int:
-    return max((max(len(p[1]), len(q[1])) for p, q in r.constraints), default=0)
 
 
 MEMO_SIZE = 1024  # entries per memoised operation of one handle

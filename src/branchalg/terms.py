@@ -359,56 +359,57 @@ def emit_dot(t: Term) -> str:
     if not is_j_term(t):
         raise RaOnlyOperatorError("+/-")
     t = _push_conv(t)
-    parent: list[int] = []
+    parent = [0, 1]  # a union-find forest over the nodes: source 0, sink 1
     edges: list[tuple[int, int, str]] = []
-
-    def fresh() -> int:
-        parent.append(len(parent))
-        return len(parent) - 1
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        i, j = find(i), find(j)
-        if i != j:
-            parent[max(i, j)] = min(i, j)
-
-    def walk(t: Term, s: int, d: int):
-        if isinstance(t, Comp):
-            m = fresh()
-            walk(t.left, s, m)
-            walk(t.right, m, d)
-        elif isinstance(t, Meet):
-            walk(t.left, s, d)
-            walk(t.right, s, d)
-        elif isinstance(t, Id):
-            union(s, d)
-        elif isinstance(t, Conv):
-            edges.append((d, s, _edge_label(t.child)))
-        else:
-            edges.append((s, d, _edge_label(t)))
-
-    source, sink = fresh(), fresh()
-    walk(t, source, sink)
+    _dot_walk(t, 0, 1, parent, edges)
     names: dict[int, str] = {}
 
     def name(i: int) -> str:
-        r = find(i)
+        r = _find(parent, i)
         if r not in names:
             names[r] = f"n{len(names)}"
         return names[r]
 
     lines = ["digraph term {", "  rankdir=LR;", '  node [shape=point label=""];']
-    name(source)
+    name(0)
     for s, d, lab in edges:
         lines.append(f'  {name(s)} -> {name(d)} [label="{lab}"];')
-    name(sink)
+    name(1)
     lines.append("}")
     return "\n".join(lines)
+
+
+def _dot_walk(t: Term, s: int, d: int, parent: list[int], edges: list):
+    """Draw t between nodes s and d: a product through a fresh middle node,
+    a meet as two parallel drawings, an identity by merging s and d, and
+    anything else as an edge (s, d, label), reversed under a converse.
+
+    A module function, not a closure in emit_dot: a recursive closure
+    refers to itself through its cell, a reference cycle that only the
+    cyclic garbage collector frees."""
+    if isinstance(t, Comp):
+        m = len(parent)
+        parent.append(m)
+        _dot_walk(t.left, s, m, parent, edges)
+        _dot_walk(t.right, m, d, parent, edges)
+    elif isinstance(t, Meet):
+        _dot_walk(t.left, s, d, parent, edges)
+        _dot_walk(t.right, s, d, parent, edges)
+    elif isinstance(t, Id):
+        i, j = _find(parent, s), _find(parent, d)
+        if i != j:
+            parent[max(i, j)] = min(i, j)
+    elif isinstance(t, Conv):
+        edges.append((d, s, _edge_label(t.child)))
+    else:
+        edges.append((s, d, _edge_label(t)))
+
+
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def _edge_label(t: Term) -> str:

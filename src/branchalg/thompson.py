@@ -371,11 +371,12 @@ def _suite_same(m, seed):
 
 def _fork_draws(pool, seed) -> list[tuple[str, tuple]]:
     """200 seeded draws of four (name, x) pool entries, each as
-    (comma-joined names, the four x), in one stream per seed."""
-    rng = random.Random(seed)
+    (comma-joined names, the four x), in one stream per seed: the entries
+    800 calls of rng.choice would pick (model.choice_indices)."""
+    picks = model.choice_indices(random.Random(seed), len(pool), 800)
     draws = []
-    for _ in range(200):
-        names, values = zip(*(rng.choice(pool) for _ in range(4)))
+    for i in range(0, 800, 4):
+        names, values = zip(*(pool[j] for j in picks[i : i + 4]))
         draws.append((",".join(names), values))
     return draws
 

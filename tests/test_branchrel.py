@@ -549,19 +549,29 @@ def test_paths_pool_is_deterministic():
 
 def test_paths_pool_words_are_the_compose_chain():
     # the reference construction: each generator word is a shorter one
-    # composed with a generator through the engine, where paths_pool writes
-    # the words down (and compose would too)
+    # composed with a generator through the engine, and the converses are
+    # taken by converse, where paths_pool writes words and co-words down
+    # (and compose would too)
     words = [ID]
     frontier = [ID]
     for _ in range(4):
         frontier = [br._compose_engine(w, g) for w in frontier for g in (A, B)]
         words.extend(frontier)
-    short = [w for w in words if len(w.constraints) and br._max_addr(w) <= 2]
+    longest = lambda r: max(len(a) for con in r.constraints for _, a in con)
+    short = [w for w in words if len(w.constraints) and longest(w) <= 2]
     meets = [br.meet(x, y) for x, y in itertools.combinations(short, 2)]
     pool = words + meets
     pool = pool + [br.converse(r) for r in pool]
     pool += [TOP, ZERO]
-    assert br.paths_pool() == list(dict.fromkeys(pool))
+    got, want = br.paths_pool(), list(dict.fromkeys(pool))
+    assert [(r.is_zero, r.constraints) for r in got] == [
+        (r.is_zero, r.constraints) for r in want
+    ]
+    # every co-word {L.^=R.w} is flagged normal, and nf leaves it as it is
+    co_words = [r for r in got if (br._word_parts(r) or ("", ""))[0] == "L"]
+    assert len(co_words) == 31  # IDENT and the 30 converses of a, ..., bbbb
+    for r in co_words:
+        assert r.normal and _nf(r).constraints == r.constraints, r
 
 
 _ep_strategy = st.tuples(

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 from pathlib import Path
@@ -507,6 +508,68 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert err.startswith("internal error: KeyError")
     assert "Traceback" in err
+
+
+# (argv, exit code) of a command of each subcommand; RE2 names a .ra file
+PAUSED_COMMANDS = {
+    "parse": (["parse", "conv(a);b & id"], 0),
+    "dot": (["dot", "a;conv(b) & (id;x & a)"], 0),
+    "eval": (["eval", "a;conv(a) & b;conv(b)"], 0),
+    "suite": (["suite", "fork"], 0),
+    "check-law tree": (["check-law", "p7", "--seed", "1"], 0),
+    "check-law file": (["check-law", "p7", "--model", "RE2"], 0),
+    "check-jlm": (["check-jlm", "1'aa~"], 0),
+    "check-jlm elements": (["check-jlm", "RE2", "--elements"], 0),
+    "enumerate": (["enumerate", "1'abb~"], 0),
+    "represent": (["represent", "RE2", "--v", "0", "--w", "a", "--stages", "8"], 0),
+    "unknown law": (["check-law", "nope"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAUSED_COMMANDS))
+def test_commands_leave_no_cyclic_garbage(capsys, re2_file, case):
+    # run_command pauses the cyclic collector: what a command leaves behind
+    # must be freed by reference counting alone
+    argv, want = PAUSED_COMMANDS[case]
+    args = cli.build_parser(argv[0]).parse_args(
+        [re2_file if a == "RE2" else a for a in argv]
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        code = cli.run_command(args)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert (code, garbage) == (want, 0), capsys.readouterr()
+
+
+def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch):
+    seen = []
+
+    def broken(args):
+        seen.append(gc.isenabled())
+        raise KeyError("not a usage error")
+
+    runs = [(["parse", "a;b"], 0), (["frobnicate"], 2), (["parse", "a;;"], 2)]
+    for argv, code in runs:
+        assert run(capsys, argv)[0] == code
+        assert gc.isenabled(), argv
+    help_text, _, arguments = cli.COMMANDS["parse"]
+    monkeypatch.setitem(cli.COMMANDS, "parse", (help_text, broken, arguments))
+    assert run(capsys, ["parse", "a"])[0] == 3
+    assert gc.isenabled() and seen == [False]
+    # a caller that paused the collector itself finds it paused after main
+    gc.disable()
+    try:
+        assert run(capsys, ["parse", "a"])[0] == 3
+        monkeypatch.undo()
+        for argv, code in runs:
+            assert run(capsys, argv)[0] == code
+            assert not gc.isenabled(), argv
+    finally:
+        gc.enable()
+    assert seen == [False, False]
 
 
 def test_a_counterexample_that_does_not_refail_exits_3(

@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from branchalg import branchrel, laws, model, terms
+from branchalg import branchrel, laws, model, terms, thompson
 from branchalg.finra import check_jlm
 from branchalg.model import Exhaustive, Sample, StrategyUnavailableError, check_law
 from branchalg.terms import Comp, Conv, Meet, Var, parse_term
@@ -49,6 +51,66 @@ def test_fixed_generators_are_constants(bmodel, fmodel):
     got = model.eval_term(bmodel, terms.A, {"a": branchrel.IDENT})
     assert got is branchrel.GEN_A
     assert model.eval_term(fmodel, terms.A, {"a": 5}) == 5
+
+
+def _unfolded(m, t):
+    """t's value in a model that fixes the generators, one handle call per
+    occurrence of each operator node: the evaluation with nothing folded."""
+    if isinstance(t, (terms.GenA, terms.GenB)):
+        return m.gen_a if isinstance(t, terms.GenA) else m.gen_b
+    op = getattr(m, model._FIELDS[type(t)])
+    if isinstance(t, (Comp, Meet, terms.Join)):
+        return op(_unfolded(m, t.left), _unfolded(m, t.right))
+    if isinstance(t, (Conv, terms.Compl)):
+        return op(_unfolded(m, t.child))
+    return op
+
+
+def test_a_shared_ground_subterm_is_folded_once(bmodel):
+    shared = Comp(terms.A, Conv(terms.B))
+    t = shared
+    for _ in range(6):
+        t = Meet(Comp(shared, t), shared)
+    occurrences = sum(u is shared for u in terms.subterms(t))
+    assert occurrences == 13
+    calls = Counter()
+
+    def counting(x, y):
+        calls[x, y] += 1
+        return bmodel.comp(x, y)
+
+    m = dataclasses.replace(bmodel, comp=counting)
+    assert model.eval_term(m, t, {}) == _unfolded(bmodel, t)
+    conv_b = bmodel.conv(branchrel.GEN_B)
+    assert calls[branchrel.GEN_A, conv_b] == 1
+    # with a variable, the shared ground part is still folded once per compile
+    x = Var("x")
+    f = model._compile(Meet(Comp(shared, x), Comp(x, shared)), m)
+    calls.clear()
+    for y in branchrel.paths_pool()[:5]:
+        want = bmodel.meet(bmodel.comp(bmodel.comp(branchrel.GEN_A, conv_b), y),
+                           bmodel.comp(y, bmodel.comp(branchrel.GEN_A, conv_b)))
+        assert f({"x": y}) == want
+    assert calls[branchrel.GEN_A, conv_b] == 0
+
+
+@pytest.mark.parametrize(
+    "relations", [thompson.qu_relations, thompson.ta_relations, thompson.m_relations]
+)
+def test_folded_evaluation_matches_unfolded(bmodel, relations):
+    for name, lhs, rhs in relations():
+        for t in (lhs, rhs):
+            assert model.eval_term(bmodel, t, {}) == _unfolded(bmodel, t), name
+
+
+def test_choice_indices_draw_as_random_choice():
+    for seed, n in itertools.product(
+        range(200), (1, 2, 3, 5, 8, 16, 31, 64, 105, 127, 128, 129, 1000)
+    ):
+        want, got = random.Random(seed), random.Random(seed)
+        draws = [want.choice(range(n)) for _ in range(300)]
+        assert model.choice_indices(got, n, 300) == draws, (seed, n)
+        assert got.random() == want.random(), (seed, n)
 
 
 def test_generators_quantified_only_without_fixed_model_generators(bmodel, fmodel):
