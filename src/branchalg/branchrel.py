@@ -234,10 +234,7 @@ class ClosureEngine:
         return i
 
     def node(self, tag: str, addr: str) -> int:
-        n = self._roots.get(tag)
-        if n is None:
-            n = self._roots[tag] = self._new()
-        kid = self._kid
+        n, kid = self._roots[tag], self._kid
         for ch in addr:
             j = 2 * self.find(n) + (ch == "1")
             n = kid[j]
@@ -662,22 +659,22 @@ def model_handle():
     exactly as long as one job and memory stays bounded.  `meet` is not
     memoised: its inputs rarely repeat.  The module functions stay
     uncached: a process-global cache would carry answers from one job into
-    the next, which a one-shot CLI process never gets.  Each memo calls its
-    module function by name on every miss, so a wrapper installed on the
-    module attribute (a tracer, a test) sees every miss.
+    the next, which a one-shot CLI process never gets.  Each memo calls the
+    module function the handle was built with, so a wrapper installed on
+    the module attribute before (a tracer, a test) sees every miss.
     """
     from .model import ModelHandle, elementwise
 
     return ModelHandle(
         name="branchrel",
         meet=elementwise(meet, 2),
-        comp=elementwise(_memo(lambda x, y: compose(x, y)), 2),
-        conv=elementwise(_memo(lambda x: converse(x)), 1),
+        comp=elementwise(_memo(compose), 2),
+        conv=elementwise(_memo(converse), 1),
         zero=ZERO,
         top=TOP,
         ident=IDENT,
-        equal=elementwise(_memo(lambda x, y: equal(x, y)), 2),
-        leq=elementwise(_memo(lambda x, y: leq(x, y)), 2),
+        equal=elementwise(_memo(equal), 2),
+        leq=elementwise(_memo(leq), 2),
         gen_a=GEN_A,
         gen_b=GEN_B,
         elements=None,

@@ -71,7 +71,7 @@ def associative_candidates(n: int, forced, orbits, masks) -> np.ndarray:
     whole Peirce orbit of diversity triples; the converse is read off the
     forced triples (x, x~, 1').
 
-    Only diversity triples (x, y, z) with (x, y, z) <= (z~, y~, x~) are
+    Only diversity triples (x, y, z) with (x, y, z) < (z~, y~, x~) are
     tested, and that loses nothing.  The identity: the forced triples make
     1' an exact two-sided unit (no orbit holds a triple with 1'), so
     (x;y);z = x;(y;z) holds outright when any of the three is 1'.  The
@@ -81,6 +81,19 @@ def associative_candidates(n: int, forced, orbits, masks) -> np.ndarray:
     ((x;y);z)~ = z~;(y~;x~) and (x;(y;z))~ = (z~;y~);x~, and as converse is
     a bijection on atoms, associativity at (x, y, z) holds exactly when it
     holds at (z~, y~, x~): of each such pair only the smaller is tested.
+
+    That leaves the self-mirrored triples (x, y, x~) with y = y~, which
+    the converse maps onto themselves.  Write A(x, y, z, w) for "w <=
+    (x;y);z iff w <= x;(y;z)" at an atom w.  Peirce closure turns
+    w <= u;z into u <= w;z~ and w <= x;v into v <= x~;w, so A(x, y, z, w)
+    says that x;y meets w;z~ exactly when y;z meets x~;w.  Swapping the two
+    meets' sides and taking the converse of the second shows that this form
+    is unchanged under (x, y, z, w) -> (w, z~, y~, x).  So A(x, y, x~, w)
+    is A(w, x, y, x), a condition of associativity at (w, x, y).  If w is
+    1', that holds outright.  If (w, x, y) is not self-mirrored, the filter
+    tests it or its mirror at every target.  Otherwise x = x~ and w = y, and
+    both sides of A(y, x, y, x) read "x;y meets y;x".  So the self-mirrored
+    triples are skipped too.
 
     comp[x*n + y] holds x;y for every live mask (bit z set when (x, y, z)
     is a triple).  A step (x, y, zs) tests (x;y);z = x;(y;z) for all its z
@@ -104,7 +117,7 @@ def associative_candidates(n: int, forced, orbits, masks) -> np.ndarray:
         tables.append((part.T @ byte_bits[: len(part)]).astype(dtype))
     steps = []
     for x, y in itertools.product(range(1, n), repeat=2):
-        zs = [z for z in range(1, n) if (x, y, z) <= (conv[z], conv[y], conv[x])]
+        zs = [z for z in range(1, n) if (x, y, z) < (conv[z], conv[y], conv[x])]
         if zs:
             steps.append((x, y, np.array(zs)))
     comp = np.repeat(base[:, None], len(masks), axis=1)

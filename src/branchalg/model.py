@@ -11,8 +11,11 @@ elements (int64 bitmasks on a finite model, object arrays of relations on
 the tree), so a compiled term evaluates a whole block of assignments at
 once.  An exhaustive block is a grid with one axis per variable, so each
 subterm is computed over the axes of its own variables only; a sampled
-block is a row of draws.  verdicts walks the same blocks for one equation
-whose variables are bound to given values, as the tree suites bind theirs.
+block is a row of draws.  verdicts walks the same blocks, from the same
+sampler, for one equation whose variables are bound to given values, as
+the tree suites bind theirs.  relation_holds checks one relation at one
+assignment; it re-runs counterexamples and checks the closed suite
+relations.
 """
 
 from __future__ import annotations
@@ -303,13 +306,12 @@ def choice_indices(rng: random.Random, n: int, k: int) -> list[int]:
     return out
 
 
-def _draws(m: ModelHandle, names, strategy):
-    """Seeded draws from the sample pool, as (values, (rows,)) blocks of at
-    most BLOCK rows, in the order of rng.choice calls that draw the
-    variables of each row in turn.  Each variable's values are gathered
-    from one pool array."""
-    pool = np.asarray(m.sample_pool())
-    k = len(names)
+def _draws(pool, k: int, strategy):
+    """strategy.n seeded rows of k draws from pool, as (values, (rows,))
+    blocks of at most BLOCK rows, in the order of rng.choice calls that
+    draw the k entries of each row in turn.  Each of the k value arrays is
+    gathered from one pool array."""
+    pool = np.asarray(pool)
     rng = random.Random(strategy.seed)
     draws = np.array(choice_indices(rng, len(pool), strategy.n * k), dtype=np.intp)
     draws = draws.reshape(strategy.n, k)
@@ -348,7 +350,7 @@ def search(
         pools = [m.atoms() if v in atom_vars else m.elements() for v in names]
         blocks = _grids(pools)
     else:
-        blocks = _draws(m, names, strategy)
+        blocks = _draws(m.sample_pool(), len(names), strategy)
     hyps = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.hypotheses]
     concls = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.conclusions]
     tested = 0
@@ -390,7 +392,7 @@ def verdicts(
     time, as search evaluates a law.  The blocks bind names in order and
     come from _grids, whose product order the verdicts follow and on which
     each subterm is computed over the axes of its own variables only, or
-    from _rows, one verdict per row.
+    from _draws, one verdict per row.
     """
     lhs, op, rhs = relation
     fl, fr = _compile(lhs, m), _compile(rhs, m)
@@ -430,14 +432,6 @@ def _grids(pools):
     ]
     for outer in itertools.product(*(p.tolist() for p in pools[:k])):
         yield (*outer, *axes), shape
-
-
-def _rows(assignments):
-    """Assignment tuples as (values, (rows,)) blocks of at most BLOCK rows,
-    values holding one array of rows per variable."""
-    it = iter(assignments)
-    while chunk := list(itertools.islice(it, BLOCK)):
-        yield [np.array(column) for column in zip(*chunk)], (len(chunk),)
 
 
 def _entry(v, shape, i: int):
@@ -520,13 +514,17 @@ def is_permutational(m: ModelHandle, e) -> bool:
     )
 
 
+def relation_holds(m: ModelHandle, relation: Relation, env: dict[str, Any]) -> bool:
+    """Whether relation (lhs, op, rhs) holds at the one assignment env: both
+    sides evaluated by eval_term, the left first, and compared by the
+    model's equal or leq."""
+    lhs, op, rhs = relation
+    rel = m.equal if op == "=" else m.leq
+    return rel(eval_term(m, lhs, env), eval_term(m, rhs, env))
+
+
 def rerun_counterexample(m: ModelHandle, law: Law, env: dict[str, Any]) -> bool:
     """True when the assignment still refutes the law (reports must re-fail)."""
-    rel = {"=": m.equal, "<=": m.leq}
-    for lhs, op, rhs in law.hypotheses:
-        if not rel[op](eval_term(m, lhs, env), eval_term(m, rhs, env)):
-            return False
-    return any(
-        not rel[op](eval_term(m, lhs, env), eval_term(m, rhs, env))
-        for lhs, op, rhs in law.conclusions
+    return all(relation_holds(m, h, env) for h in law.hypotheses) and not all(
+        relation_holds(m, c, env) for c in law.conclusions
     )

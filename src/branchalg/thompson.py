@@ -6,18 +6,18 @@ from hand-written closed forms, and verifies whole presentation suites
 against the concrete tree-relation model.  The tests check the closed forms
 against the generators' tree-pair notation, kept in tests/oracles.py.
 
-A closed relation is evaluated as two terms.  A quantified one (m_split,
-m_reconstruct, m_commute, F1, F2, pairing) is built once with variables and
-evaluated by model.verdicts with the variables bound to the values of the
-sample terms: over a grid in product order for M's sample functionals and
-F1's fork pool, so each subterm is computed over the axes of its own
-variables only, and over rows for the seeded draws of F2 and pairing.
+A closed relation is checked by model.relation_holds.  A quantified one
+(m_split, m_reconstruct, m_commute, F1, F2, pairing) is built once with
+variables and evaluated by model.verdicts with the variables bound to the
+values of the sample terms: over a grid in product order for M's sample
+functionals and F1's fork pool, so each subterm is computed over the axes
+of its own variables only, and over check-law's seeded draws
+(model._draws) for F2 and pairing.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from . import branchrel, model
@@ -290,11 +290,6 @@ def run_suite(suite_id: str, seed: int = 0) -> SuiteReport:
     return SuiteReport(suite_id, suite(branchrel.model_handle(), seed))
 
 
-def _holds(m, lhs: Term, rhs: Term) -> bool:
-    """lhs = rhs in the tree model m, the left side evaluated first."""
-    return m.equal(model.eval_term(m, lhs, {}), model.eval_term(m, rhs, {}))
-
-
 def _values(m, named) -> list[tuple[str, object]]:
     """Each named sample term with its value in m."""
     return [(name, model.eval_term(m, t, {})) for name, t in named]
@@ -302,7 +297,7 @@ def _values(m, named) -> list[tuple[str, object]]:
 
 def _verdicts(m, schema, variables: str, blocks) -> list[bool]:
     """Whether schema(*variables) holds at each assignment of blocks
-    (model._grids or model._rows), which bind the space-separated
+    (model._grids or model._draws), which bind the space-separated
     variables in order.  The schema is built and compiled once, so each
     sample is a value bound to a variable, not a term substituted in."""
     names = variables.split()
@@ -320,15 +315,19 @@ def _on_grid(m, label, schema, variables: str, pool) -> list[tuple[str, bool]]:
     return [(f"{label}[{','.join(ns)}]", ok) for ns, ok in zip(tuples, oks)]
 
 
-def _on_draws(m, label, schema, draws) -> list[tuple[str, bool]]:
-    """schema at each of the _fork_draws, in order, named label[names]#i."""
-    names, rows = zip(*draws)
-    oks = _verdicts(m, schema, "u v x y", model._rows(rows))
-    return [(f"{label}[{ns}]#{i}", ok) for i, (ns, ok) in enumerate(zip(names, oks))]
+def _on_draws(m, label, schema, pool, seed) -> list[tuple[str, bool]]:
+    """schema at the 200 draws of four (name, value) pool entries that
+    check-law --strategy sample=200 makes at seed, named label[names]#i."""
+    names, values = zip(*pool)
+    sample = model.Sample(200, seed)
+    oks = _verdicts(m, schema, "u v x y", model._draws(values, 4, sample))
+    rows = (",".join(r) for cols, _ in model._draws(names, 4, sample) for r in zip(*cols))
+    return [(f"{label}[{ns}]#{i}", ok) for i, (ns, ok) in enumerate(zip(rows, oks))]
 
 
 def _each_holds(m, relations) -> list[tuple[str, bool]]:
-    return [(name, _holds(m, lhs, rhs)) for name, lhs, rhs in relations]
+    eqs = ((name, (lhs, "=", rhs)) for name, lhs, rhs in relations)
+    return [(name, model.relation_holds(m, eq, {})) for name, eq in eqs]
 
 
 def _suite_perms(m, seed):
@@ -363,34 +362,22 @@ def _suite_m(m, seed):
 
 
 def _suite_same(m, seed):
-    return [
-        ("P0 word", _holds(m, GENERATORS["P0"], _word("URPRRKPRRKRPRKR"))),
-        ("R0 word", _holds(m, GENERATORS["R0"], _word("URPRRRPRKRKRRKRRKPRPRR"))),
-    ]
-
-
-def _fork_draws(pool, seed) -> list[tuple[str, tuple]]:
-    """200 seeded draws of four (name, x) pool entries, each as
-    (comma-joined names, the four x), in one stream per seed: the entries
-    800 calls of rng.choice would pick (model.choice_indices)."""
-    picks = model.choice_indices(random.Random(seed), len(pool), 800)
-    draws = []
-    for i in range(0, 800, 4):
-        names, values = zip(*(pool[j] for j in picks[i : i + 4]))
-        draws.append((",".join(names), values))
-    return draws
+    return _each_holds(m, [
+        ("P0 word", GENERATORS["P0"], _word("URPRRKPRRKRPRKR")),
+        ("R0 word", GENERATORS["R0"], _word("URPRRRPRKRKRRKRRKPRPRR")),
+    ])
 
 
 def _suite_fork(m, seed):
     f3, f3_bound = fork_f3()
-    out = [("F3", m.leq(model.eval_term(m, f3, {}), model.eval_term(m, f3_bound, {})))]
+    out = [("F3", model.relation_holds(m, (f3, "<=", f3_bound), {}))]
     pool = _values(m, _fork_pool())
     out += _on_grid(m, "F1", fork_f1, "x y", pool)
-    return out + _on_draws(m, "F2", fork_f2, _fork_draws(pool, seed))
+    return out + _on_draws(m, "F2", fork_f2, pool, seed)
 
 
 def _suite_pairing(m, seed):
-    return _on_draws(m, "Pr", pairing, _fork_draws(_values(m, _fork_pool()), seed))
+    return _on_draws(m, "Pr", pairing, _values(m, _fork_pool()), seed)
 
 
 # each suite maps the model handle and the seed to its named results

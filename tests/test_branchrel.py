@@ -297,6 +297,38 @@ def test_engine_partition_matches_the_bounded_saturation():
     assert merged > 10_000, merged
 
 
+def test_engine_yes_answers_match_the_bounded_oracle():
+    # criterion 12's queries are almost all "no"; these are built from the
+    # relation's own constraints, so that many are entailed
+    rng = random.Random(12)
+
+    def suffixed(p, q):
+        s = "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
+        return (p[0], p[1] + s), (q[0], q[1] + s)
+
+    def cut(ep):
+        return (ep[0], ep[1][:-1]) if ep[1] and rng.random() < 0.5 else ep
+
+    entailed = disagreements = checked = 0
+    while checked < 5000:
+        r = _criterion_12_relation(rng)
+        if not r.constraints:
+            continue
+        if checked % 2:
+            ends = sorted({ep for con in r.constraints for ep in con})
+            query = suffixed(cut(rng.choice(ends)), cut(rng.choice(ends)))
+        else:
+            query = suffixed(*rng.choice(sorted(r.constraints)))
+        if query[0] == query[1]:
+            continue
+        checked += 1
+        yes = oracles.entails(r, query)
+        entailed += yes
+        disagreements += yes != oracles.entails_bfs(r, query, bound=8)
+    assert disagreements == 0
+    assert entailed >= 2000, entailed
+
+
 def test_product_oracle_has_teeth():
     # TOP drops the only constraint of each composite; the oracle sees it
     for r1, r2, missing in ((A, CA, c("L.0=R.0")), (CA, A, c("L.^=R.^"))):
@@ -355,9 +387,9 @@ def test_memoised_converse_agrees_with_the_module(monkeypatch):
         calls.append(x)
         return f(x)
 
-    m = br.model_handle()
-    # patched after the handle is built: a miss looks the name up
+    # patched before the handle is built: its memo calls what it was built with
     monkeypatch.setattr(br, "converse", counting)
+    m = br.model_handle()
     assert [m.conv(x) for x in draws] == want
     got = m.conv(np.array(draws, dtype=object))
     assert got.dtype == object and list(got) == want
@@ -368,14 +400,15 @@ def test_memoised_converse_agrees_with_the_module(monkeypatch):
 def test_handles_share_no_cache_entries(monkeypatch):
     for name, f in MEMOISED:
         calls = []
-        m1, m2 = br.model_handle(), br.model_handle()
 
         def counting(x, y, f=f):
             calls.append((x, y))
             return f(x, y)
 
-        # patched after the handles are built: a miss looks the name up
+        # patched before the handles are built: each memo calls what it was
+        # built with
         monkeypatch.setattr(br, f.__name__, counting)
+        m1, m2 = br.model_handle(), br.model_handle()
         op1, op2 = getattr(m1, name), getattr(m2, name)
         assert op1.__wrapped__ is not op2.__wrapped__
         assert op1(A, CB) == op1(A, CB) == op2(A, CB) == f(A, CB)

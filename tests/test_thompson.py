@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
 
-from branchalg import branchrel, model, terms, thompson
+from branchalg import branchrel, laws, model, terms, thompson
 from branchalg.model import is_functional, is_permutational
 from branchalg.terms import Conv, Meet, comp, conv, meet
 from branchalg.thompson import (
@@ -223,6 +224,58 @@ def test_fork_and_pairing_suites(suite_runs):
         assert report.passed, report.failed_names
 
 
+# --- the QU theorem on other quasiprojection pairs ---------------------------
+
+# closed terms g, each a bijection of the tree; conjugating the standard pair
+# by one keeps qu1-qu6
+CONJUGATORS = {
+    "A": GENERATORS["A"],
+    "B": GENERATORS["B"],
+    "C": GENERATORS["C"],
+    "pi0": GENERATORS["pi0"],
+    "P": GENERATORS["P"],
+    "A;C": comp(GENERATORS["A"], GENERATORS["C"]),
+    "pi0;B;C": comp(GENERATORS["pi0"], GENERATORS["B"], GENERATORS["C"]),
+}
+
+
+def _failing(m, relations):
+    """The names of the closed suite relations that fail on m."""
+    return [name for name, ok in thompson._each_holds(m, relations) if not ok]
+
+
+def test_suite_relations_hold_on_conjugated_pairs():
+    # the theorem: any pair satisfying qu1-qu6 yields images of F, T, V and
+    # M, so every closed suite relation holds on the generators the pair
+    # builds, for (g;a, g;b) and (a;g, b;g) alike
+    m = branchrel.model_handle()
+    relations = thompson.qu_relations() + thompson.ta_relations() + thompson.m_relations()
+    checked = 0
+    for name, g in CONJUGATORS.items():
+        gv = model.eval_term(m, g, {})
+        for side, (a, b) in {
+            "g;a, g;b": (m.comp(gv, m.gen_a), m.comp(gv, m.gen_b)),
+            "a;g, b;g": (m.comp(m.gen_a, gv), m.comp(m.gen_b, gv)),
+        }.items():
+            pair = dataclasses.replace(m, gen_a=a, gen_b=b)
+            assert _failing(pair, relations) == [], (name, side)
+            checked += len(relations)
+    assert checked == 448
+
+
+def test_the_weaker_guard_admits_a_pair_that_breaks_qu3():
+    # functional a and b, Domain and Unicity as an inclusion (Q_HYPS +
+    # U_HYPS) hold on this pool pair, whose b is not total; qu3 and qu6 fail
+    m = branchrel.model_handle()
+    pool = {branchrel.format_relation(r): r for r in branchrel.paths_pool()}
+    a, b = pool["{R.^=L.0}"], pool["{R.^=L.10; R.^=L.11}"]
+    pair = dataclasses.replace(m, gen_a=a, gen_b=b)
+    guard = [laws._rel(h) for h in laws.Q_HYPS + laws.U_HYPS]
+    assert all(model.relation_holds(pair, h, {}) for h in guard)
+    assert _failing(pair, thompson.qu_relations()) == ["qu3", "qu6"]
+    assert _failing(m, thompson.qu_relations()) == []
+
+
 def test_suite_report_line():
     report = run_suite("T")
     assert report.line() == "SUITE T pass relations=6 failed=[]"
@@ -328,23 +381,30 @@ def test_grid_matches_substitution_on_seeded_pairs(m, suite_id, label, schema, v
         assert verdict[f"{label}[{','.join(names)}]"] == m.equal(lhs, rhs)
 
 
+def _fork_rows(seed):
+    """The fork-pool indices of each draw of F2 and pairing at seed."""
+    n = len(thompson._fork_pool())
+    ((cols, _),) = model._draws(range(n), 4, model.Sample(200, seed))
+    return list(zip(*cols))
+
+
 @pytest.mark.parametrize(
     "suite_id, label, schema", [("fork", "F2", fork_f2), ("pairing", "Pr", pairing)]
 )
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rows_match_substitution_on_seeded_draws(m, suite_id, label, schema, seed):
-    # the same draw stream over terms and over their values
-    by_term = thompson._fork_draws(thompson._fork_pool(), seed)
-    by_value = thompson._fork_draws(thompson._values(m, thompson._fork_pool()), seed)
-    assert [ns for ns, _ in by_term] == [ns for ns, _ in by_value]
-    rows = [vs for _, vs in by_value]
-    sides = _grid_sides(m, schema, "u v x y", model._rows(rows))
+    # the same draw stream over pool indices, terms and their values
+    pool = thompson._fork_pool()
+    values = [v for _, v in thompson._values(m, pool)]
+    sample = model.Sample(200, seed)
+    sides = _grid_sides(m, schema, "u v x y", model._draws(values, 4, sample))
+    rows = _fork_rows(seed)
     verdict = dict(run_suite(suite_id, seed=seed).results)
-    for i in random.Random(seed).sample(range(len(by_term)), 40):
-        ns, ts = by_term[i]
+    for i in random.Random(seed).sample(range(len(rows)), 40):
+        names, ts = zip(*(pool[j] for j in rows[i]))
         lhs, rhs = substituted_sides(m, schema, ts)
         assert m.equal(sides[i][0], lhs) and m.equal(sides[i][1], rhs), (label, i)
-        assert verdict[f"{label}[{ns}]#{i}"] == m.equal(lhs, rhs)
+        assert verdict[f"{label}[{','.join(names)}]#{i}"] == m.equal(lhs, rhs)
 
 
 def _at_names(pool, *names):
@@ -354,7 +414,9 @@ def _at_names(pool, *names):
 
 def _at_draw(i):
     """The four values of draw i of the fork draws at seed 0."""
-    return lambda m: thompson._fork_draws(thompson._values(m, thompson._fork_pool()), 0)[i][1]
+    return lambda m: [
+        thompson._values(m, thompson._fork_pool())[j][1] for j in _fork_rows(0)[i]
+    ]
 
 
 # (suite, schema, variables, values at the rejected assignment, failing relation)
