@@ -186,11 +186,10 @@ class ClosureEngine:
     appends a class that gains its second child through a moved child.  A
     class never loses a child, and a merged class keeps the children of
     both sides, so the classes with both children are exactly the classes
-    of the listed nodes.  Nodes that `node()` creates after saturation are
-    not listed; nothing saturates again.
+    of the listed nodes.
     """
 
-    __slots__ = ("_parent", "_kid", "_roots", "_full")
+    __slots__ = ("_parent", "_kid", "_full")
 
     def __init__(self, *systems: tuple[BranchRelation, str, str]):
         roots: dict[str, int] = {}
@@ -200,7 +199,7 @@ class ClosureEngine:
         parent = list(range(len(roots)))
         kid = [-1] * (2 * len(roots))
         full: list[int] = []
-        self._parent, self._kid, self._roots, self._full = parent, kid, roots, full
+        self._parent, self._kid, self._full = parent, kid, full
         ends: list[int] = []
         for r, src, dst in systems:
             at = {"L": roots[src], "R": roots[dst]}
@@ -219,28 +218,6 @@ class ClosureEngine:
                     ends.append(n)
         _union(parent, kid, ends, full)
         self.saturate()
-
-    def _new(self) -> int:
-        i = len(self._parent)
-        self._parent.append(i)
-        self._kid += (-1, -1)
-        return i
-
-    def find(self, i: int) -> int:
-        p = self._parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def node(self, tag: str, addr: str) -> int:
-        n, kid = self._roots[tag], self._kid
-        for ch in addr:
-            j = 2 * self.find(n) + (ch == "1")
-            n = kid[j]
-            if n == -1:
-                n = kid[j] = self._new()
-        return self.find(n)
 
     def saturate(self):
         """Pair reconstruction to a fixpoint, one round at a time.
@@ -274,32 +251,25 @@ class ClosureEngine:
                 return
             _union(parent, kid, stack, full)
 
-    def same(self, e1: tuple[str, str], e2: tuple[str, str]) -> bool:
-        # node() returns a root, and creating nodes never merges classes
-        return self.node(*e1) == self.node(*e2)
-
 
 def leq(r1: BranchRelation, r2: BranchRelation) -> bool:
     """r1 below r2: r1's constraints entail each of r2's.  A constraint set
     entails its subsets outright, without building an engine.
 
-    A normal r1 needs no engine either.  Each of its constraints joins a
-    class name to a later config of that class, so mapping every later
-    endpoint to its name and walking an endpoint from its root through that
-    map gives the N(x) of `_compose_engine`'s completeness proof
-    (`_walk`); r1 entails x = y exactly when N(x) = N(y).  Any other r1 is
-    closed in a two-tag engine."""
+    Otherwise leq reads r1's normal form (`_nf`), which costs one engine
+    unless r1 is normal.  Each constraint of a normal form joins a class
+    name to a later config of that class, so mapping every later endpoint
+    to its name and walking an endpoint from its root through that map
+    gives the N(x) of `_compose_engine`'s completeness proof (`_walk`); r1
+    entails x = y exactly when N(x) = N(y)."""
     if r1.is_zero:
         return True
     if r2.is_zero:
         return False
     if r2.constraints <= r1.constraints:
         return True
-    if r1.normal:
-        names = _names(r1)
-        return all(_walk(names, p) == _walk(names, q) for p, q in r2.constraints)
-    eng = ClosureEngine((r1, "L", "R"))
-    return all(eng.same(p, q) for p, q in r2.constraints)
+    names = _names(_nf(r1))
+    return all(_walk(names, p) == _walk(names, q) for p, q in r2.constraints)
 
 
 def _names(r: BranchRelation) -> dict[Endpoint, Endpoint]:
@@ -330,8 +300,9 @@ def equal(r1: BranchRelation, r2: BranchRelation) -> bool:
 
 def _nf(r: BranchRelation) -> BranchRelation:
     """The normal form of a non-zero r: r itself when it is normal, else
-    `_compose_engine(r, IDENT)`."""
-    return r if r.normal else _compose_engine(r, IDENT)
+    `_emit` over r's own two-tag engine, whose outer roots are slots 0 and
+    1 (proved in `_compose_engine`)."""
+    return r if r.normal else _emit(ClosureEngine((r, "L", "R")), 1)
 
 
 def meet(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
@@ -341,15 +312,12 @@ def meet(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
 
 
 def converse(r: BranchRelation) -> BranchRelation:
-    """Swap the sides of every constraint, and orient each swapped pair by
-    `_ep_key`."""
+    """Swap the sides of every constraint, and orient each swapped pair
+    (`_orient`)."""
     if r.is_zero:
         return ZERO
-    out = []
-    for (t1, a1), (t2, a2) in r.constraints:
-        p, q = (_SWAP[t1], a1), (_SWAP[t2], a2)
-        out.append((p, q) if _ep_key(p) <= _ep_key(q) else (q, p))
-    return BranchRelation(False, frozenset(out))
+    swapped = (((_SWAP[t1], a1), (_SWAP[t2], a2)) for (t1, a1), (t2, a2) in r.constraints)
+    return BranchRelation(False, frozenset(map(_orient, swapped)))
 
 
 def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
@@ -482,11 +450,11 @@ def _compose_engine(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
 
     The engine is the saturated three-tag system E3 of r1 and r2 over one
     shared middle: r1's input is tag s, its output the middle m, and r2 maps
-    m to t; s and t are the engine's root slots 0 and 2.  A breadth-first
-    walk of E3 from the outer roots names each class by the first outer
-    config to reach it (L.u for (s, u), R.u for (t, u)).  Each other child
-    edge, class n along d to class c, emits `name[n].d = name[c]`; roots in
-    one class emit `L.^=R.^`.
+    m to t; s and t are the engine's root slots 0 and 2.  `_emit` walks E3
+    breadth-first from the outer roots and names each class by the first
+    outer config to reach it (L.u for (s, u), R.u for (t, u)).  Each other
+    child edge, class n along d to class c, emits `name[n].d = name[c]`;
+    roots in one class emit `L.^=R.^`.
 
     Soundness.  name[n] lies in n and a class's d-child holds x.d for each
     x in it (right append), so E3 derives every emitted constraint, and so
@@ -497,11 +465,11 @@ def _compose_engine(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     the address length E2 derives x = N(x): a root is its own name or joined
     to L.^ by the root constraint; for x = x'.d, right append gives
     x = N(x').d, which is name[c] by the tree or cross edge (the walk
-    reaches c, as node() does, along child links from the root).  A child
-    the engine lacks is fresh: with no children it never meets pair
-    reconstruction, and it holds exactly the y'.d with y' in the class of
-    x', so it is identified only through its parent.  Configs of one E3
-    class thus share N, and E2 derives their equality.
+    reaches c along child links from the root).  A child the engine lacks
+    is fresh: with no children it never meets pair reconstruction, and it
+    holds exactly the y'.d with y' in the class of x', so it is identified
+    only through its parent.  Configs of one E3 class thus share N, and E2
+    derives their equality.
 
     Orientation.  The walk hands out names in increasing (length, side,
     address) order, `_ep_key`'s: the roots come first, and the children of
@@ -525,20 +493,28 @@ def _compose_engine(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     in the engine, whenever x is not that child's name; and a child with
     no node is its own class's first config.  That is K(r1;r2).
 
-    Now let nf(r) = _compose_engine(r, IDENT).  IDENT joins m to t at the
-    root, so the closure of r;IDENT is r's, and nf(r) = K(r).  A set r this
-    function emitted is then a fixed point: nf(r) = K(r) = K(r1;r2) = r.
-    And two relations are equal exactly when their closures agree, that is
-    when their nf agree.  Every set marked `normal` is one this function
-    emits for some pair, which the tests check, so `equal` compares normal
-    forms and `leq` walks N over a normal r1 with no engine.
+    Now let nf(r) be `_emit` over the two-tag engine of r alone, the system
+    (r, L, R) with its outer roots at slots 0 and 1 (`_nf`).  That engine
+    is r's own closure, so the argument above holds with it in place of E3
+    and r in place of r1;r2: nf(r) = K(r).  A set r this function emitted
+    is then a fixed point: nf(r) = K(r) = K(r1;r2) = r.  And two relations
+    are equal exactly when their closures agree, that is when their nf
+    agree.  Every set marked `normal` is one this function emits for some
+    pair, which the tests check, so `equal` compares normal forms and `leq`
+    walks N over the normal form of r1.
 
     `entails_product` in tests/oracles.py decides E3 by a bounded worklist
     saturation with no union-find; the tests check compose with it.
     """
-    eng = ClosureEngine((r1, "s", "m"), (r2, "m", "t"))
+    return _emit(ClosureEngine((r1, "s", "m"), (r2, "m", "t")), 2)
+
+
+def _emit(eng: ClosureEngine, rt: int) -> BranchRelation:
+    """The constraints read off a built engine whose outer roots are slot 0
+    (side L) and slot rt (side R), by the breadth-first naming walk that
+    `_compose_engine` describes; the result is normal."""
     parent, kid = eng._parent, eng._kid
-    rs, rt = 0, 2
+    rs = 0
     while parent[rs] != rs:
         rs = parent[rs]
     while parent[rt] != rt:

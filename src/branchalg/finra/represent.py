@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import model
 from .atoms import AtomStructure
 
 SUBALGEBRA_CAP = 16  # elements generated_subalgebra stops at
@@ -74,14 +73,14 @@ class PartialRep:
 
     def __post_init__(self):
         comp, _ = self.s.tables
-        m, top = self.s.handle(), self.s.top
+        fns, top = self.s.functional_table[0], self.s.top
         if not self.f:
             raise ValueError("empty sequence")
         dom = comp[self.f[0], top]
         for fi in self.f:
             if fi == 0:
                 raise ValueError("zero element in sequence")
-            if not model.is_functional(m, fi):
+            if fi not in fns:
                 raise ValueError("non-functional element in sequence")
             if comp[fi, top] != dom:
                 raise ValueError("elements do not share a domain")

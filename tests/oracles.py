@@ -29,7 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from branchalg import model, terms
-from branchalg.branchrel import BranchRelation, ClosureEngine, Constraint, Endpoint
+from branchalg.branchrel import (
+    BranchRelation,
+    ClosureEngine,
+    Constraint,
+    Endpoint,
+    _emit,
+    _names,
+    _walk,
+)
 from branchalg.finra import kernels
 from branchalg.finra.atoms import AtomStructure
 from branchalg.finra.enumeration import (
@@ -44,10 +52,13 @@ from branchalg.finra.represent import NotTabular
 
 
 def entails(r: BranchRelation, c: Constraint) -> bool:
-    """Is the constraint derivable from r under the closure rules?"""
+    """Is the constraint derivable from r under the closure rules?  Both
+    endpoints walked (`_walk`) over the normal form read off r's own
+    two-tag engine, built whatever r's `normal` flag says."""
     if r.is_zero:
         raise ValueError("entails is undefined on the zero relation")
-    return ClosureEngine((r, "L", "R")).same(c[0], c[1])
+    names = _names(_emit(ClosureEngine((r, "L", "R")), 1))
+    return _walk(names, c[0]) == _walk(names, c[1])
 
 
 # Two tag bits: the outer tags s and t of a product pack as sides L and R,

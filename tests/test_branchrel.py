@@ -175,15 +175,12 @@ def test_semantic_soundness_spot_check():
     rng = random.Random(5)
     pool = [r for r in _pool40() if r.constraints]
     for r in pool[:20]:
-        eng = br.ClosureEngine((r, "L", "R"))
         # collect some entailed constraints among short addresses
         entailed = []
         addrs = [""] + ["0", "1", "00", "01", "10", "11", "010", "101"]
-        for (s1, a1), (s2, a2) in itertools.product(
-            itertools.product("LR", addrs), repeat=2
-        ):
-            if (s1, a1) < (s2, a2) and eng.same((s1, a1), (s2, a2)):
-                entailed.append(((s1, a1), (s2, a2)))
+        for p, q in itertools.product(itertools.product("LR", addrs), repeat=2):
+            if p < q and oracles.entails(r, (p, q)):
+                entailed.append((p, q))
         for _ in range(5):
             trees = oracles.sample_tree_pair(r, rng)
             for con in r.constraints:
@@ -281,15 +278,16 @@ ENDPOINTS_6 = [
 
 def test_engine_partition_matches_the_bounded_saturation():
     # each relation checks all 32,131 endpoint pairs at once: the engine's
-    # classes against one bounded worklist saturation of the same rules
+    # classes, read as the walk over its normal form, against one bounded
+    # worklist saturation of the same rules
     assert len(ENDPOINTS_6) == 254
     rng = random.Random(8)
     merged = 0
     for _ in range(2000):
         r = _criterion_12_relation(rng)
-        eng = br.ClosureEngine((r, "L", "R"))
-        first: dict[int, int] = {}
-        got = [first.setdefault(eng.node(*e), i) for i, e in enumerate(ENDPOINTS_6)]
+        names = br._names(br._nf(r))
+        first: dict = {}
+        got = [first.setdefault(br._walk(names, e), i) for i, e in enumerate(ENDPOINTS_6)]
         assert got == oracles.partition_bfs(r, ENDPOINTS_6, bound=8), r
         merged += sum(label != i for i, label in enumerate(got))
     # endpoints joined to an earlier one: far more entailed pairs than the
@@ -337,17 +335,14 @@ def test_product_oracle_has_teeth():
 
 
 def test_engine_of_several_systems_is_the_engine_of_their_meet():
+    # the whole normal form read off the two-system engine is the meet's
     pool = _pool40()
-    endpoints = list(itertools.product("LR", ["", "0", "1", "00", "01", "10", "11"]))
     beyond_r1 = 0
     for r1, r2 in itertools.product(pool, repeat=2):
-        both = br.ClosureEngine((r1, "L", "R"), (r2, "L", "R"))
-        met = br.ClosureEngine((br.meet(r1, r2), "L", "R"))
-        alone = br.ClosureEngine((r1, "L", "R"))
-        for p, q in itertools.combinations(endpoints, 2):
-            got = both.same(p, q)
-            assert got == met.same(p, q), (r1, r2, p, q)
-            beyond_r1 += got != alone.same(p, q)
+        both = br._emit(br.ClosureEngine((r1, "L", "R"), (r2, "L", "R")), 1)
+        met = br._emit(br.ClosureEngine((br.meet(r1, r2), "L", "R")), 1)
+        assert both.constraints == met.constraints, (r1, r2)
+        beyond_r1 += both.constraints != _nf(r1).constraints
     # the second system adds entailments the first alone lacks
     assert beyond_r1 > 0
 
@@ -779,6 +774,20 @@ def test_normal_relations_are_fixed_points_of_nf():
         assert once.normal and _nf(once).constraints == once.constraints
 
 
+def test_two_tag_nf_is_the_product_with_the_identity():
+    # br._nf reads an unflagged relation's normal form off its own two-tag
+    # engine; the three-tag product r;IDENT (`_nf` here) is the definition
+    rng = random.Random(32)
+    products, two_level = _pool_products(), _two_level_products(600, 26)
+    rels = [_criterion_12_relation(rng) for _ in range(2000)] + products + two_level
+    rels += [br.meet(rng.choice(products), rng.choice(two_level)) for _ in range(600)]
+    rels += [br.meet(x, y) for x, y in zip(products, products[1:])]
+    rels += [br.converse(r) for r in products + two_level]
+    for r in (br.BranchRelation(False, r.constraints) for r in rels):
+        got = br._nf(r)
+        assert got.normal and got.constraints == _nf(r).constraints, r
+
+
 @settings(max_examples=200, deadline=None)
 @given(_constraint_systems(), _constraint_systems())
 def test_nf_on_drawn_operands_property(r1, r2):
@@ -819,18 +828,15 @@ def test_equal_is_equality_of_normal_forms():
 
 def test_normal_leq_walk_matches_the_engine():
     # leq's walk over a normal r1 partitions all 254 endpoints of length
-    # <= 6 (32,131 pairs) as the engine of r1 does
+    # <= 6 (32,131 pairs) as one bounded worklist saturation of r1 does
     rng = random.Random(29)
     normal = rng.sample(_pool_products(), 200) + _two_level_products(100, 30)
     joined = 0
     for r in normal:
         names = br._names(r)
-        eng = br.ClosureEngine((r, "L", "R"))
         by_walk: dict = {}
-        by_engine: dict = {}
         walked = [by_walk.setdefault(br._walk(names, e), i) for i, e in enumerate(ENDPOINTS_6)]
-        closed = [by_engine.setdefault(eng.node(*e), i) for i, e in enumerate(ENDPOINTS_6)]
-        assert walked == closed, r
+        assert walked == oracles.partition_bfs(r, ENDPOINTS_6, bound=8), r
         joined += sum(label != i for i, label in enumerate(walked))
     assert joined > 1000, joined
     # and leq itself, normal r1 against the engine's entailment
