@@ -88,13 +88,6 @@ def _word(w: str, root: str = "R") -> BranchRelation:
     return BranchRelation(False, frozenset((con,)), True)
 
 
-def _lr(a: str, b: str) -> Constraint:
-    """The constraint L.a=R.b, oriented: side L first at equal length."""
-    if len(a) <= len(b):
-        return (("L", a), ("R", b))
-    return (("R", b), ("L", a))
-
-
 ZERO = BranchRelation(True, frozenset())
 TOP = BranchRelation(False, frozenset(), True)
 IDENT = _word("")
@@ -323,31 +316,27 @@ def converse(r: BranchRelation) -> BranchRelation:
 def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     """Relative product: project the shared middle tree out of r1 and r2.
 
-    When both operands are words, co-words or TOP the product is written
-    down (`_compose_words`).  So is a word times a normal relation, unless
-    a class name would flip (`_prefixed`).  Every other product is
+    A word on the left or a co-word on the right is substituted into the
+    other operand (`_prefixed`), side L first, unless a class name would
+    flip.  The Domain condition is the one product of words, co-words and
+    TOP that is no substitution (`_domain`).  Every other product is
     projected out of the closure engine (`_compose_engine`).  Every
     non-zero product is normal.
 
     Words.  Write W_u = {R.^=L.u} and C_u = {L.^=R.u} (`_word`); the
     identity is W_^ = C_^.  Read with r1 from s to the middle m and r2 from
     m to t, W_u as r1 says m = s.u and C_u says s = m.u; as r2, W_v says
-    t = m.v and C_v says m = t.v.  Substituting the middle away:
-
-      * W_u;W_v: t = m.v = s.uv, so W_uv;
-      * C_u;C_v: s = m.u = t.vu, so C_vu;
-      * W_u;C_v: s.u = m = t.v, the one constraint L.u=R.v;
-      * C_u;W_v: s = m.u and t = m.v are two subtrees of a free middle.  If
-        v = u.w then t = s.w, W_w; if u = v.w then s = t.w, C_w.  If
-        neither address is a prefix of the other the two subtrees are
-        disjoint, so a middle holding any s and any t exists: TOP.  This
-        is the Domain condition conv(a);b = 1, at u = 0 and v = 1;
-      * TOP on either side: a word or co-word relates every outer tree to
-        some middle, and TOP relates that middle to every tree: TOP.
-
-    The tests check that each of these constraint sets is exactly the one
-    the engine path emits, for every pair of words and co-words up to
-    length 5 and TOP.
+    t = m.v and C_v says m = t.v.  In C_u;W_v, s = m.u and t = m.v are two
+    subtrees of a free middle.  If v = u.w then t = s.w, W_w; if u = v.w
+    then s = t.w, C_w.  If neither address is a prefix of the other the two
+    subtrees are disjoint, so a middle holding any s and any t exists: TOP.
+    This is the Domain condition conv(a);b = 1, at u = 0 and v = 1.  TOP;W_v
+    and C_u;TOP are TOP too: a word relates every tree to some middle, and
+    TOP relates that middle to every tree.  Every other product of two of
+    them is a substitution below, for a word-shaped operand is normal
+    whether or not it is flagged.  W_u;C_v, the constraint L.u=R.v, takes
+    side L when |u| <= |v| and side R when |v| < |u|; for u != ^ the other
+    side would flip the class name.
 
     Substitution.  In W_u;r the middle is s.u, so the product's closure is
     r's closure with each input config L.a moved to L.ua; the configs of s
@@ -371,27 +360,25 @@ def compose(r1: BranchRelation, r2: BranchRelation) -> BranchRelation:
     constraint L.a'=R.b'' with |a'| <= |b''| < |a'| + |u|, which
     `_prefixed` sees.  Side R is symmetric.  W_^ and C_^ flip nothing, so
     IDENT;r = r;IDENT = r for normal r, and IDENT counts as W_^ on the
-    left though `_word_parts` reads it as C_^.  The tests check the rule
-    against the engine for every normal pool product and every word and
-    co-word up to length 4, on both sides.
+    left though `_word_parts` reads it as C_^.  The tests check both rules
+    against the engine for every pair of words and co-words up to length 5
+    and TOP, and the substitution for every normal pool product and every
+    word and co-word up to length 4, on both sides.
     """
     if r1.is_zero or r2.is_zero:
         return ZERO
-    w1 = _word_parts(r1)
-    if w1 is not None:
-        w2 = _word_parts(r2)
-        if w2 is not None:
-            return _compose_words(w1, w2)
-        if r2.normal and (w1[0] == "R" or w1 == ("L", "")):
-            out = _prefixed(r2, "L", w1[1])
-            if out is not None:
-                return out
-    elif r1.normal:
-        w2 = _word_parts(r2)
-        if w2 is not None and w2[0] == "L":
-            out = _prefixed(r1, "R", w2[1])
-            if out is not None:
-                return out
+    w1, w2 = _word_parts(r1), _word_parts(r2)
+    left = w1 is not None and (w1[0] == "R" or w1 == ("L", ""))  # W_u or IDENT
+    if left and (w2 is not None or r2.normal):
+        out = _prefixed(r2, "L", w1[1])
+        if out is not None:
+            return out
+    if w2 is not None and w2[0] == "L" and (w1 is not None or r1.normal):
+        out = _prefixed(r1, "R", w2[1])
+        if out is not None:
+            return out
+    if w1 is not None and w2 is not None:
+        return _domain(w1, w2)
     return _compose_engine(r1, r2)
 
 
@@ -415,33 +402,29 @@ def _prefixed(r: BranchRelation, side: str, u: str) -> BranchRelation | None:
 
 def _word_parts(r: BranchRelation) -> tuple[str, str] | None:
     """(root, w) when r is `_word(w, root)`, ("", "") when r is TOP, else
-    None.  An oriented word has its empty address first."""
+    None.  Only an oriented word counts: its empty address comes first,
+    and the identity's side L.  Read as a word, R.^=L.^ would reach
+    `_prefixed`, which passes the constraint through unoriented."""
     cons = r.constraints
     if not cons:
         return ("", "")
     if len(cons) != 1:
         return None
     (((s1, a1), (s2, a2)),) = cons
-    if a1 or s1 == s2:
+    if a1 or s1 == s2 or (not a2 and s1 == "R"):
         return None
     return (s1, a2)
 
 
-def _compose_words(w1: tuple[str, str], w2: tuple[str, str]) -> BranchRelation:
-    """The product of two `_word_parts` results, by the rules in compose."""
+def _domain(w1: tuple[str, str], w2: tuple[str, str]) -> BranchRelation:
+    """C_u;W_v, TOP;W_v, C_u;TOP or TOP;TOP, from `_word_parts`: W_w or C_w
+    when one address is the other's prefix, else TOP (see compose)."""
     (k1, u), (k2, v) = w1, w2
-    if not k1 or not k2:
-        return TOP
-    if k1 == "R":
-        if k2 == "R":
-            return _word(u + v)
-        return BranchRelation(False, frozenset((_lr(u, v),)), True)
-    if k2 == "L":
-        return _word(v + u, "L")
-    if v.startswith(u):
-        return _word(v[len(u) :])
-    if u.startswith(v):
-        return _word(u[len(v) :], "L")
+    if k1 and k2:
+        if v.startswith(u):
+            return _word(v[len(u) :])
+        if u.startswith(v):
+            return _word(u[len(v) :], "L")
     return TOP
 
 

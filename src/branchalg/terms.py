@@ -358,7 +358,6 @@ def emit_dot(t: Term) -> str:
     """
     if not is_j_term(t):
         raise RaOnlyOperatorError("+/-")
-    t = _push_conv(t)
     parent = [0, 1]  # a union-find forest over the nodes: source 0, sink 1
     edges: list[tuple[int, int, str]] = []
     _dot_walk(t, 0, 1, parent, edges)
@@ -382,7 +381,9 @@ def emit_dot(t: Term) -> str:
 def _dot_walk(t: Term, s: int, d: int, parent: list[int], edges: list):
     """Draw t between nodes s and d: a product through a fresh middle node,
     a meet as two parallel drawings, an identity by merging s and d, and
-    anything else as an edge (s, d, label), reversed under a converse.
+    anything else as an edge (s, d, label).  The converse of a variable or
+    generator is its edge reversed; any other converse is pushed one level
+    in by `conv` and drawn between the same nodes.
 
     A module function, not a closure in emit_dot: a recursive closure
     refers to itself through its cell, a reference cycle that only the
@@ -399,8 +400,10 @@ def _dot_walk(t: Term, s: int, d: int, parent: list[int], edges: list):
         i, j = _find(parent, s), _find(parent, d)
         if i != j:
             parent[max(i, j)] = min(i, j)
-    elif isinstance(t, Conv):
+    elif isinstance(t, Conv) and isinstance(t.child, (Var, GenA, GenB)):
         edges.append((d, s, _edge_label(t.child)))
+    elif isinstance(t, Conv):
+        _dot_walk(conv(t.child), s, d, parent, edges)
     else:
         edges.append((s, d, _edge_label(t)))
 
@@ -415,13 +418,3 @@ def _find(parent: list[int], i: int) -> int:
 def _edge_label(t: Term) -> str:
     return t.name if isinstance(t, Var) else _LEAVES[type(t)]
 
-
-def _push_conv(t: Term) -> Term:
-    """Rewrite so converse only wraps atoms (edge direction reversal)."""
-    if isinstance(t, Conv):
-        return conv(_push_conv(t.child))
-    if isinstance(t, Comp):
-        return Comp(_push_conv(t.left), _push_conv(t.right))
-    if isinstance(t, Meet):
-        return Meet(_push_conv(t.left), _push_conv(t.right))
-    return t

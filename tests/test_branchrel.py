@@ -220,8 +220,9 @@ def _product_gaps(r1, r2, candidate, queries):
     ]
 
 
-def test_word_products_are_the_engine_products():
-    # compose writes these products down; the engine path is the reference.
+def test_word_products_are_the_engine_products(monkeypatch):
+    # compose writes these products down, by substitution or by the Domain
+    # condition, and builds no engine; the engine path is the reference.
     # Every word {R.^=L.w} and co-word {L.^=R.w} with |w| <= 5, the
     # identity in both forms, then TOP
     words = [
@@ -233,8 +234,33 @@ def test_word_products_are_the_engine_products():
     assert len(words) == 127
     assert words[0] == words[63] == ID and words[1] == A and words[64] == CA
     assert all(br._word_parts(w) is not None for w in words)
-    for x, y in itertools.product(words, repeat=2):
-        assert br.compose(x, y) == br._compose_engine(x, y), (x, y)
+    want = {(x, y): br._compose_engine(x, y) for x, y in itertools.product(words, repeat=2)}
+
+    def no_engine(x, y):
+        raise AssertionError(f"engine built for {x} ; {y}")
+
+    monkeypatch.setattr(br, "_compose_engine", no_engine)
+    # a word-shaped operand counts as normal whether or not it is flagged,
+    # as the converses of words are not
+    plain = [br.BranchRelation(False, w.constraints) for w in words]
+    for ops in (words, plain):
+        for x, y in itertools.product(ops, repeat=2):
+            got = br.compose(x, y)
+            assert got == want[x, y] and got.normal, (x, y)
+
+
+def test_word_times_co_word_takes_one_side_by_length():
+    # W_u;C_v is the constraint L.u=R.v: substituting W_u into C_v (side L)
+    # keeps its class name when |u| <= |v|, substituting C_v into W_u
+    # (side R) when |v| < |u|, and for u != ^ the other side flips it
+    addrs = ["".join(w) for n in range(6) for w in itertools.product("01", repeat=n)]
+    for u, v in itertools.product(addrs[1:], addrs):
+        side_l = br._prefixed(br._word(v, "L"), "L", u)
+        side_r = br._prefixed(br._word(u), "R", v)
+        assert (side_l is not None, side_r is not None) == (len(u) <= len(v), len(v) < len(u))
+        out = side_l or side_r
+        assert out == br.compose(br._word(u), br._word(v, "L"))
+        assert out.constraints == {br._orient((("L", u), ("R", v)))}
 
 
 def test_only_words_take_the_closed_form():
@@ -243,8 +269,9 @@ def test_only_words_take_the_closed_form():
         br.BranchRelation(False, frozenset([c("L.^=L.0")])),
         br.BranchRelation(False, frozenset([c("L.0=R.1")])),
         br.BranchRelation(False, frozenset([c("R.0=L.^")])),  # unoriented
+        br.BranchRelation(False, frozenset([c("R.^=L.^")])),  # unoriented identity
     ]
-    assert [br._word_parts(r) for r in not_words] == [None] * 4
+    assert [br._word_parts(r) for r in not_words] == [None] * 5
     assert br._word_parts(br._word("01", "L")) == ("L", "01")
     for x, y in itertools.product(not_words + [A, CB, ID, TOP], repeat=2):
         assert br.compose(x, y) == br._compose_engine(x, y)

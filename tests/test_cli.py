@@ -299,6 +299,17 @@ def test_dot(capsys):
     assert code == 2
 
 
+def test_a_term_that_begins_with_a_dash_follows_a_double_dash(capsys, re2_file):
+    # argparse reads "-(a)" as an option; after "--" it is the term
+    code, out, err = run(capsys, ["parse", "-(a)"])
+    assert (code, out) == (2, "") and "required: term" in err
+    assert run(capsys, ["parse", "--", "-(a)"]) == (0, "-(a)\n", "")
+    assert run(capsys, ["eval", "--model", re2_file, "--", "-(id)"]) == (0, "a+a~\n", "")
+    # dot reads the term, and rejects a complement as it rejects any
+    code, out, err = run(capsys, ["dot", "--", "-(a)"])
+    assert (code, out) == (2, "") and "not available in the J signature" in err
+
+
 def test_missing_file_is_engine_error(capsys):
     code, _, err = run(capsys, ["eval", "a", "--model", "/nonexistent.ra"])
     assert code == 2

@@ -279,8 +279,18 @@ DOT_HEAD = 'digraph term {\n  rankdir=LR;\n  node [shape=point label=""];\n'
         ),
         # double converse of a product cancels
         ("conv(conv(a;b))", '  n0 -> n1 [label="a"];\n  n1 -> n2 [label="b"];\n'),
+        # the converse of the identity merges source and sink, like id
+        ("conv(id)", ""),
+        # a triple converse of a product is one converse: b then a, reversed
+        ("conv(conv(conv(a;b)))", '  n1 -> n0 [label="b"];\n  n2 -> n1 [label="a"];\n'),
+        # converses nested under a product and a meet
+        (
+            "conv(x;conv(y & conv(a;b)))",
+            '  n0 -> n1 [label="y"];\n  n2 -> n0 [label="b"];\n'
+            '  n1 -> n2 [label="a"];\n  n3 -> n1 [label="x"];\n',
+        ),
     ],
-    ids=["meet-of-products", "double-converse"],
+    ids=["meet-of-products", "double-converse", "converse-of-id", "triple-converse", "nested"],
 )
 def test_emit_dot_on_converses_of_compound_terms(text, edges):
     assert terms.emit_dot(parse_term(text)) == DOT_HEAD + edges + "}"

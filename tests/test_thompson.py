@@ -247,20 +247,36 @@ def _failing(m, relations):
 def test_suite_relations_hold_on_conjugated_pairs():
     # the theorem: any pair satisfying qu1-qu6 yields images of F, T, V and
     # M, so every closed suite relation holds on the generators the pair
-    # builds, for (g;a, g;b) and (a;g, b;g) alike
+    # builds, for (g;a, g;b) and (a;g, b;g) alike.  g ranges over the
+    # radius-2 ball of V, the words of length at most 2 in A, B, C, pi0 and
+    # their converses, and over the named conjugators, one g per value
     m = branchrel.model_handle()
     relations = thompson.qu_relations() + thompson.ta_relations() + thompson.m_relations()
+    steps = [GENERATORS[k] for k in ("A", "B", "C", "pi0")]
+    steps += [conv(g) for g in steps]
+    ball = [terms.ID] + steps + [comp(x, y) for x in steps for y in steps]
+
+    def value(g):
+        return branchrel._nf(model.eval_term(m, g, {})).constraints
+
+    conjugators = {}
+    for g in ball:
+        conjugators.setdefault(value(g), g)
+    assert len(conjugators) == 1 + 7 + 36  # pi0 is its own converse
+    for g in CONJUGATORS.values():
+        conjugators.setdefault(value(g), g)
+    assert len(conjugators) == 45  # of the named seven only pi0;B;C, of length 3, is new
     checked = 0
-    for name, g in CONJUGATORS.items():
+    for g in conjugators.values():
         gv = model.eval_term(m, g, {})
         for side, (a, b) in {
             "g;a, g;b": (m.comp(gv, m.gen_a), m.comp(gv, m.gen_b)),
             "a;g, b;g": (m.comp(m.gen_a, gv), m.comp(m.gen_b, gv)),
         }.items():
             pair = dataclasses.replace(m, gen_a=a, gen_b=b)
-            assert _failing(pair, relations) == [], (name, side)
+            assert _failing(pair, relations) == [], (terms.format_term(g), side)
             checked += len(relations)
-    assert checked == 448
+    assert checked == 2880
 
 
 def test_the_weaker_guard_admits_a_pair_that_breaks_qu3():
