@@ -21,12 +21,11 @@ import sys
 # deeper, from inside laws -> thompson -> model, loaded about 20 ms slower
 # under CPython 3.11 (its typing modules, `python -X importtime`), an effect
 # of the stack depth at which it runs, not of any work
-from . import branchrel, model, laws, terms, thompson
+from . import UsageError, branchrel, model, laws, terms, thompson
 from .finra import (
     SIGNATURES,
     STRETCH_SIGNATURES,
     NotTabular,
-    UnsupportedSignatureError,
     build_stage_rep,
     check_jlm,
     enumerate_integral,
@@ -38,7 +37,7 @@ from .finra import atoms as finra_atoms
 from .finra import jlm as finra_jlm
 
 
-class EngineError(Exception):
+class EngineError(UsageError):
     pass
 
 
@@ -316,15 +315,7 @@ def run_command(args) -> int:
     gc.disable()
     try:
         return args.fn(args)
-    except (
-        terms.TermError,
-        model.ModelError,
-        EngineError,
-        NotTabular,
-        UnsupportedSignatureError,
-        finra_atoms.AtomStructureError,
-        laws.UnknownLaw,
-    ) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

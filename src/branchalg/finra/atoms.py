@@ -17,12 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .. import laws, model
+from .. import UsageError, laws, model
 
 Triple = tuple[int, int, int]
 
 
-class AtomStructureError(Exception):
+class AtomStructureError(UsageError):
     pass
 
 

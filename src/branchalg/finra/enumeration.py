@@ -44,6 +44,7 @@ import re
 
 import numpy as np
 
+from .. import UsageError
 from .atoms import AtomStructure, peirce_orbit
 from . import kernels
 
@@ -59,7 +60,7 @@ def normalize_signature(text: str) -> str:
     return out.replace("ā", "a~").replace("̄", "~")
 
 
-class UnsupportedSignatureError(Exception):
+class UnsupportedSignatureError(UsageError):
     pass
 
 

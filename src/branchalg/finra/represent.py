@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import UsageError
 from .atoms import AtomStructure
 
 SUBALGEBRA_CAP = 16  # elements generated_subalgebra stops at
 
 
-class NotTabular(Exception):
+class NotTabular(UsageError):
     pass
 
 

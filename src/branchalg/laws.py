@@ -14,13 +14,20 @@ The equations of the suites (the six identities of the generator pair, the
 presentation, monoid, fork and pairing equations) are written once in
 thompson.py; the laws here quantify them over variables.  The catalog is
 built on first use and kept for the process.
+
+The guards the theorems are stated under are written once too: _functional,
+_permutational and _total build "t functional", "t permutational" and the
+Domain condition 1 = t;1 for each term text t, and the named hypothesis
+lists (Q_HYPS, D_HYPS, U_HYPS, QP_DOMAIN, J_HYP, PAIR_HYPS, PAIR2_HYPS) are
+built from them.  A law whose conclusion is itself a guard uses the same
+helper.
 """
 
 from __future__ import annotations
 
 import functools
 
-from . import thompson
+from . import UsageError, thompson
 from .model import Law, Relation
 from .terms import A, B, ID, Meet, Term, Var, comp, conv, parse_term
 from .thompson import GENERATORS, fkc, nabla, otimes
@@ -52,9 +59,30 @@ def _law(law_id, variables, hyps, concls, *, theorem=True, part="II"):
     )
 
 
-Q_HYPS = ["conv(a);a <= id", "conv(b);b <= id", "1 = conv(a);b"]
-D_HYPS = ["1 = a;1", "1 = b;1"]
+def _functional(*ts: str) -> list[str]:
+    """conv(t);(t) <= id for each term text t: t is functional."""
+    return [f"conv({t});({t}) <= id" for t in ts]
+
+
+def _permutational(*ts: str) -> list[str]:
+    """conv(t);(t) = id and (t);conv(t) = id for each term text t."""
+    return [r for t in ts for r in (f"conv({t});({t}) = id", f"({t});conv({t}) = id")]
+
+
+def _total(*ts: str) -> list[str]:
+    """1 = (t);1 for each term text t: the Domain condition on t."""
+    return [f"1 = ({t});1" for t in ts]
+
+
+# the Domain condition of the quasiprojections a, b
+QP_DOMAIN = "1 = conv(a);b"
+Q_HYPS = _functional("a", "b") + [QP_DOMAIN]
+D_HYPS = _total("a", "b")
 U_HYPS = ["a;conv(a) & b;conv(b) <= id"]
+# J's hypothesis, also read by K and the pair2 laws
+J_HYP = "conv(u);x & v;conv(y) <= conv(a);b"
+PAIR_HYPS = ["u <= conv(c);d", "v;conv(y) <= conv(a);b"] + _functional("c", "d")
+PAIR2_HYPS = _functional("c", "d") + ["u;v & x;y <= conv(c);d"]
 
 
 def _axiom_laws():
@@ -145,33 +173,13 @@ def _elementary_laws():
 
 def _functional_laws():
     return [
-        _law(
-            "func-leq",
-            "x y",
-            ["x <= y", "conv(y);y <= id"],
-            ["conv(x);x <= id"],
-        ),
-        _law(
-            "func-comp",
-            "x y",
-            ["conv(x);x <= id", "conv(y);y <= id"],
-            ["conv(x;y);(x;y) <= id"],
-        ),
+        _law("func-leq", "x y", ["x <= y"] + _functional("y"), _functional("x")),
+        _law("func-comp", "x y", _functional("x", "y"), _functional("x;y")),
         _law(
             "func-perm",
             "x y",
-            [
-                "conv(x);x = id",
-                "x;conv(x) = id",
-                "conv(y);y = id",
-                "y;conv(y) = id",
-            ],
-            [
-                "conv(x;y);(x;y) = id",
-                "(x;y);conv(x;y) = id",
-                "conv(conv(x));conv(x) = id",
-                "conv(x);conv(conv(x)) = id",
-            ],
+            _permutational("x", "y"),
+            _permutational("x;y", "conv(x)"),
         ),
         # partial identities e are drawn from the tested assignments only; in
         # the tree model that means sampled elements
@@ -197,29 +205,24 @@ def _functional_laws():
         _law(
             "f-dist",
             "f x y",
-            ["conv(f);f <= id"],
+            _functional("f"),
             [
                 "f;(x & y) = f;x & f;y",
                 "(x & y);conv(f) = x;conv(f) & y;conv(f)",
             ],
         ),
-        _law(
-            "prop1a",
-            "",
-            ["1 = conv(a);b", "conv(a);a <= id"],
-            ["conv(a);a = id"],
-        ),
+        _law("prop1a", "", [QP_DOMAIN] + _functional("a"), ["conv(a);a = id"]),
         _law(
             "prop2a",
             "x y",
-            ["1 = x;1", "1 = y;1", "x;conv(x) & y;conv(y) <= id"],
+            _total("x", "y") + ["x;conv(x) & y;conv(y) <= id"],
             ["x;conv(x) & y;conv(y) = id"],
         ),
-        _law("f1", "f x", ["conv(f);f <= id"], ["f & (f & x);1 <= x"]),
+        _law("f1", "f x", _functional("f"), ["f & (f & x);1 <= x"]),
         _law(
             "q1",
             "x",
-            ["x <= conv(a);b", "conv(a);a <= id", "conv(b);b <= id"],
+            ["x <= conv(a);b"] + _functional("a", "b"),
             ["x = conv(a);(id & a;x;conv(b));b"],
         ),
     ]
@@ -232,73 +235,23 @@ _PAIR_LEQ = _eq(_PAIR, "<=")
 
 def _pairing_laws():
     return [
-        _law(
-            "half-pr",
-            "u v x y",
-            ["conv(a);a <= id", "conv(b);b <= id"],
-            [_eq(_PAIR[::-1], "<=")],  # the right side below the left
-        ),
-        _law(
-            "pair-i",
-            "u v x y c d",
-            [
-                "u <= conv(c);d",
-                "v;conv(y) <= conv(a);b",
-                "conv(c);c <= id",
-                "conv(d);d <= id",
-            ],
-            [_PAIR_LEQ],
-        ),
+        # the right side below the left
+        _law("half-pr", "u v x y", _functional("a", "b"), [_eq(_PAIR[::-1], "<=")]),
+        _law("pair-i", "u v x y c d", PAIR_HYPS, [_PAIR_LEQ]),
         _law(
             "pair-ii",
             "u v x y c d",
-            [
-                "u <= conv(c);d",
-                "v;conv(y) <= conv(a);b",
-                "conv(c);c <= id",
-                "conv(d);d <= id",
-                "conv(a);a <= id",
-                "conv(b);b <= id",
-            ],
+            PAIR_HYPS + _functional("a", "b"),
             [_PAIR_CONCL],
         ),
-        _law(
-            "pair2-i",
-            "u v x y c d",
-            [
-                "conv(c);c <= id",
-                "conv(d);d <= id",
-                "u;v & x;y <= conv(c);d",
-                "conv(u);x & v;conv(y) <= conv(a);b",
-            ],
-            [_PAIR_LEQ],
-        ),
+        _law("pair2-i", "u v x y c d", PAIR2_HYPS + [J_HYP], [_PAIR_LEQ]),
         _law(
             "pair2-ii",
             "u v x y c d",
-            [
-                "conv(c);c <= id",
-                "conv(d);d <= id",
-                "u;v & x;y <= conv(c);d",
-                "conv(u);x & v;conv(y) <= conv(a);b",
-                "conv(a);a <= id",
-                "conv(b);b <= id",
-            ],
+            PAIR2_HYPS + [J_HYP] + _functional("a", "b"),
             [_PAIR_CONCL],
         ),
-        _law(
-            "pair2-iii",
-            "u v x y c d",
-            [
-                "conv(c);c <= id",
-                "conv(d);d <= id",
-                "u;v & x;y <= conv(c);d",
-                "conv(a);a <= id",
-                "conv(b);b <= id",
-                "1 = conv(a);b",
-            ],
-            [_PAIR_CONCL],
-        ),
+        _law("pair2-iii", "u v x y c d", PAIR2_HYPS + Q_HYPS, [_PAIR_CONCL]),
         _law("pr", "u v x y", Q_HYPS, [_PAIR_CONCL]),
     ]
 
@@ -314,14 +267,7 @@ def _fork_laws():
 
 
 def _product_formulas():
-    j = _law(
-        "J",
-        "u v x y",
-        ["conv(u);x & v;conv(y) <= conv(a);b"],
-        [_PAIR_LEQ],
-        theorem=False,
-        part="I",
-    )
+    j = _law("J", "u v x y", [J_HYP], [_PAIR_LEQ], theorem=False, part="I")
     l = _law(
         "L",
         "u v w x y z",
@@ -350,17 +296,12 @@ def _product_formulas():
     k = _law(
         "K",
         "u v x y c d",
-        [
-            "conv(a);a <= id",
-            "conv(b);b <= id",
-            "a;1 = b;1",
-            "a;conv(a) & b;conv(b) <= id",
-            "conv(a);1;b = conv(a);b",
-            "conv(c);c <= id",
-            "conv(d);d <= id",
-            "u;v & x;y <= conv(c);d",
-            "conv(u);x & v;conv(y) <= conv(a);b",
-        ],
+        _functional("a", "b")
+        + ["a;1 = b;1"]
+        + U_HYPS
+        + ["conv(a);1;b = conv(a);b"]
+        + PAIR2_HYPS
+        + [J_HYP],
         [_PAIR_CONCL],
         part="I",
     )
@@ -377,12 +318,6 @@ def _parallel_laws():
     fg3 = (comp(nabla(x, y), otimes(ID, v)), "=", nabla(x, comp(y, v)))
     fh = (comp(nabla(u, v), fkc(x, y)), "=", Meet(comp(u, x), comp(v, y)))
     ux0k = (comp(GENERATORS["U"], otimes(x, ID), GENERATORS["K"]), "=", x)
-    perm_hyps = [
-        "conv(x);x = id",
-        "x;conv(x) = id",
-        "conv(y);y = id",
-        "y;conv(y) = id",
-    ]
     a_term = GENERATORS["A"]
     return [
         _law(
@@ -397,7 +332,7 @@ def _parallel_laws():
         _law(
             "f-closed",
             "x y",
-            Q_HYPS[:2] + U_HYPS + ["conv(x);x <= id", "conv(y);y <= id"],
+            _functional("a", "b") + U_HYPS + _functional("x", "y"),
             [
                 (comp(conv(nabla(x, y)), nabla(x, y)), "<=", ID),
                 (comp(conv(otimes(x, y)), otimes(x, y)), "<=", ID),
@@ -406,7 +341,7 @@ def _parallel_laws():
         _law(
             "g-closed",
             "x y",
-            Q_HYPS + D_HYPS + U_HYPS + perm_hyps,
+            Q_HYPS + D_HYPS + U_HYPS + _permutational("x", "y"),
             [
                 (comp(conv(otimes(x, y)), otimes(x, y)), "=", ID),
                 (comp(otimes(x, y), conv(otimes(x, y))), "=", ID),
@@ -422,25 +357,25 @@ def _parallel_laws():
         _law(
             "pok-i",
             "x y",
-            Q_HYPS + D_HYPS + ["1 = y;1"],
+            Q_HYPS + D_HYPS + _total("y"),
             [(comp(otimes(x, y), A), "=", comp(A, x))],
         ),
         _law(
             "pok-ii",
             "x y",
-            Q_HYPS + D_HYPS + ["1 = x;1"],
+            Q_HYPS + D_HYPS + _total("x"),
             [(comp(otimes(x, y), B), "=", comp(B, y))],
         ),
         _law(
             "pok-iii",
             "y",
-            Q_HYPS + D_HYPS + ["1 = y;1"],
+            Q_HYPS + D_HYPS + _total("y"),
             [(comp(otimes(ID, y), A), "=", A)],
         ),
         _law(
             "pok-iv",
             "x",
-            Q_HYPS + D_HYPS + ["1 = x;1"],
+            Q_HYPS + D_HYPS + _total("x"),
             [(comp(otimes(x, ID), B), "=", B)],
         ),
         _law(
@@ -485,7 +420,7 @@ def _presentation_laws():
     ]
     m_rels = [_eq(sides) for _, *sides in thompson.m_relations()]
     x, y = Var("x"), Var("y")
-    functional = qu + ["conv(x);x <= id"]
+    functional = qu + _functional("x")
     out += [
         _law("m-invert", "", qu, m_rels[:3]),
         _law("m-commute", "x y", Q_HYPS, [_eq(thompson.m_commute(x, y))]),
@@ -504,7 +439,7 @@ _ALIASES = {
 }
 
 
-class UnknownLaw(KeyError):
+class UnknownLaw(UsageError, KeyError):
     """No catalog law has the given id or alias."""
 
     def __str__(self) -> str:

@@ -30,14 +30,14 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import terms
+from . import UsageError, terms
 from .terms import Term
 
 EXHAUSTIVE_CAP = 1 << 20
 BLOCK = 1 << 12  # most assignments, and array entries, per block
 
 
-class ModelError(Exception):
+class ModelError(UsageError):
     pass
 
 

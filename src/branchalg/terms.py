@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import UsageError
 
-class TermError(Exception):
+
+class TermError(UsageError):
     pass
 
 

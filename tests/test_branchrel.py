@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from branchalg import branchrel as br
 from branchalg import cli, laws, model, thompson
@@ -743,8 +743,17 @@ def _oriented(r):
     return all(br._orient(c) == c for c in r.constraints)
 
 
+# the identity stored unoriented, R.^=L.^: no word, so compose must not pass
+# it through as one
+_UNORIENTED_ID = br.BranchRelation(False, frozenset(((("R", ""), ("L", "")),)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_constraint_systems(), _constraint_systems())
+@example(_UNORIENTED_ID, _UNORIENTED_ID)
+@example(_UNORIENTED_ID, br.GEN_A)
+@example(br.GEN_A, _UNORIENTED_ID)
+@example(br.converse(br.GEN_B), _UNORIENTED_ID)
 def test_compose_emits_oriented_constraints_property(r1, r2):
     assert _oriented(br.compose(r1, r2))
 

@@ -460,6 +460,8 @@ BAD_ARGUMENTS = {
     "unknown-strategy": ["check-law", "p7", "--strategy", "bogus"],
     "zero-samples": ["check-law", "p7", "--strategy", "sample=0"],
     "negative-samples": ["check-law", "p7", "--strategy", "sample=-3"],
+    # the tree has no element iterator: StrategyUnavailableError
+    "exhaustive-on-tree": ["check-law", "p7", "--strategy", "exhaustive"],
     # seeded sampling of the formulas is check-law's; check-jlm has no such options
     "jlm-sample": ["check-jlm", "1'abb~", "--sample", "5"],
     "jlm-seed": ["check-jlm", "1'abb~", "--seed", "1"],

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -205,6 +206,57 @@ def test_catalog_list_is_a_copy():
     mine.clear()
     assert laws.law_catalog() == before
     assert laws.law_by_id(before[0].id) is before[0]
+
+
+def _law_line(law):
+    def rel(r):
+        lhs, op, rhs = r
+        return f"{terms.format_term(lhs)} {op} {terms.format_term(rhs)}"
+
+    return "|".join(
+        [
+            law.id,
+            " ".join(law.variables),
+            " ; ".join(map(rel, law.hypotheses)),
+            " ; ".join(map(rel, law.conclusions)),
+            str(law.theorem),
+            law.part,
+        ]
+    )
+
+
+def test_catalog_is_pinned():
+    # every law's variables, hypotheses, conclusions, theorem flag and part,
+    # one line a law in catalog order; a weakened or dropped guard changes it
+    catalog = laws.law_catalog()
+    assert len(catalog) == 86
+    text = "\n".join(map(_law_line, catalog))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4f59783dfb016e1e3eba577cebdebb0cf30304fb2ab6825d9363741085219257"
+    )
+
+
+def test_guards_agree_with_the_model_predicates(bmodel, re2):
+    # model.is_functional and is_permutational compute in Python what the
+    # catalog's guard helpers write as relations; they must agree everywhere
+    functional = [laws._rel(r) for r in laws._functional("e")]
+    permutational = [laws._rel(r) for r in laws._permutational("e")]
+    fin = re2.handle()
+    pool, elements = branchrel.paths_pool(), list(fin.elements())
+    assert (len(pool), len(elements)) == (105, 16)
+    for m, values in ((bmodel, pool), (fin, elements)):
+        seen = Counter()
+        for e in values:
+            env = {"e": e}
+            func = model.is_functional(m, e)
+            perm = model.is_permutational(m, e)
+            assert func == all(model.relation_holds(m, r, env) for r in functional)
+            assert perm == all(
+                model.relation_holds(m, r, env) for r in permutational
+            )
+            seen[func, perm] += 1
+        # both answers occur, so neither side can be a constant
+        assert seen[True, True] and seen[True, False] and seen[False, False]
 
 
 def test_swap_law_shape():
