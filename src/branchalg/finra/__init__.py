@@ -29,7 +29,6 @@ from .represent import (
     build_stage_rep,
     extend_comp,
     extend_join,
-    functional_elements,
     is_tabular,
     tabular_witness,
 )

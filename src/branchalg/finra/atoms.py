@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .. import UsageError, laws, model
+from .. import UsageError, laws, model, terms
 
 Triple = tuple[int, int, int]
 
@@ -126,10 +126,15 @@ class AtomStructure:
         """The functional elements fns (conv(x);x below the identity),
         increasing, and the table t[i, j] = conv(fns[i]);fns[j] of their
         products, in one gather.  Built once per structure: the tabular
-        witnesses of represent read it at every composition extension."""
+        witnesses of represent read it at every composition extension.
+        model.verdicts checks model.functional on every element in one
+        block: the tables stop at 12 atoms, whose 2**12 elements are
+        exactly model.BLOCK."""
         comp, conv = self.tables
         xs = np.arange(self.n_elements)
-        fns = xs[model.is_functional(self.handle(), xs)]
+        (guard,) = model.functional(terms.Var("e"))
+        ok = model.verdicts(self.handle(), guard, ["e"], model._grids([xs]))
+        fns = xs[np.array(ok, dtype=bool)]
         return fns, comp[conv[fns][:, None], fns]
 
     # element operations (elements are ints)

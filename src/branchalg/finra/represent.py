@@ -29,11 +29,6 @@ class NotTabular(UsageError):
     pass
 
 
-def functional_elements(s: AtomStructure) -> list[int]:
-    """The elements x with conv(x);x below the identity, in increasing order."""
-    return s.functional_table[0].tolist()
-
-
 def tabular_witness(s: AtomStructure, v: int, w: int) -> tuple[int, int]:
     """Functional p, q with 0 != conv(p);q <= w and v & conv(p);q = 0.
 

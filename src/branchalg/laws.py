@@ -15,12 +15,12 @@ presentation, monoid, fork and pairing equations) are written once in
 thompson.py; the laws here quantify them over variables.  The catalog is
 built on first use and kept for the process.
 
-The guards the theorems are stated under are written once too: _functional,
-_permutational and _total build "t functional", "t permutational" and the
-Domain condition 1 = t;1 for each term text t, and the named hypothesis
+The guards the theorems are stated under are written once, in model.py:
+functional, permutational and total build "t functional", "t permutational"
+and the Domain condition 1 = t;1 for each term t, and the named hypothesis
 lists (Q_HYPS, D_HYPS, U_HYPS, QP_DOMAIN, J_HYP, PAIR_HYPS, PAIR2_HYPS) are
-built from them.  A law whose conclusion is itself a guard uses the same
-helper.
+built from them.  A law whose conclusion is itself a guard, f-closed and
+g-closed included, uses the same builder.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from __future__ import annotations
 import functools
 
 from . import UsageError, thompson
-from .model import Law, Relation
-from .terms import A, B, ID, Meet, Term, Var, comp, conv, parse_term
+from .model import Law, Relation, functional, permutational, total
+from .terms import A, B, ID, Comp, Conv, Meet, Term, Var, comp, conv, parse_term
 from .thompson import GENERATORS, fkc, nabla, otimes
 
 
@@ -59,30 +59,16 @@ def _law(law_id, variables, hyps, concls, *, theorem=True, part="II"):
     )
 
 
-def _functional(*ts: str) -> list[str]:
-    """conv(t);(t) <= id for each term text t: t is functional."""
-    return [f"conv({t});({t}) <= id" for t in ts]
-
-
-def _permutational(*ts: str) -> list[str]:
-    """conv(t);(t) = id and (t);conv(t) = id for each term text t."""
-    return [r for t in ts for r in (f"conv({t});({t}) = id", f"({t});conv({t}) = id")]
-
-
-def _total(*ts: str) -> list[str]:
-    """1 = (t);1 for each term text t: the Domain condition on t."""
-    return [f"1 = ({t});1" for t in ts]
-
-
 # the Domain condition of the quasiprojections a, b
 QP_DOMAIN = "1 = conv(a);b"
-Q_HYPS = _functional("a", "b") + [QP_DOMAIN]
-D_HYPS = _total("a", "b")
+Q_HYPS = functional(A, B) + [QP_DOMAIN]
+D_HYPS = total(A, B)
 U_HYPS = ["a;conv(a) & b;conv(b) <= id"]
 # J's hypothesis, also read by K and the pair2 laws
 J_HYP = "conv(u);x & v;conv(y) <= conv(a);b"
-PAIR_HYPS = ["u <= conv(c);d", "v;conv(y) <= conv(a);b"] + _functional("c", "d")
-PAIR2_HYPS = _functional("c", "d") + ["u;v & x;y <= conv(c);d"]
+_C, _D = Var("c"), Var("d")
+PAIR_HYPS = ["u <= conv(c);d", "v;conv(y) <= conv(a);b"] + functional(_C, _D)
+PAIR2_HYPS = functional(_C, _D) + ["u;v & x;y <= conv(c);d"]
 
 
 def _axiom_laws():
@@ -172,15 +158,11 @@ def _elementary_laws():
 
 
 def _functional_laws():
+    x, y, f = Var("x"), Var("y"), Var("f")
     return [
-        _law("func-leq", "x y", ["x <= y"] + _functional("y"), _functional("x")),
-        _law("func-comp", "x y", _functional("x", "y"), _functional("x;y")),
-        _law(
-            "func-perm",
-            "x y",
-            _permutational("x", "y"),
-            _permutational("x;y", "conv(x)"),
-        ),
+        _law("func-leq", "x y", ["x <= y"] + functional(y), functional(x)),
+        _law("func-comp", "x y", functional(x, y), functional(Comp(x, y))),
+        _law("func-perm", "x y", permutational(x, y), permutational(Comp(x, y), Conv(x))),
         # partial identities e are drawn from the tested assignments only; in
         # the tree model that means sampled elements
         _law(
@@ -205,24 +187,24 @@ def _functional_laws():
         _law(
             "f-dist",
             "f x y",
-            _functional("f"),
+            functional(f),
             [
                 "f;(x & y) = f;x & f;y",
                 "(x & y);conv(f) = x;conv(f) & y;conv(f)",
             ],
         ),
-        _law("prop1a", "", [QP_DOMAIN] + _functional("a"), ["conv(a);a = id"]),
+        _law("prop1a", "", [QP_DOMAIN] + functional(A), ["conv(a);a = id"]),
         _law(
             "prop2a",
             "x y",
-            _total("x", "y") + ["x;conv(x) & y;conv(y) <= id"],
+            total(x, y) + ["x;conv(x) & y;conv(y) <= id"],
             ["x;conv(x) & y;conv(y) = id"],
         ),
-        _law("f1", "f x", _functional("f"), ["f & (f & x);1 <= x"]),
+        _law("f1", "f x", functional(f), ["f & (f & x);1 <= x"]),
         _law(
             "q1",
             "x",
-            ["x <= conv(a);b"] + _functional("a", "b"),
+            ["x <= conv(a);b"] + functional(A, B),
             ["x = conv(a);(id & a;x;conv(b));b"],
         ),
     ]
@@ -236,19 +218,19 @@ _PAIR_LEQ = _eq(_PAIR, "<=")
 def _pairing_laws():
     return [
         # the right side below the left
-        _law("half-pr", "u v x y", _functional("a", "b"), [_eq(_PAIR[::-1], "<=")]),
+        _law("half-pr", "u v x y", functional(A, B), [_eq(_PAIR[::-1], "<=")]),
         _law("pair-i", "u v x y c d", PAIR_HYPS, [_PAIR_LEQ]),
         _law(
             "pair-ii",
             "u v x y c d",
-            PAIR_HYPS + _functional("a", "b"),
+            PAIR_HYPS + functional(A, B),
             [_PAIR_CONCL],
         ),
         _law("pair2-i", "u v x y c d", PAIR2_HYPS + [J_HYP], [_PAIR_LEQ]),
         _law(
             "pair2-ii",
             "u v x y c d",
-            PAIR2_HYPS + [J_HYP] + _functional("a", "b"),
+            PAIR2_HYPS + [J_HYP] + functional(A, B),
             [_PAIR_CONCL],
         ),
         _law("pair2-iii", "u v x y c d", PAIR2_HYPS + Q_HYPS, [_PAIR_CONCL]),
@@ -296,7 +278,7 @@ def _product_formulas():
     k = _law(
         "K",
         "u v x y c d",
-        _functional("a", "b")
+        functional(A, B)
         + ["a;1 = b;1"]
         + U_HYPS
         + ["conv(a);1;b = conv(a);b"]
@@ -332,20 +314,14 @@ def _parallel_laws():
         _law(
             "f-closed",
             "x y",
-            _functional("a", "b") + U_HYPS + _functional("x", "y"),
-            [
-                (comp(conv(nabla(x, y)), nabla(x, y)), "<=", ID),
-                (comp(conv(otimes(x, y)), otimes(x, y)), "<=", ID),
-            ],
+            functional(A, B) + U_HYPS + functional(x, y),
+            functional(nabla(x, y), otimes(x, y)),
         ),
         _law(
             "g-closed",
             "x y",
-            Q_HYPS + D_HYPS + U_HYPS + _permutational("x", "y"),
-            [
-                (comp(conv(otimes(x, y)), otimes(x, y)), "=", ID),
-                (comp(otimes(x, y), conv(otimes(x, y))), "=", ID),
-            ],
+            Q_HYPS + D_HYPS + U_HYPS + permutational(x, y),
+            permutational(otimes(x, y)),
         ),
         _law("Ux0K", "x", Q_HYPS, [ux0k]),
         _law(
@@ -357,25 +333,25 @@ def _parallel_laws():
         _law(
             "pok-i",
             "x y",
-            Q_HYPS + D_HYPS + _total("y"),
+            Q_HYPS + D_HYPS + total(y),
             [(comp(otimes(x, y), A), "=", comp(A, x))],
         ),
         _law(
             "pok-ii",
             "x y",
-            Q_HYPS + D_HYPS + _total("x"),
+            Q_HYPS + D_HYPS + total(x),
             [(comp(otimes(x, y), B), "=", comp(B, y))],
         ),
         _law(
             "pok-iii",
             "y",
-            Q_HYPS + D_HYPS + _total("y"),
+            Q_HYPS + D_HYPS + total(y),
             [(comp(otimes(ID, y), A), "=", A)],
         ),
         _law(
             "pok-iv",
             "x",
-            Q_HYPS + D_HYPS + _total("x"),
+            Q_HYPS + D_HYPS + total(x),
             [(comp(otimes(x, ID), B), "=", B)],
         ),
         _law(
@@ -420,12 +396,12 @@ def _presentation_laws():
     ]
     m_rels = [_eq(sides) for _, *sides in thompson.m_relations()]
     x, y = Var("x"), Var("y")
-    functional = qu + _functional("x")
+    qu_x = qu + functional(x)
     out += [
         _law("m-invert", "", qu, m_rels[:3]),
         _law("m-commute", "x y", Q_HYPS, [_eq(thompson.m_commute(x, y))]),
-        _law("m-split", "x", functional, [_eq(thompson.m_split(x))]),
-        _law("m-reconstruct", "x", functional, [_eq(thompson.m_reconstruct(x))]),
+        _law("m-split", "x", qu_x, [_eq(thompson.m_split(x))]),
+        _law("m-reconstruct", "x", qu_x, [_eq(thompson.m_reconstruct(x))]),
         _law("m-rewrite", "", qu, m_rels[3:]),
     ]
     return out

@@ -16,6 +16,10 @@ sampler, for one equation whose variables are bound to given values, as
 the tree suites bind theirs.  relation_holds checks one relation at one
 assignment; it re-runs counterexamples and checks the closed suite
 relations.
+
+functional, permutational and total build the guards the theorems are
+stated under, as relations on given terms; the law catalog, the tree
+suites and the functional tables of finite structures all read them.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import UsageError, terms
-from .terms import Term
+from .terms import ID, TOP, Comp, Conv, Term
 
 EXHAUSTIVE_CAP = 1 << 20
 BLOCK = 1 << 12  # most assignments, and array entries, per block
@@ -191,6 +195,21 @@ def _lookup(env: dict[str, Any], name: str):
 
 
 Relation = tuple[Term, str, Term]  # middle component "=" or "<="
+
+
+def functional(*ts: Term) -> list[Relation]:
+    """conv(t);t <= id for each term t: t is functional."""
+    return [(Comp(Conv(t), t), "<=", ID) for t in ts]
+
+
+def permutational(*ts: Term) -> list[Relation]:
+    """conv(t);t = id and t;conv(t) = id for each term t."""
+    return [(p, "=", ID) for t in ts for p in (Comp(Conv(t), t), Comp(t, Conv(t)))]
+
+
+def total(*ts: Term) -> list[Relation]:
+    """1 = t;1 for each term t: the Domain condition on t."""
+    return [(TOP, "=", Comp(t, TOP)) for t in ts]
 
 
 @dataclass(frozen=True)
@@ -500,18 +519,6 @@ def _leaves(t: Term) -> list[str]:
         for u in terms.subterms(t)
         if isinstance(u, (terms.Var, terms.GenA, terms.GenB))
     ]
-
-
-def is_functional(m: ModelHandle, e) -> bool:
-    """conv(e);e stays below the identity."""
-    return m.leq(m.comp(m.conv(e), e), m.ident)
-
-
-def is_permutational(m: ModelHandle, e) -> bool:
-    """conv(e);e and e;conv(e) both equal the identity."""
-    return m.equal(m.comp(m.conv(e), e), m.ident) and m.equal(
-        m.comp(e, m.conv(e)), m.ident
-    )
 
 
 def relation_holds(m: ModelHandle, relation: Relation, env: dict[str, Any]) -> bool:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from branchalg import branchrel, laws, model, terms, thompson
-from branchalg.finra import check_jlm
+from branchalg.finra import SIGNATURES, check_jlm, make_proper_ra
 from branchalg.model import Exhaustive, Sample, StrategyUnavailableError, check_law
 from branchalg.terms import Comp, Conv, Meet, Var, parse_term
 
@@ -232,31 +232,75 @@ def test_catalog_is_pinned():
     assert len(catalog) == 86
     text = "\n".join(map(_law_line, catalog))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "4f59783dfb016e1e3eba577cebdebb0cf30304fb2ab6825d9363741085219257"
+        "5014869c69e79b57fa7dac7f936b65b931d64950666ee5b930cf83c26de02a00"
     )
 
 
-def test_guards_agree_with_the_model_predicates(bmodel, re2):
-    # model.is_functional and is_permutational compute in Python what the
-    # catalog's guard helpers write as relations; they must agree everywhere
-    functional = [laws._rel(r) for r in laws._functional("e")]
-    permutational = [laws._rel(r) for r in laws._permutational("e")]
+def test_closed_guards_equal_their_former_spelling(bmodel, re2):
+    # f-closed and g-closed once spelled "n functional" and "n permutational"
+    # out with comp and conv, which push the converse through n; the guard
+    # builders write Comp(Conv(n), n).  Each former side equals the new one
+    # at every (x, y, a, b) of Re(2) and every (x, y) of the tree pool
+    x, y = Var("x"), Var("y")
+    nab, ot = thompson.nabla(x, y), thompson.otimes(x, y)
+    pairs = [
+        (terms.comp(terms.conv(nab), nab), Comp(Conv(nab), nab)),
+        (terms.comp(terms.conv(ot), ot), Comp(Conv(ot), ot)),
+        (terms.comp(ot, terms.conv(ot)), Comp(ot, Conv(ot))),
+    ]
     fin = re2.handle()
-    pool, elements = branchrel.paths_pool(), list(fin.elements())
+    for m, names, values, count in (
+        (fin, ["x", "y", "a", "b"], fin.elements(), 65536),
+        (bmodel, ["x", "y"], branchrel.paths_pool(), 11025),
+    ):
+        for old, new in pairs:
+            assert old != new
+            blocks = model._grids([values] * len(names))
+            oks = model.verdicts(m, (old, "=", new), names, blocks)
+            assert len(oks) == count and all(oks)
+
+
+def test_guard_verdicts_agree_with_relation_holds(bmodel, re2):
+    # the block path AtomStructure.functional_table takes: model.verdicts of
+    # a guard over the pool or element array, against model.relation_holds
+    # at each value
+    e = Var("e")
+    fin = re2.handle()
+    pool, elements = branchrel.paths_pool(), fin.elements()
     assert (len(pool), len(elements)) == (105, 16)
     for m, values in ((bmodel, pool), (fin, elements)):
-        seen = Counter()
-        for e in values:
-            env = {"e": e}
-            func = model.is_functional(m, e)
-            perm = model.is_permutational(m, e)
-            assert func == all(model.relation_holds(m, r, env) for r in functional)
-            assert perm == all(
-                model.relation_holds(m, r, env) for r in permutational
-            )
-            seen[func, perm] += 1
+        outcomes = []
+        for guard in (model.functional(e), model.permutational(e)):
+            columns = []
+            for r in guard:
+                oks = model.verdicts(m, r, ["e"], model._grids([values]))
+                assert oks == [model.relation_holds(m, r, {"e": v}) for v in values]
+                columns.append(oks)
+            outcomes.append([all(c) for c in zip(*columns)])
+        seen = Counter(zip(*outcomes))
         # both answers occur, so neither side can be a constant
         assert seen[True, True] and seen[True, False] and seen[False, False]
+
+
+def test_presentation_guard_is_vacuous_on_finite_rows(enumerated, re2):
+    # a count computed here, not a published one: of the (a, b) element
+    # pairs of the 198 table structures, Re(2) and Re(3), qu1-qu6 hold at
+    # a = b = 1' on the one-atom 1' alone, so a presentation law checked on
+    # a finite structure passes at most one assignment of its guard
+    qu = [(lhs, "=", rhs) for _, lhs, rhs in thompson.qu_relations()]
+    structures = [s for sig in SIGNATURES for s in enumerated(sig)]
+    assert len(structures) == 198
+    hits = []
+    for s in structures + [re2, make_proper_ra(3)]:
+        m = s.handle()
+        els = m.elements()
+        ok = np.ones(len(els) ** 2, dtype=bool)
+        for r in qu:
+            ok &= model.verdicts(m, r, ["a", "b"], model._grids([els, els]))
+        for i in np.flatnonzero(ok):
+            a, b = els[i // len(els)], els[i % len(els)]
+            hits.append((s.label, s.format_element(a), s.format_element(b)))
+    assert hits == [("1'#0", "1'", "1'")]
 
 
 def test_swap_law_shape():

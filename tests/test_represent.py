@@ -11,7 +11,6 @@ from branchalg.finra import (
     build_stage_rep,
     enumerate_integral,
     from_cycles,
-    functional_elements,
     is_tabular,
     make_proper_ra,
     tabular_witness,
@@ -90,7 +89,7 @@ def test_is_tabular_matches_the_pairwise_definition(enumerated):
     structures += _random_structures(300)
     verdicts = Counter()
     for s in structures:
-        assert functional_elements(s) == oracles.functional_brute(s), s.label
+        assert s.functional_table[0].tolist() == oracles.functional_brute(s), s.label
         verdicts[is_tabular(s)] += 1
         assert is_tabular(s) == oracles.is_tabular_pairwise(s), s.label
     assert verdicts == {True: 90, False: 561}
@@ -132,7 +131,7 @@ def _diag_rep(re2):
     # two copies of a point relation: nonzero, functional, common domain
     comp, conv = re2.tables
     e = None
-    for x in functional_elements(re2):
+    for x in re2.functional_table[0].tolist():
         if x and re2.leq(x, re2.ident) and bin(x).count("1") == 1:
             e = x
             break
@@ -164,7 +163,7 @@ def test_lemma_properties_on_re2_and_enumerated(re2, enumerated):
     rep = _diag_rep(re2)
     assert oracles.lemma_properties_hold(rep)
     for s in enumerated("1'abb~")[:3]:
-        fns = [x for x in functional_elements(s) if x]
+        fns = [x for x in s.functional_table[0].tolist() if x]
         comp, _ = s.tables
         f0 = fns[0]
         dom = int(comp[f0, s.top])
@@ -241,7 +240,7 @@ def test_extension_check_matches_the_loop(re2):
     # every pair of nonzero functional sequences of length one or two with a
     # common domain, the new one at least as long as the old
     comp, _ = re2.tables
-    fns = [x for x in functional_elements(re2) if x]
+    fns = [x for x in re2.functional_table[0].tolist() if x]
     reps = [
         PartialRep(re2, seq)
         for n in (1, 2)
@@ -280,7 +279,7 @@ def test_join_check_rejects_an_extension_that_loses_the_target(re2, monkeypatch)
 
     def bad_extend_join(rep, i, j, x, y):
         comp, _ = re2.tables
-        fns = [e for e in functional_elements(re2) if e]
+        fns = [e for e in re2.functional_table[0].tolist() if e]
         for e, e2 in itertools.product(fns, repeat=2):
             if comp[e, re2.top] == comp[e2, re2.top]:
                 g = tuple(e if k == i else e2 for k in range(len(rep)))
@@ -304,7 +303,7 @@ def test_comp_check_rejects_an_extension_without_a_witness_index(re2, monkeypatc
         comp, _ = re2.tables
         fi, fj = rep.f[i], rep.f[j]
         dom = comp[rep.f[0], re2.top]
-        for e in functional_elements(re2):
+        for e in re2.functional_table[0].tolist():
             if e and comp[e, re2.top] == dom:
                 if not (comp[fi, x] & e == e and comp[e, y] & fj == fj):
                     return PartialRep(re2, rep.f + (e,))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from branchalg import branchrel, laws, model, terms, thompson
-from branchalg.model import is_functional, is_permutational
 from branchalg.terms import Conv, Meet, comp, conv, meet
 from branchalg.thompson import (
     DERIVED,
@@ -83,7 +82,7 @@ def verify_generator_forms() -> list[str]:
 def bleak_quick_checks(m) -> SuiteReport:
     """The compact generating sets are permutational."""
     out = [
-        (f"{name} permutational", is_permutational(m, _rel(m, t)))
+        (f"{name} permutational", _all_hold(m, model.permutational(t)))
         for name, t in BLEAK_QUICK_TERMS.items()
     ]
     return SuiteReport("bleak-quick", out)
@@ -92,6 +91,11 @@ def bleak_quick_checks(m) -> SuiteReport:
 @pytest.fixture(scope="module")
 def m():
     return branchrel.model_handle()
+
+
+def _all_hold(m, relations):
+    """Whether every closed relation holds in m."""
+    return all(model.relation_holds(m, r, {}) for r in relations)
 
 
 def _rel(m, t):
@@ -314,12 +318,13 @@ def test_key_error_inside_a_suite_is_not_an_unknown_suite(monkeypatch):
 
 
 def test_perms_classification(m):
-    u = _rel(m, GENERATORS["U"])
-    assert is_functional(m, u) and not is_permutational(m, u)
-    assert is_functional(m, _rel(m, conv(GENERATORS["U"])))
-    assert not is_permutational(m, _rel(m, conv(GENERATORS["U"])))
-    assert is_permutational(m, _rel(m, GENERATORS["P"]))
-    assert is_functional(m, _rel(m, GENERATORS["K"]))
+    u, cu = GENERATORS["U"], conv(GENERATORS["U"])
+    assert _all_hold(m, model.functional(u))
+    assert not _all_hold(m, model.permutational(u))
+    assert _all_hold(m, model.functional(cu))
+    assert not _all_hold(m, model.permutational(cu))
+    assert _all_hold(m, model.permutational(GENERATORS["P"]))
+    assert _all_hold(m, model.functional(GENERATORS["K"]))
 
 
 def test_rg_property_on_named_elements(m):
