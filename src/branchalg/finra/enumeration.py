@@ -26,9 +26,12 @@ order is the minimum of its orbit: the canonical mask.
 
 The published order is by canonical key: the least, over the symmetries,
 of a structure's sorted triple list.  ``canonical_key`` computes it for
-every class in one numpy pass per signature (triples as integer codes,
-sorted per symmetry, padded rows compared column by column), and
-``np.lexsort`` orders the masks before any triple set is built.
+every class in one numpy pass per signature.  It picks each class's least
+image on masks, with ``kernels.orbit_image`` and the rule that the image
+holding the lowest orbit where two images differ is the smaller (proof in
+its docstring), then writes that image's triples as integer codes and
+sorts them once, in rows padded with -1.  ``np.lexsort`` orders the masks
+by these rows before any triple set is built.
 
 Validation happens once per signature, not once per structure: the forced
 triples, and the forced triples with each orbit, go through the full
@@ -99,6 +102,11 @@ def forced_triples(conv: tuple[int, ...]) -> frozenset:
 
 
 def diversity_orbits(conv: tuple[int, ...]) -> list[tuple]:
+    """The Peirce orbits of the diversity triples, each as a sorted tuple.
+
+    The scan meets triples in increasing order, so each orbit starts at its
+    least triple and the orbits come in increasing order of it.
+    """
     div = range(1, len(conv))
     seen: set = set()
     orbits = []
@@ -129,45 +137,57 @@ def orbit_permutations(orbits: list[tuple], perms) -> list[tuple[int, ...]]:
     return [tuple(index[p[x], p[y], p[z]] for x, y, z in firsts) for p in perms]
 
 
-def canonical_key(n: int, forced, orbits, masks, perms) -> np.ndarray:
+def canonical_key(n: int, forced, orbits, masks, sigmas) -> np.ndarray:
     """The sort keys of the structures the masks stand for, one row per mask.
 
     A triple is written as the code x*n*n + y*n + z, so sorting codes sorts
     triples.  A row is the least, over the symmetries, of the sorted codes
     of the structure's image, padded on the right with -1: rows then compare
     lexicographically as the sorted triple tuples do, a shorter list first.
+
+    The least image is chosen on masks, and only its codes are built and
+    sorted.  A symmetry fixes the forced triples and sends orbit i to orbit
+    sigma[i], so the image of a mask's structure is the structure of
+    ``kernels.orbit_image(mask, sigma)``.  Of two images a and b of one
+    structure, the one that holds the lowest orbit j of a ^ b has the
+    smaller sorted triple list:
+
+    - ``diversity_orbits`` numbers orbits by their least triple, so every
+      triple of an orbit numbered above j is larger than t, the least
+      triple of orbit j;
+    - orbits are disjoint from each other and from the forced triples, so
+      the triples that one image holds and the other does not are those of
+      the orbits of a ^ b, and the least of them is t;
+    - both images hold equally many triples, since a symmetry is a bijection.
+
+    So both lists start with the same triples below t; next comes t in the
+    image that holds it, and in the other, which still has a next triple, a
+    triple larger than t.  On masks, a holds orbit j when a & d & -d is
+    nonzero, d = a ^ b.  Across classes the triple counts differ and one
+    list can be a prefix of another, hence the padding.
     """
+    best = kernels.orbit_image(masks, sigmas[0])
+    for sigma in sigmas[1:]:
+        image = kernels.orbit_image(masks, sigma)
+        diff = image ^ best
+        best = np.where(image & diff & -diff != 0, image, best)
+    # column c holds the c-th of the triples a structure can hold, in
+    # increasing order, and reads the bit of the orbit that holds it; the
+    # forced triples read bit k, which is always set
+    k = len(orbits)
+    holder = {t: k for t in forced}
+    holder.update((t, i) for i, orbit in enumerate(orbits) for t in orbit)
+    triples = sorted(holder)
+    bits = np.ones((len(masks), k + 1), dtype=bool)
+    bits[:, :k] = best[:, None] >> np.arange(k) & 1
+    present = bits[:, [holder[t] for t in triples]]
     size = n**3  # below int16's limit for the signatures here (n < 32)
-
-    def code(triples):
-        return [(x * n + y) * n + z for x, y, z in triples]
-
-    member = np.zeros((len(orbits), size), dtype=np.uint8)
-    for i, orbit in enumerate(orbits):
-        member[i, code(orbit)] = 1
-    present = (masks[:, None] >> np.arange(len(orbits))).astype(np.uint8) & 1
-    present = present @ member
-    present[:, code(forced)] = 1
+    code = np.array([(x * n + y) * n + z for x, y, z in triples], dtype=np.int16)
     # each row's codes in increasing order, then `size` as right padding
-    codes = np.where(present, np.arange(size, dtype=np.int16), np.int16(size))
-    width = int(present.sum(axis=1).max())
-    codes = np.sort(codes, axis=1)[:, :width]
-    best = None
-    rows = np.arange(len(masks))
-    for p in perms:
-        p = np.asarray(p, dtype=np.int16)
-        lut = ((p[:, None, None] * n + p[:, None]) * n + p).ravel()
-        lut = np.append(lut, np.int16(size))  # a Python int would widen it to int64
-        image = np.sort(lut[codes], axis=1)
-        if best is None:
-            best = image
-            continue
-        # every image of a row holds as many codes, so padding never differs
-        first = (image != best).argmax(axis=1)
-        less = image[rows, first] < best[rows, first]
-        best[less] = image[less]
-    best[best == size] = -1
-    return best
+    rows = np.sort(np.where(present, code, np.int16(size)), axis=1)
+    rows = rows[:, : int(present.sum(axis=1).max())]
+    rows[rows == size] = -1
+    return rows
 
 
 def enumerate_integral(signature: str, stretch: bool = False) -> list[AtomStructure]:
@@ -185,22 +205,24 @@ def enumerate_integral(signature: str, stretch: bool = False) -> list[AtomStruct
     key, names, conv = signature_spec(signature, stretch=stretch)
     identity = frozenset({0})
     orbits = diversity_orbits(conv)
-    perms = atom_symmetries(conv)
     forced = forced_triples(conv)
     for orbit in ((), *orbits):
         AtomStructure(names, conv, identity, forced.union(orbit))
-    sigmas, end = orbit_permutations(orbits, perms), 1 << len(orbits)
+    sigmas = orbit_permutations(orbits, atom_symmetries(conv))
+    end = 1 << len(orbits)
     kept = []
     for lo in range(0, end, kernels.CHUNK):
         batch = kernels.canonical_masks(sigmas, lo, min(lo + kernels.CHUNK, end))
         kept.append(kernels.associative_candidates(len(conv), forced, orbits, batch))
     masks = np.concatenate(kept)
-    keys = canonical_key(len(conv), forced, orbits, masks, perms)
+    keys = canonical_key(len(conv), forced, orbits, masks, sigmas)
     masks = masks[np.lexsort(keys.T[::-1])]
     selected = (masks[:, None] >> np.arange(len(orbits))) & 1
+    # frozensets keep their triples' hashes, so a union does not rehash them
+    orbit_sets = [frozenset(orbit) for orbit in orbits]
     return [
         AtomStructure._closed(
-            names, conv, identity, forced.union(*itertools.compress(orbits, bits)),
+            names, conv, identity, forced.union(*itertools.compress(orbit_sets, bits)),
             label=f"{key}#{i}",
         )
         for i, bits in enumerate(selected.tolist())

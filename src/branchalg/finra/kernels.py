@@ -3,18 +3,20 @@ during enumeration.
 
 Enumeration works on masks: bit i of a mask selects the i-th diversity
 orbit, and the mask stands for the forced triples plus the union of the
-selected orbits.  Canonicity is decided first, on integers:
-``canonical_masks`` takes each atom symmetry as the permutation it induces
-on the orbits and keeps a mask only when it is no larger than any of its
-images, that is, when it is the minimum of its orbit under the symmetry
-group.  ``associative_candidates`` then runs the associativity filter on
-the masks it is given, which leaves about 1/|Aut| of the 2^k subsets to
-test, and returns the surviving masks as an array: the caller orders them
-(``enumeration.canonical_key``) before it builds any triple set.  Nothing
-is lost: a symmetry fixes the forced triples and preserves associativity,
-so a class of associative masks is a whole orbit, and its minimum, the
-mask a scan over all 2^k in increasing order would keep first, is
-canonical (see ``enumeration``).  ``enumeration.enumerate_integral`` runs
+selected orbits.  An atom symmetry acts on masks as the permutation it
+induces on the orbits, and ``orbit_image`` maps a batch of masks under one
+such permutation with a shift and OR per bit offset; canonicity and
+``enumeration.canonical_key`` both read images through it.  Canonicity is
+decided first, on integers: ``canonical_masks`` keeps a mask only when it
+is no larger than any of its images, that is, when it is the minimum of
+its orbit under the symmetry group.  ``associative_candidates`` then runs
+the associativity filter on the masks it is given, which leaves about
+1/|Aut| of the 2^k subsets to test, and returns the surviving masks as an
+array: the caller orders them (``enumeration.canonical_key``) before it
+builds any triple set.  Nothing is lost: a symmetry fixes the forced
+triples and preserves associativity, so a class of associative masks is a
+whole orbit, and its minimum, the mask a scan over all 2^k in increasing
+order would keep first, is canonical (see ``enumeration``).  ``enumeration.enumerate_integral`` runs
 both kernels on one range of ``CHUNK`` masks at a time, so memory grows
 with ``CHUNK``, not with 2^k.
 
@@ -38,26 +40,35 @@ CHUNK = 1 << 20  # masks per range; every registered row (at most 20 orbits) is 
 # --- canonicity and associativity over orbit masks -------------------------
 
 
+def orbit_image(masks, sigma) -> np.ndarray:
+    """The images of the int64 masks under one orbit permutation (sigma[i]
+    is where orbit i goes): bit sigma[i] of an image is bit i of its mask.
+
+    A permutation moves the bits that share one offset sigma[i] - i by a
+    single shift, so an image costs one mask, shift and OR per distinct
+    offset.
+    """
+    moves: dict[int, int] = {}
+    for i, j in enumerate(sigma):
+        moves[j - i] = moves.get(j - i, 0) | 1 << i
+    image = np.zeros_like(masks)
+    for shift, bits in moves.items():
+        moved = masks & bits
+        image |= moved << shift if shift >= 0 else moved >> -shift
+    return image
+
+
 def canonical_masks(orbit_perms, lo: int, hi: int) -> np.ndarray:
     """The masks in [lo, hi) that are the minimum of their orbit
     under the orbit permutations (one per atom symmetry; sigma[i] is where
     orbit i goes), in increasing order; hi is at most 2^k over k orbits.
 
-    A permutation moves the bits that share one offset sigma[i] - i by a
-    single shift, so each image costs one mask, shift and OR per distinct
-    offset.  Masks already shown non-minimal are dropped before the next
-    symmetry.  Minimality depends on no other mask, so ranges split the work.
+    Masks already shown non-minimal are dropped before the next symmetry.
+    Minimality depends on no other mask, so ranges split the work.
     """
     masks = np.arange(lo, hi, dtype=np.int64)
     for sigma in orbit_perms:
-        moves: dict[int, int] = {}
-        for i, j in enumerate(sigma):
-            moves[j - i] = moves.get(j - i, 0) | 1 << i
-        image = np.zeros_like(masks)
-        for shift, bits in moves.items():
-            moved = masks & bits
-            image |= moved << shift if shift >= 0 else moved >> -shift
-        masks = masks[masks <= image]
+        masks = masks[masks <= orbit_image(masks, sigma)]
     return masks
 
 

@@ -27,7 +27,9 @@ from branchalg.finra import (
 from branchalg.finra.atoms import AXIOM_LAWS, AtomStructure
 from branchalg.finra.enumeration import (
     SIGNATURES,
+    STRETCH_SIGNATURES,
     atom_symmetries,
+    canonical_key,
     diversity_orbits,
     forced_triples,
     orbit_permutations,
@@ -390,6 +392,66 @@ def test_canonical_masks_split_into_ranges():
     whole = kernels.canonical_masks(sigmas, 0, end)
     assert len(whole) == 18_816
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize(
+    "conv",
+    [signature_spec(sig, stretch=True)[2] for sig in SIGNATURES + STRETCH_SIGNATURES]
+    + [(0, 1, 3, 2, 5, 4)],  # 1'abb~cc~
+)
+def test_diversity_orbits_are_numbered_by_least_triple(conv):
+    # canonical_key's premise: orbits come in increasing order of their
+    # least triple and are disjoint from each other and from the forced
+    # triples
+    orbits = diversity_orbits(conv)
+    assert all(orbit[0] == min(orbit) for orbit in orbits)
+    firsts = [orbit[0] for orbit in orbits]
+    assert all(a < b for a, b in zip(firsts, firsts[1:]))
+    every = [t for orbit in orbits for t in orbit]
+    assert len(set(every)) == len(every)
+    assert forced_triples(conv).isdisjoint(every)
+
+
+def test_orbit_image_matches_plain_loop():
+    _, _, conv = signature_spec("1'abcd", stretch=True)
+    orbits = diversity_orbits(conv)
+    sigmas = orbit_permutations(orbits, atom_symmetries(conv))
+    assert len(sigmas) == 24
+    rng = random.Random(0)
+    masks = [rng.getrandbits(len(orbits)) for _ in range(2000)]
+    for sigma in sigmas:
+        plain = [sum(1 << sigma[i] for i in range(len(orbits)) if m >> i & 1) for m in masks]
+        assert kernels.orbit_image(np.array(masks, dtype=np.int64), sigma).tolist() == plain
+
+
+def _check_canonical_key(conv, masks):
+    # each row is the oracle's least sorted image, as codes padded with -1
+    n, forced, orbits = len(conv), forced_triples(conv), diversity_orbits(conv)
+    perms = atom_symmetries(conv)
+    sigmas = orbit_permutations(orbits, perms)
+    keys = canonical_key(n, forced, orbits, np.array(masks, dtype=np.int64), sigmas)
+    brute = [
+        [(x * n + y) * n + z for x, y, z in oracles.canonical_key_brute(
+            oracles.mask_triples(forced, orbits, mask), perms)]
+        for mask in masks
+    ]
+    width = max(map(len, brute))
+    assert keys.tolist() == [codes + [-1] * (width - len(codes)) for codes in brute]
+
+
+@pytest.mark.parametrize("signature", [*SIGNATURES, "1'abcc~"])
+def test_canonical_key_matches_oracle_on_every_class(signature):
+    n, forced, orbits, masks = _filter_inputs(signature_spec(signature, stretch=True)[2])
+    classes = kernels.associative_candidates(n, forced, orbits, masks)
+    assert len(classes) == TABLE_TOTALS[signature]
+    _check_canonical_key(signature_spec(signature, stretch=True)[2], classes.tolist())
+
+
+def test_canonical_key_matches_oracle_on_arbitrary_masks():
+    # neither canonical nor associative: the least-image rule needs neither
+    _, _, conv = signature_spec("1'abcd", stretch=True)
+    rng = random.Random(1)
+    _check_canonical_key(conv, [rng.getrandbits(20) for _ in range(2000)])
 
 
 SIX_ATOM_PIPELINE = """
