@@ -20,13 +20,15 @@ order would keep first, is canonical (see ``enumeration``).  ``enumeration.enume
 both kernels on one range of ``CHUNK`` masks at a time, so memory grows
 with ``CHUNK``, not with 2^k.
 
-The filter works on the batch it is given.  It builds the batch's
-composition table with one lookup per byte of mask bits, then walks the
-atom pairs (x, y), testing every z of a pair at once, and drops the masks
-that fail as they fail: few pass the first pairs, so most of the work is
-done on a shrinking set.  Of each pair of triples (x, y, z) and
-(z~, y~, x~) it tests only one, since converse maps associativity at one
-onto the other (proof in ``associative_candidates``).
+The filter works on the batch it is given, bit-sliced: bit i of every
+mask is packed into row i of a byte array, 8 masks a byte, so each test
+ANDs and ORs whole rows and a fixed handful of numpy calls tests every
+mask at once.  The tests of the triples (1, y, z) run first, on the whole
+batch, and leave about one mask in ten on the five-atom rows (2,101 of
+18,816 on 1'abcc~); the other tests then run once, on those survivors.
+Of each pair of triples (x, y, z) and (z~, y~, x~) it tests only one,
+since converse maps associativity at one onto the other (proof in
+``associative_candidates``).
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def canonical_masks(orbit_perms, lo: int, hi: int) -> np.ndarray:
     """
     masks = np.arange(lo, hi, dtype=np.int64)
     for sigma in orbit_perms:
-        masks = masks[masks <= orbit_image(masks, sigma)]
+        if list(sigma) != sorted(sigma):  # the identity maps every mask to itself
+            masks = masks[masks <= orbit_image(masks, sigma)]
     return masks
 
 
@@ -106,44 +109,56 @@ def associative_candidates(n: int, forced, orbits, masks) -> np.ndarray:
     both sides of A(y, x, y, x) read "x;y meets y;x".  So the self-mirrored
     triples are skipped too.
 
-    comp[x*n + y] holds x;y for every live mask (bit z set when (x, y, z)
-    is a triple).  A step (x, y, zs) tests (x;y);z = x;(y;z) for all its z
-    at once and drops the masks that fail, so none is tested once dead.
+    The test is bit-sliced.  Row i of ``rows`` holds bit i of every live
+    mask, 8 masks a byte (``np.packbits(masks >> i & 1)``, built a byte of
+    mask bits at a time); row k is all ones and row k + 1 all zeros.
+    h(x, y, z) = holder[x, y, z] is the row of the triple (x, y, z): its
+    orbit, k when it is forced, k + 1 when no structure holds it.  Then
+    w <= (x;y);z is the OR over atoms u of rows[h(x, y, u)] & rows[h(u, z, w)],
+    and w <= x;(y;z) the OR of rows[h(y, z, u)] & rows[h(x, u, w)].  Each
+    side is one (tests, n, bytes) array, every tested triple and every w at
+    once, built by a loop over u.  The tests with x = 1 run first, on every
+    mask; the others run once, on the masks that passed, packed again.  The
+    pad bits of the last byte are never unpacked, so they never count.
     """
     conv = {x: y for x, y, z in forced if z == 0}
-    dtype = np.min_scalar_type((1 << n) - 1)
-    base = np.zeros(n * n, dtype=dtype)
-    for x, y, z in forced:
-        base[x * n + y] |= 1 << z
-    contrib = np.zeros((len(orbits), n * n), dtype=np.int64)
-    for i, orbit in enumerate(orbits):
-        for x, y, z in orbit:
-            contrib[i, x * n + y] |= 1 << z
-    # one table per byte of mask bits: column v is the OR of the byte's
-    # orbits whose bit is set in v, a sum since orbits are disjoint
-    byte_bits = np.arange(256) >> np.arange(8)[:, None] & 1
-    tables = []
-    for lo in range(0, len(orbits), 8):
-        part = contrib[lo : lo + 8]
-        tables.append((part.T @ byte_bits[: len(part)]).astype(dtype))
-    steps = []
-    for x, y in itertools.product(range(1, n), repeat=2):
-        zs = [z for z in range(1, n) if (x, y, z) < (conv[z], conv[y], conv[x])]
-        if zs:
-            steps.append((x, y, np.array(zs)))
-    comp = np.repeat(base[:, None], len(masks), axis=1)
-    for b, table in enumerate(tables):
-        comp |= np.take(table, masks >> 8 * b & 255, axis=1)
-    for x, y, zs in steps:
-        view = comp.reshape(n, n, -1)
-        cxy, cyz = view[x, y], view[y, zs]
-        lhs = np.zeros_like(cyz)
-        rhs = np.zeros_like(cyz)
-        for w in range(n):
-            lhs |= view[w, zs] * (cxy >> w & 1)
-            rhs |= view[x, w] * (cyz >> w & 1)
-        ok = (lhs == rhs).all(axis=0)
-        comp, masks = comp[:, ok], masks[ok]
+    k = len(orbits)
+    index = {t: k for t in forced}
+    index.update((t, i) for i, orbit in enumerate(orbits) for t in orbit)
+    cube = list(itertools.product(range(n), repeat=3))
+    holder = np.array([index.get(t, k + 1) for t in cube]).reshape(n, n, n)
+    tests = np.array(
+        [t for t in cube if 0 not in t and t < (conv[t[2]], conv[t[1]], conv[t[0]])],
+        dtype=np.intp,
+    ).reshape(-1, 3)
+    stages = (tests[tests[:, 0] == 1], tests[tests[:, 0] > 1])
+    width = -(-k // 8)  # bytes of mask bits
+    bit = 1 << np.arange(8, dtype=np.uint8)
+    for x, y, z in (stage.T for stage in stages if len(stage)):
+        size = -(-len(masks) // 8)
+        # byte b of every mask, little-endian, holds its bits for rows 8b..8b+7
+        low = masks.astype("<i8").view(np.uint8).reshape(-1, 8)[:, :width].T
+        rows = np.zeros((8 * width + 2, size), dtype=np.uint8)
+        rows[: 8 * width] = np.packbits(
+            np.ascontiguousarray(low)[:, None] & bit[:, None], axis=2
+        ).reshape(8 * width, size)
+        rows[k] = 255
+        rows[k + 1] = 0
+        hxy, hyz = holder[x, y], holder[y, z]
+        uzw, uxw = holder[:, z], holder[x].swapaxes(0, 1)
+        lhs = np.zeros((len(x), n, size), dtype=np.uint8)
+        rhs = np.zeros_like(lhs)
+        for u in range(n):
+            # in place, so that at most three (tests, n, size) arrays live
+            part = rows[uzw[u]]
+            part &= rows[hxy[:, u], None]
+            lhs |= part
+            part = rows[uxw[u]]
+            part &= rows[hyz[:, u], None]
+            rhs |= part
+        lhs ^= rhs
+        bad = np.bitwise_or.reduce(lhs, axis=(0, 1))
+        masks = masks[np.unpackbits(~bad, count=len(masks)).view(bool)]
     return masks
 
 

@@ -155,6 +155,35 @@ def test_assoc_filter_keeps_input_order():
     assert np.array_equal(kernels.associative_candidates(n, forced, orbits, shuffled), expected)
 
 
+def test_assoc_filter_packing_edges():
+    # the filter packs 8 masks a byte: every batch length 0-17, and a batch
+    # of 8m + 1 masks whose last mask, alone in its byte, survives, keep
+    # exactly the whole batch's survivors among their masks
+    n, forced, orbits, masks = _filter_inputs(signature_spec("1'abcc~", stretch=True)[2])
+    survivors = kernels.associative_candidates(n, forced, orbits, masks)
+    kept = np.isin(masks, survivors)
+    last = next(i for i in range(8, len(masks), 8) if kept[i])
+    for length in [*range(18), last + 1]:
+        batch = masks[:length]
+        expected = batch[kept[:length]]
+        assert np.array_equal(kernels.associative_candidates(n, forced, orbits, batch), expected)
+
+
+@pytest.mark.parametrize("conv, count", [((0, 1, 2, 3, 4), 20_000), ((0, 1, 3, 2, 5, 4), 5_000)])
+def test_assoc_filter_agrees_with_oracle_on_arbitrary_masks(conv, count):
+    # 1'abcd and 1'abb~cc~: seeded masks that are not orbit minima, so
+    # neither canonicity nor the order of the masks helps the filter
+    n, forced, orbits = len(conv), forced_triples(conv), diversity_orbits(conv)
+    sigmas = orbit_permutations(orbits, atom_symmetries(conv))
+    drawn = np.random.default_rng(0).integers(0, 1 << len(orbits), 3 * count)
+    least = np.minimum.reduce([kernels.orbit_image(drawn, sigma) for sigma in sigmas])
+    masks = drawn[least < drawn][:count]
+    assert len(masks) == count
+    survivors = kernels.associative_candidates(n, forced, orbits, masks)
+    assert 0 < len(survivors) < count - 2000
+    _check_against_oracle(n, forced, orbits, masks, survivors)
+
+
 @pytest.mark.slow
 def test_six_atom_filter_agrees_with_oracle_and_orbit_count():
     # 1'abb~cc~: 25 orbits, 8 symmetries, 4,395,264 canonical masks, fed to
