@@ -38,12 +38,19 @@ triples, and the forced triples with each orbit, go through the full
 ``AtomStructure`` check, and every class is a union of these cycle-closed
 sets on the same converse and identity, so it is valid by construction and
 skips every check.
+
+No class is built before it is read.  ``enumerate_integral`` returns an
+``EnumeratedClasses``: the sorted masks, with entry ``i`` built as its
+``AtomStructure`` (the forced triples and the orbits of mask ``i``) on each
+read.  Counting the classes builds none, so the count of the six-atom row
+costs only the mask phases.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -53,7 +60,7 @@ from . import kernels
 
 # the registered rows; signature_spec reads the atoms off each key
 SIGNATURES = ("1'", "1'a", "1'aa~", "1'ab", "1'abb~", "1'abc", "1'aa~bb~")
-STRETCH_SIGNATURES = ("1'abcc~", "1'abcd")
+STRETCH_SIGNATURES = ("1'abcc~", "1'abcd", "1'abb~cc~")
 
 
 def normalize_signature(text: str) -> str:
@@ -190,11 +197,45 @@ def canonical_key(n: int, forced, orbits, masks, sigmas) -> np.ndarray:
     return rows
 
 
-def enumerate_integral(signature: str, stretch: bool = False) -> list[AtomStructure]:
+class EnumeratedClasses(Sequence):
+    """The classes of one signature in published order, built when read.
+
+    It holds the sorted masks, so ``len()`` builds nothing.  Entry ``i`` is
+    built on every read, as ``AtomStructure._closed`` over the forced
+    triples and the orbits of mask ``i``, labelled ``{key}#{i}``: two reads
+    give equal structures, not the same object.  Negative indices count
+    from the end, a slice gives a list, and iteration follows the order.
+    """
+
+    def __init__(self, key, names, conv, identity, forced, orbits, masks: np.ndarray):
+        self._key, self._names, self._conv = key, names, conv
+        self._identity, self._forced = identity, forced
+        # frozensets keep their triples' hashes, so a union does not rehash them
+        self._orbit_sets = [frozenset(orbit) for orbit in orbits]
+        self._masks = masks.tolist()
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self._masks))[i]  # negative indices and IndexError
+        mask = self._masks[i]
+        # bin() reversed reads the mask's bits from bit 0 up, one per orbit
+        chosen = [s for s, bit in zip(self._orbit_sets, bin(mask)[:1:-1]) if bit == "1"]
+        return AtomStructure._closed(
+            self._names, self._conv, self._identity, self._forced.union(*chosen),
+            label=f"{self._key}#{i}",
+        )
+
+
+def enumerate_integral(signature: str, stretch: bool = False) -> EnumeratedClasses:
     """All pairwise non-isomorphic integral structures over the signature.
 
     Output order is deterministic (sorted canonical keys), so indexed picks
-    are stable across runs.
+    are stable across runs.  The masks are sorted here; each structure is
+    built when it is read (``EnumeratedClasses``), so a count builds none.
 
     Every structure is valid by construction: the forced triples, and the
     forced triples with each orbit, are checked once here by the full
@@ -217,16 +258,7 @@ def enumerate_integral(signature: str, stretch: bool = False) -> list[AtomStruct
     masks = np.concatenate(kept)
     keys = canonical_key(len(conv), forced, orbits, masks, sigmas)
     masks = masks[np.lexsort(keys.T[::-1])]
-    selected = (masks[:, None] >> np.arange(len(orbits))) & 1
-    # frozensets keep their triples' hashes, so a union does not rehash them
-    orbit_sets = [frozenset(orbit) for orbit in orbits]
-    return [
-        AtomStructure._closed(
-            names, conv, identity, forced.union(*itertools.compress(orbit_sets, bits)),
-            label=f"{key}#{i}",
-        )
-        for i, bits in enumerate(selected.tolist())
-    ]
+    return EnumeratedClasses(key, names, conv, identity, forced, orbits, masks)
 
 
 TABLE_TOTALS = {

@@ -7,11 +7,12 @@ _cache: dict[str, list] = {}
 
 @pytest.fixture(scope="session")
 def enumerated():
-    """Session-cached enumeration per signature."""
+    """Session-cached enumeration per signature, as a list: the classes are
+    built once, so they keep their cached tables across tests."""
 
     def get(signature):
         if signature not in _cache:
-            _cache[signature] = enumerate_integral(signature)
+            _cache[signature] = list(enumerate_integral(signature))
         return _cache[signature]
 
     return get

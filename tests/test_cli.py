@@ -146,6 +146,11 @@ def test_enumerate_stretch_guard(capsys):
     assert run(capsys, ["enumerate", "1'abcd"]) == (2, "", STRETCH_GUARD)
 
 
+def test_enumerate_six_atom_stretch_guard(capsys):
+    guard = STRETCH_GUARD.replace("1'abcd", "1'abb~cc~")
+    assert run(capsys, ["enumerate", "1'abb~cc~"]) == (2, "", guard)
+
+
 @pytest.mark.parametrize("tsv", [False, True])
 def test_check_jlm_stretch_guard(capsys, tmp_path, tsv):
     # a stretch row without --stretch is a usage error naming the flag; it

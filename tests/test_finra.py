@@ -425,8 +425,7 @@ def test_canonical_masks_split_into_ranges():
 
 @pytest.mark.parametrize(
     "conv",
-    [signature_spec(sig, stretch=True)[2] for sig in SIGNATURES + STRETCH_SIGNATURES]
-    + [(0, 1, 3, 2, 5, 4)],  # 1'abb~cc~
+    [signature_spec(sig, stretch=True)[2] for sig in SIGNATURES + STRETCH_SIGNATURES],
 )
 def test_diversity_orbits_are_numbered_by_least_triple(conv):
     # canonical_key's premise: orbits come in increasing order of their
@@ -485,15 +484,11 @@ def test_canonical_key_matches_oracle_on_arbitrary_masks():
 
 SIX_ATOM_PIPELINE = """
 import re
-from branchalg.finra import enumeration
-from branchalg.finra.atoms import AtomStructure
+from branchalg.finra import enumerate_integral
 
-# 1'abb~cc~ is not a registered row, and each class is built as its triple
-# count: 47,965 triple sets alone take about 150 MB, and the bound is on
-# the mask phases (canonicity, filter, canonical_key, lexsort)
-enumeration.STRETCH_SIGNATURES += ("1'abb~cc~",)
-AtomStructure._closed = classmethod(lambda cls, *args, label: len(args[3]))
-classes = enumeration.enumerate_integral("1'abb~cc~", stretch=True)
+# a count builds no class, so the peak is the mask phases' (canonicity,
+# filter, canonical_key, lexsort); building the 47,965 classes peaked at 280 MB
+classes = enumerate_integral("1'abb~cc~", stretch=True)
 with open("/proc/self/status") as fh:
     print(len(classes), re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1])
 """
@@ -563,3 +558,53 @@ def test_unsupported_and_stretch_signatures():
 def test_stretch_row_counts():
     assert len(enumerate_integral("1'abcc~", stretch=True)) == TABLE_TOTALS["1'abcc~"]
     assert len(enumerate_integral("1'abcd", stretch=True)) == TABLE_TOTALS["1'abcd"]
+
+
+def test_counting_builds_no_structure(monkeypatch):
+    def refuse(cls, *args, label):
+        raise AssertionError(f"{label} built")
+
+    monkeypatch.setattr(AtomStructure, "_closed", classmethod(refuse))
+    for signature, total in TABLE_TOTALS.items():
+        assert len(enumerate_integral(signature, stretch=True)) == total
+
+
+def _eager_classes(signature):
+    """The (label, triples) pair of every class, each built up front from
+    the sorted masks with the bits read by numpy: the reference for the
+    classes that enumerate_integral builds when they are read."""
+    key, _, conv = signature_spec(signature, stretch=True)
+    n, forced, orbits, masks = _filter_inputs(conv)
+    sigmas = orbit_permutations(orbits, atom_symmetries(conv))
+    masks = kernels.associative_candidates(n, forced, orbits, masks)
+    masks = masks[np.lexsort(canonical_key(n, forced, orbits, masks, sigmas).T[::-1])]
+    selected = (masks[:, None] >> np.arange(len(orbits))) & 1
+    orbit_sets = [frozenset(orbit) for orbit in orbits]
+    return [
+        (f"{key}#{i}", forced.union(*itertools.compress(orbit_sets, bits)))
+        for i, bits in enumerate(selected.tolist())
+    ]
+
+
+def test_classes_are_read_as_the_eager_list():
+    eager = _eager_classes("1'abcc~")
+    classes = enumerate_integral("1'abcc~", stretch=True)
+    assert len(classes) == len(eager) == TABLE_TOTALS["1'abcc~"]
+
+    def pair(s):
+        return s.label, s.triples
+
+    for i in (0, -1, len(eager) // 2):
+        assert pair(classes[i]) == eager[i]
+    assert classes[-1].label == f"1'abcc~#{len(eager) - 1}"
+    assert [pair(s) for s in classes[700:10:-97]] == eager[700:10:-97]
+    assert [pair(s) for s in classes] == eager
+    # each read builds a new structure, equal to the last one
+    assert classes[5] == classes[5] and classes[5] is not classes[5]
+
+
+def test_reading_past_the_last_class_raises():
+    classes = enumerate_integral("1'ab")
+    for i in (len(classes), -len(classes) - 1):
+        with pytest.raises(IndexError):
+            classes[i]
