@@ -130,12 +130,12 @@ def cmd_suite(args) -> int:
 
 def cmd_enumerate(args) -> int:
     structures = enumerate_integral(args.signature, stretch=args.stretch)
-    print(f"total={len(structures)}")
     if args.out:
         text = "".join(
             f"# {s.label}\n{finra_atoms.format_structure(s)}\n" for s in structures
         )
         _write_file(args.out, text)
+    print(f"total={len(structures)}")
     return 0
 
 
@@ -147,11 +147,10 @@ def cmd_check_jlm(args) -> int:
     if key in SIGNATURES or key in STRETCH_SIGNATURES:
         structures = enumerate_integral(args.target, stretch=args.stretch)
         profile = finra_jlm.count_profile(check_jlm(s, mode=mode) for s in structures)
+        if args.tsv:
+            _write_file(args.tsv, finra_jlm.profile_tsv(args.target, len(structures), profile))
         print(f"total={len(structures)}")
         print(finra_jlm.profile_line(profile))
-        if args.tsv:
-            row = {args.target: (len(structures), profile)}
-            _write_file(args.tsv, finra_jlm.profile_tsv(row))
         return 0
     if args.tsv:
         raise EngineError(f"--tsv needs a signature; {args.target!r} is not one")

@@ -27,17 +27,12 @@ class AtomStructureError(UsageError):
 
 
 def peirce_orbit(t: Triple, conv: tuple[int, ...]) -> frozenset[Triple]:
-    """Orbit of a triple under the two cycle transforms."""
-    seen: set[Triple] = set()
-    stack = [t]
-    while stack:
-        x, y, z = stack.pop()
-        if (x, y, z) in seen:
-            continue
-        seen.add((x, y, z))
-        stack.append((conv[x], z, y))
-        stack.append((z, conv[y], x))
-    return frozenset(seen)
+    """The cycle of a triple: its orbit under the cycle transforms
+    (x, y, z) -> (x~, z, y) and (x, y, z) -> (z, y~, x), which generate six
+    maps (Maddux, *Relation Algebras*, 2006), so at most six triples."""
+    x, y, z = t
+    xc, yc, zc = conv[x], conv[y], conv[z]
+    return frozenset(((x, y, z), (xc, z, y), (y, zc, xc), (yc, xc, zc), (zc, x, yc), (z, yc, x)))
 
 
 def _union_table(values: np.ndarray) -> np.ndarray:
@@ -157,8 +152,6 @@ class AtomStructure:
         """Accept an atom-name sum like `a+b~`, a list of atom indices like
         `1,3`, or a bare bitmask integer."""
         text = text.strip()
-        if text == "0":
-            return 0
         if text.isdecimal():
             v = int(text)
             if v >= self.n_elements:
@@ -218,17 +211,14 @@ class AtomStructure:
 def from_cycles(
     atom_names, conv, identity, cycles, label: str = ""
 ) -> AtomStructure:
-    """Build a structure from representative triples, closing under the cycle
-    transforms."""
+    """Build a structure from representative triples: the union of their
+    cycles."""
     conv = tuple(conv)
-    triples: set[Triple] = set()
-    for t in cycles:
-        triples |= peirce_orbit(tuple(t), conv)
     return AtomStructure(
         atom_names=tuple(atom_names),
         conv=conv,
         identity=frozenset(identity),
-        triples=frozenset(triples),
+        triples=frozenset().union(*(peirce_orbit(tuple(t), conv) for t in cycles)),
         label=label,
     )
 
@@ -347,6 +337,6 @@ def _default_names(n, conv, identity):
             if ch is None:
                 raise AtomStructureError("more than 26 diversity letters needed")
             names[i] = ch
-            if conv[i] != i:
+            if conv[i] != i and conv[i] not in identity:
                 names[conv[i]] = ch + "~"
     return names

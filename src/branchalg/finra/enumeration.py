@@ -96,16 +96,14 @@ def signature_spec(signature: str, stretch: bool = False):
 
 
 def forced_triples(conv: tuple[int, ...]) -> frozenset:
-    """Identity-atom triples present in every integral structure."""
-    out = set()
-    for x in range(len(conv)):
-        out.add((0, x, x))
-        out.add((x, 0, x))
-        out.add((x, conv[x], 0))
-    closed = set()
-    for t in out:
-        closed |= peirce_orbit(t, conv)
-    return frozenset(closed)
+    """Identity-atom triples present in every integral structure: (1', x, x),
+    (x, 1', x) and (x, x~, 1') for every atom x.  The three families are
+    closed under the cycle transforms: (x, y, z) -> (x~, z, y) fixes the
+    first and swaps the other two, (x, y, z) -> (z, y~, x) fixes the second
+    and swaps the others."""
+    return frozenset(
+        t for x, xc in enumerate(conv) for t in ((0, x, x), (x, 0, x), (x, xc, 0))
+    )
 
 
 def diversity_orbits(conv: tuple[int, ...]) -> list[tuple]:
@@ -139,16 +137,17 @@ def atom_symmetries(conv: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def orbit_permutations(orbits: list[tuple], perms) -> list[tuple[int, ...]]:
     """For each symmetry, the index of the orbit it sends each orbit to."""
-    index = {t: i for i, orbit in enumerate(orbits) for t in orbit}
+    table = kernels.orbit_table(len(perms[0]), (), orbits).tolist()
     firsts = [orbit[0] for orbit in orbits]
-    return [tuple(index[p[x], p[y], p[z]] for x, y, z in firsts) for p in perms]
+    return [tuple(table[p[x]][p[y]][p[z]] for x, y, z in firsts) for p in perms]
 
 
 def canonical_key(n: int, forced, orbits, masks, sigmas) -> np.ndarray:
     """The sort keys of the structures the masks stand for, one row per mask.
 
-    A triple is written as the code x*n*n + y*n + z, so sorting codes sorts
-    triples.  A row is the least, over the symmetries, of the sorted codes
+    A triple is written as the code x*n*n + y*n + z, its flat index in
+    ``kernels.orbit_table``, so sorting codes sorts triples.  A row is the
+    least, over the symmetries, of the sorted codes
     of the structure's image, padded on the right with -1: rows then compare
     lexicographically as the sorted triple tuples do, a shorter list first.
 
@@ -178,18 +177,16 @@ def canonical_key(n: int, forced, orbits, masks, sigmas) -> np.ndarray:
         image = kernels.orbit_image(masks, sigma)
         diff = image ^ best
         best = np.where(image & diff & -diff != 0, image, best)
-    # column c holds the c-th of the triples a structure can hold, in
-    # increasing order, and reads the bit of the orbit that holds it; the
-    # forced triples read bit k, which is always set
+    # the codes of the triples a structure can hold, in increasing order;
+    # each reads the bit of the orbit that holds it, and the forced triples
+    # read bit k, which is always set
     k = len(orbits)
-    holder = {t: k for t in forced}
-    holder.update((t, i) for i, orbit in enumerate(orbits) for t in orbit)
-    triples = sorted(holder)
+    holder = kernels.orbit_table(n, forced, orbits).ravel()
+    code = np.flatnonzero(holder <= k).astype(np.int16)
     bits = np.ones((len(masks), k + 1), dtype=bool)
     bits[:, :k] = best[:, None] >> np.arange(k) & 1
-    present = bits[:, [holder[t] for t in triples]]
+    present = bits[:, holder[code]]
     size = n**3  # below int16's limit for the signatures here (n < 32)
-    code = np.array([(x * n + y) * n + z for x, y, z in triples], dtype=np.int16)
     # each row's codes in increasing order, then `size` as right padding
     rows = np.sort(np.where(present, code, np.int16(size)), axis=1)
     rows = rows[:, : int(present.sum(axis=1).max())]

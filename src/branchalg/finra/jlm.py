@@ -95,10 +95,8 @@ def profile_structures(structures, mode: str = "atoms") -> tuple[int, ...]:
     return count_profile(check_jlm(s, mode=mode) for s in structures)
 
 
-def profile_tsv(rows: dict[str, tuple[int, tuple[int, ...]]]) -> str:
+def profile_tsv(signature: str, total: int, profile: tuple[int, ...]) -> str:
+    """One signature's profile as a TSV header and row."""
     head = "signature\ttotal\t" + "\t".join("fail:" + c for c in PROFILE_NAMES)
-    lines = [head]
-    for sig, (total, prof) in rows.items():
-        lines.append(f"{sig}\t{total}\t" + "\t".join(str(v) for v in prof))
-    return "\n".join(lines) + "\n"
-
+    row = f"{signature}\t{total}\t" + "\t".join(str(v) for v in profile)
+    return f"{head}\n{row}\n"

@@ -3,9 +3,11 @@ during enumeration.
 
 Enumeration works on masks: bit i of a mask selects the i-th diversity
 orbit, and the mask stands for the forced triples plus the union of the
-selected orbits.  An atom symmetry acts on masks as the permutation it
-induces on the orbits, and ``orbit_image`` maps a batch of masks under one
-such permutation with a shift and OR per bit offset; canonicity and
+selected orbits; ``orbit_table`` maps each atom triple to the orbit that
+holds it, for the filter and ``enumeration.canonical_key``.  An atom
+symmetry acts on masks as the permutation it induces on the orbits, and
+``orbit_image`` maps a batch of masks under one such permutation with a
+shift and OR per bit offset; canonicity and
 ``enumeration.canonical_key`` both read images through it.  Canonicity is
 decided first, on integers: ``canonical_masks`` keeps a mask only when it
 is no larger than any of its images, that is, when it is the minimum of
@@ -60,6 +62,17 @@ def orbit_image(masks, sigma) -> np.ndarray:
     return image
 
 
+def orbit_table(n: int, forced, orbits) -> np.ndarray:
+    """The (n, n, n) table whose entry [x, y, z] is the index of the orbit
+    holding (x, y, z), k = len(orbits) for a forced triple and k + 1 for a
+    triple no structure holds."""
+    table = np.full((n, n, n), len(orbits) + 1)
+    for i, triples in enumerate((*orbits, forced)):
+        for t in triples:
+            table[t] = i
+    return table
+
+
 def canonical_masks(orbit_perms, lo: int, hi: int) -> np.ndarray:
     """The masks in [lo, hi) that are the minimum of their orbit
     under the orbit permutations (one per atom symmetry; sigma[i] is where
@@ -112,8 +125,9 @@ def associative_candidates(n: int, forced, orbits, masks) -> np.ndarray:
     The test is bit-sliced.  Row i of ``rows`` holds bit i of every live
     mask, 8 masks a byte (``np.packbits(masks >> i & 1)``, built a byte of
     mask bits at a time); row k is all ones and row k + 1 all zeros.
-    h(x, y, z) = holder[x, y, z] is the row of the triple (x, y, z): its
-    orbit, k when it is forced, k + 1 when no structure holds it.  Then
+    h(x, y, z) = holder[x, y, z] (``orbit_table``) is the row of the triple
+    (x, y, z): its orbit, k when it is forced, k + 1 when no structure
+    holds it.  Then
     w <= (x;y);z is the OR over atoms u of rows[h(x, y, u)] & rows[h(u, z, w)],
     and w <= x;(y;z) the OR of rows[h(y, z, u)] & rows[h(x, u, w)].  Each
     side is one (tests, n, bytes) array, every tested triple and every w at
@@ -123,10 +137,8 @@ def associative_candidates(n: int, forced, orbits, masks) -> np.ndarray:
     """
     conv = {x: y for x, y, z in forced if z == 0}
     k = len(orbits)
-    index = {t: k for t in forced}
-    index.update((t, i) for i, orbit in enumerate(orbits) for t in orbit)
-    cube = list(itertools.product(range(n), repeat=3))
-    holder = np.array([index.get(t, k + 1) for t in cube]).reshape(n, n, n)
+    holder = orbit_table(n, forced, orbits)
+    cube = itertools.product(range(n), repeat=3)
     tests = np.array(
         [t for t in cube if 0 not in t and t < (conv[t[2]], conv[t[1]], conv[t[0]])],
         dtype=np.intp,

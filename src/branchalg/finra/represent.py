@@ -127,28 +127,23 @@ def extend_comp(rep: PartialRep, i: int, j: int, x: int, y: int) -> PartialRep:
 
 def generated_subalgebra(s: AtomStructure, seeds) -> list[int]:
     """Closure of the seeds (with the constants) under the operations,
-    stopped at SUBALGEBRA_CAP elements; deterministic order."""
+    stopped at SUBALGEBRA_CAP elements; each round appends, in order, what
+    the operations give on the elements held at its start."""
     comp, conv = s.tables
-    out: list[int] = []
-    for e in [0, s.ident, s.top, *seeds]:
-        if e not in out:
-            out.append(e)
-    grew = True
-    while grew and len(out) < SUBALGEBRA_CAP:
-        grew = False
-        snapshot = list(out)
-        for x in snapshot:
-            candidates = [conv[x], s.compl(x)]
-            for y in snapshot:
-                candidates += [x & y, x | y, int(comp[x, y])]
-            for c in candidates:
-                c = int(c)
-                if c not in out:
-                    out.append(c)
-                    grew = True
-                    if len(out) >= SUBALGEBRA_CAP:
-                        return out
-    return out
+    out = dict.fromkeys([0, s.ident, s.top, *seeds])
+    size = 0
+    while size < len(out) < SUBALGEBRA_CAP:
+        size = len(out)
+        xs = list(out)
+        for x in xs:
+            results = [conv[x], s.compl(x)]
+            for y in xs:
+                results += [x & y, x | y, comp[x, y]]
+            for c in results:
+                out[int(c)] = None
+                if len(out) == SUBALGEBRA_CAP:
+                    return list(out)
+    return list(out)
 
 
 @dataclass

@@ -5,10 +5,12 @@ closure `entails_bfs`, the endpoint partition `partition_bfs` it induces,
 and the three-tag `entails_product` on the same saturation for the tree
 relations, a concrete finite semantic model of tree pairs, the element
 tables of an atom structure built from their definitions, the plain brute force
-`reference_violation` for the product formulas J, L and M, the
+`reference_violation` for the product formulas J, L and M, the cycle of
+a triple by a stack walk `peirce_closure`, the
 enumeration by plain isomorph rejection `enumerate_brute`, the first
 tabular witness by a pairwise scan `tabular_witness_loop`, tabularity
-by its pairwise definition `is_tabular_pairwise`, the whole induced map
+by its pairwise definition `is_tabular_pairwise`, the subalgebra closure
+by list scans `generated_subalgebra_loop`, the whole induced map
 `hat` of a sequence, the element-by-element extension check
 `common_post_loop` of the staged construction, the five
 structural properties `lemma_properties_hold` of its induced map, the
@@ -46,7 +48,7 @@ from branchalg.finra.enumeration import (
     forced_triples,
     signature_spec,
 )
-from branchalg.finra.represent import NotTabular
+from branchalg.finra.represent import SUBALGEBRA_CAP, NotTabular
 
 # --- closure oracles --------------------------------------------------------
 
@@ -335,6 +337,22 @@ def reference_violation(comp, conv, formula: str, limit_elems=None):
 
 
 # --- enumeration ------------------------------------------------------------
+
+
+def peirce_closure(t, conv) -> frozenset:
+    """The orbit of a triple under the two cycle transforms
+    (x, y, z) -> (x~, z, y) and (x, y, z) -> (z, y~, x), closed by a stack
+    walk rather than written out."""
+    seen = set()
+    stack = [tuple(t)]
+    while stack:
+        x, y, z = stack.pop()
+        if (x, y, z) in seen:
+            continue
+        seen.add((x, y, z))
+        stack.append((conv[x], z, y))
+        stack.append((z, conv[y], x))
+    return frozenset(seen)
 
 
 def canonical_key_brute(triples, perms) -> tuple:
@@ -653,3 +671,31 @@ def lemma_properties_hold(rep, xs=None) -> bool:
                         if (i, j) not in target:
                             return False
     return True
+
+
+def generated_subalgebra_loop(s, seeds) -> list[int]:
+    """The seeds' closure in the order represent.generated_subalgebra
+    keeps, built with list scans and a `grew` flag: each round applies every
+    operation to a snapshot of the list and appends the new results in
+    order, stopping at represent.SUBALGEBRA_CAP elements."""
+    comp, conv = s.tables
+    out = []
+    for e in [0, s.ident, s.top, *seeds]:
+        if e not in out:
+            out.append(e)
+    grew = True
+    while grew and len(out) < SUBALGEBRA_CAP:
+        grew = False
+        snapshot = list(out)
+        for x in snapshot:
+            candidates = [conv[x], s.compl(x)]
+            for y in snapshot:
+                candidates += [x & y, x | y, int(comp[x, y])]
+            for c in candidates:
+                c = int(c)
+                if c not in out:
+                    out.append(c)
+                    grew = True
+                    if len(out) >= SUBALGEBRA_CAP:
+                        return out
+    return out

@@ -68,6 +68,13 @@ def test_eval_on_structure_file(capsys, re2_file):
     assert out.strip() == "e0+a+a~+e3"
 
 
+@pytest.mark.parametrize("header", ["identity=0 converse=1,0", "identity=1 converse=1,0"])
+def test_eval_prints_the_identity_atom_by_its_name(capsys, tmp_path, header):
+    path = tmp_path / "pair.ra"
+    path.write_text(f"atoms=2 {header}\n")
+    assert run(capsys, ["eval", "id", "--model", str(path)]) == (0, "1'\n", "")
+
+
 def test_eval_names_nine_self_converse_diversity_atoms(capsys, tmp_path):
     # diversity letters run a to z, so any file of at most 12 atoms is named
     path = tmp_path / "ten.ra"
@@ -501,8 +508,8 @@ def test_bad_arguments_are_usage_errors(capsys, tmp_path, re2_file, case):
     }
     argv = [arg.format(**paths) for arg in BAD_ARGUMENTS[case]]
     before = sorted(tmp_path.iterdir())
-    code, _, err = run(capsys, argv)
-    assert code == 2
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
     assert "error:" in err and "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before  # no output file written
 

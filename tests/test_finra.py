@@ -24,7 +24,7 @@ from branchalg.finra import (
     parse_structure,
     verify_axioms,
 )
-from branchalg.finra.atoms import AXIOM_LAWS, AtomStructure
+from branchalg.finra.atoms import AXIOM_LAWS, AtomStructure, peirce_orbit
 from branchalg.finra.enumeration import (
     SIGNATURES,
     STRETCH_SIGNATURES,
@@ -286,6 +286,12 @@ def test_parse_structure_applies_cycle_closure():
     assert verify_axioms(s)
 
 
+def test_identity_atoms_keep_their_names_in_either_index_order():
+    # an identity atom whose converse is a diversity atom is still named 1'
+    assert parse_structure("atoms=2 identity=0 converse=1,0\n").atom_names == ("1'", "a")
+    assert parse_structure("atoms=2 identity=1 converse=1,0\n").atom_names == ("a", "1'")
+
+
 def test_parse_structure_errors():
     with pytest.raises(AtomStructureError):
         parse_structure("no header")
@@ -438,6 +444,47 @@ def test_diversity_orbits_are_numbered_by_least_triple(conv):
     every = [t for orbit in orbits for t in orbit]
     assert len(set(every)) == len(every)
     assert forced_triples(conv).isdisjoint(every)
+
+
+REGISTERED_CONVS = [
+    signature_spec(sig, stretch=True)[2] for sig in SIGNATURES + STRETCH_SIGNATURES
+]
+
+
+def _involutions(n):
+    return [p for p in itertools.permutations(range(n)) if all(p[p[i]] == i for i in range(n))]
+
+
+def test_peirce_orbit_is_the_stack_closure():
+    # the six written-out images are the whole orbit: every triple of every
+    # converse on 1-5 atoms, and of every registered row
+    convs = [conv for n in range(1, 6) for conv in _involutions(n)] + REGISTERED_CONVS
+    checked = 0
+    for conv in convs:
+        for t in itertools.product(range(len(conv)), repeat=3):
+            assert peirce_orbit(t, conv) == oracles.peirce_closure(t, conv), (conv, t)
+            checked += 1
+    assert checked == 4797
+
+
+@pytest.mark.parametrize("conv", REGISTERED_CONVS)
+def test_forced_triples_are_cycle_closed(conv):
+    forced = forced_triples(conv)
+    assert all(oracles.peirce_closure(t, conv) <= forced for t in forced)
+
+
+@pytest.mark.parametrize("conv", REGISTERED_CONVS)
+def test_orbit_table_matches_a_plain_loop(conv):
+    n, forced, orbits = len(conv), forced_triples(conv), diversity_orbits(conv)
+    k = len(orbits)
+    holder = {t: k for t in forced}
+    for i, orbit in enumerate(orbits):
+        for t in orbit:
+            holder[t] = i
+    table = kernels.orbit_table(n, forced, orbits)
+    assert table.shape == (n, n, n)
+    for t in itertools.product(range(n), repeat=3):
+        assert table[t] == holder.get(t, k + 1), t
 
 
 def test_orbit_image_matches_plain_loop():

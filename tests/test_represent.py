@@ -320,6 +320,21 @@ def test_generated_subalgebra_cap(re2):
     assert 0 in xs and re2.ident in xs and re2.top in xs
 
 
+def test_generated_subalgebra_matches_the_list_loop(re2, enumerated):
+    # same elements in the same order, cap included: every strict pair of
+    # Re(2), seeded pairs of Re(3) and of every table row's structures
+    rng = random.Random(0)
+    re3 = make_proper_ra(3)
+    cases = [(re2, pair) for pair in _strict_pairs(re2)]
+    cases += [(re3, pair) for pair in rng.sample(_strict_pairs(re3), 20)]
+    for sig in SIGNATURES:
+        for s in enumerated(sig):
+            cases += [(s, rng.choice(_strict_pairs(s))) for _ in range(2)]
+    for s, seeds in cases:
+        assert generated_subalgebra(s, seeds) == oracles.generated_subalgebra_loop(s, seeds)
+    assert any(len(generated_subalgebra(s, seeds)) == SUBALGEBRA_CAP for s, seeds in cases)
+
+
 def test_build_stage_rep_separates(re2):
     report = build_stage_rep(re2, 0, 0b0010, stages=50, seed=0)
     assert len(report.steps) == len(report.reps) == 50
