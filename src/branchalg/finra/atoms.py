@@ -62,6 +62,10 @@ class AtomStructure:
             raise AtomStructureError("converse is not involutive")
         if not self.identity or not all(0 <= e < n for e in self.identity):
             raise AtomStructureError("bad identity atom set")
+        # a subidentity is symmetric, so each identity atom is its own converse
+        for e in sorted(self.identity):
+            if conv[e] != e:
+                raise AtomStructureError(f"identity atom {e} is not its own converse")
         for t in triples:
             if not all(0 <= i < n for i in t):
                 raise AtomStructureError(f"triple out of range: {t}")
@@ -176,24 +180,28 @@ class AtomStructure:
         """Model handle of the induced algebra.
 
         Elements are atom-set bitmasks, so meet, join and complement are bit
-        operations and composition and converse are gathers from `tables`;
-        every operation takes ints or, elementwise, int64 arrays of elements.
-        The dense tables are built on the first composition or converse, so
-        a term without either never pays for their 4**n entries.
+        operations and composition and converse are gathers from `tables`:
+        x ; y is one `take` from the flattened composition table at
+        (x << n) | y, and conv(x) one `take` from the converse table.  Every
+        operation takes ints or, elementwise and broadcasting, int64 arrays
+        of elements.  The dense tables are built on the first composition or
+        converse, so a term without either never pays for their 4**n entries.
         """
+        n = self.n_atoms
 
-        def gather(which):
-            def op(*index):
-                out = self.tables[which][index]
-                return out if isinstance(out, np.ndarray) else int(out)
+        def comp(x, y):
+            out = self.tables[0].take((x << n) | y)
+            return out if isinstance(out, np.ndarray) else int(out)
 
-            return op
+        def conv(x):
+            out = self.tables[1].take(x)
+            return out if isinstance(out, np.ndarray) else int(out)
 
         return model.ModelHandle(
             name=self.label or "finra",
             meet=lambda x, y: x & y,
-            comp=gather(0),
-            conv=gather(1),
+            comp=comp,
+            conv=conv,
             zero=0,
             top=self.top,
             ident=self.ident,
@@ -337,6 +345,6 @@ def _default_names(n, conv, identity):
             if ch is None:
                 raise AtomStructureError("more than 26 diversity letters needed")
             names[i] = ch
-            if conv[i] != i and conv[i] not in identity:
+            if conv[i] != i:
                 names[conv[i]] = ch + "~"
     return names

@@ -10,7 +10,8 @@ handle's operations also work elementwise, and broadcast, on numpy arrays of
 elements (int64 bitmasks on a finite model, object arrays of relations on
 the tree), so a compiled term evaluates a whole block of assignments at
 once.  An exhaustive block is a grid with one axis per variable, so each
-subterm is computed over the axes of its own variables only; a sampled
+subterm is computed over the axes of its own variables only, and one that
+mentions grid variables only is computed once per search; a sampled
 block is a row of draws.  verdicts walks the same blocks, from the same
 sampler, for one equation whose variables are bound to given values, as
 the tree suites bind theirs.  relation_holds checks one relation at one
@@ -123,59 +124,67 @@ _FIELDS = {
 }
 
 
-def _compile(t: Term, m: ModelHandle):
+def _compile(t: Term, m: ModelHandle, bound=None):
     """Build a closure evaluating t; avoids re-dispatching on node types in
     inner assignment loops.
 
-    A ground subterm, one without variables, is folded: it is evaluated
-    once, here, and the closure uses its value.  A generator that the model
-    fixes is a constant, so on the tree a closed suite term compiles to one
-    constant and builds no closure for its parts.  Folds are memoised by
-    subterm identity, so a subterm object that t shares is evaluated once.
-    Subterms with variables compile as closures (`_fold`).
+    A ground subterm is folded: it is evaluated once, here, and the closure
+    uses its value.  A subterm is ground when every variable it mentions is
+    bound, as search binds the axes of its grid (bound maps a name to its
+    value), and a generator that the model fixes is a constant, so on the
+    tree a closed suite term compiles to one constant and builds no closure
+    for its parts.  Folds are memoised by subterm identity, so a subterm
+    object that t shares is evaluated once.  Subterms with a variable that
+    is not bound compile as closures (`_fold`).  The folded values are those
+    the closures would compute over one block, so compiling may do one
+    block's work, never more.
     """
-    ground, f = _fold(t, m, {})
+    ground, f = _fold(t, m, {}, bound or {})
     return _constant(f) if ground else f
 
 
-def _fold(t: Term, m: ModelHandle, values: dict[int, Any]) -> tuple[bool, Any]:
+def _fold(
+    t: Term, m: ModelHandle, values: dict[int, Any], bound: dict[str, Any]
+) -> tuple[bool, Any]:
     """(True, the value of t) when t is ground, else (False, a closure
     evaluating t).  values maps the id of each ground subterm folded so far
-    to its value.
+    to its value; bound maps the variables that count as ground to their
+    values.
 
-    Variables read the environment, and so do the generators on a model
-    that does not fix them.  Every other node looks its class up in
-    _FIELDS; it is a constant, or a unary or binary closure over that
-    field of the handle, with constant closures for its ground operands.
+    A bound variable is its value.  Other variables read the environment,
+    and so do the generators on a model that does not fix them, unless
+    they are bound too.  Every other node looks its class up in _FIELDS;
+    it is a constant, or a unary or binary closure over that field of the
+    handle, with constant closures for its ground operands.
     """
     key = id(t)
     if key in values:
         return True, values[key]
     cls = type(t)
-    if cls is terms.Var:
-        name = t.name
-        return False, lambda env: _lookup(env, name)
     if cls is terms.GenA or cls is terms.GenB:
         g = m.gen_a if cls is terms.GenA else m.gen_b
         if g is not None:
             return True, g
-        sym = terms._LEAVES[cls]
-        return False, lambda env: _lookup(env, sym)
+    if cls is terms.Var or cls is terms.GenA or cls is terms.GenB:
+        name = t.name if cls is terms.Var else terms._LEAVES[cls]
+        if name in bound:
+            return True, bound[name]
+        return False, lambda env: _lookup(env, name)
     field = _FIELDS[cls]
     op = getattr(m, field)
     if op is None:
         word = "complement" if field == "compl" else field
         raise UnsupportedOperatorError(f"model {m.name} has no {word}")
     if cls in terms._BINARY:
-        gl, fl = _fold(t.left, m, values)
-        gr, fr = _fold(t.right, m, values)
+        gl, fl = _fold(t.left, m, values, bound)
+        gr, fr = _fold(t.right, m, values, bound)
         if gl and gr:
             values[key] = out = op(fl, fr)
             return True, out
         fl, fr = (_constant(fl) if gl else fl), (_constant(fr) if gr else fr)
         return False, lambda env: op(fl(env), fr(env))
     if cls in terms._UNARY:
-        g, f = _fold(t.child, m, values)
+        g, f = _fold(t.child, m, values, bound)
         if g:
             values[key] = out = op(f)
             return True, out
@@ -350,11 +359,18 @@ def search(
     reducible); it ignores the cap, which check_law enforces.  Its blocks
     are the grids of _grids, on which every variable has an axis of its
     own, so each subterm is computed only over the axes of the variables it
-    mentions; the hypotheses are ANDed into a mask, which keeps the grid a
-    grid.  Sampling walks the seeded draws of _draws in order, as rows of
-    at most BLOCK assignments, and drops the rows that fail a hypothesis
-    before the next one is evaluated, so the conclusions are computed
-    only where every hypothesis holds.  Returns how many
+    mentions.  The grid variables are bound to the same axis arrays in
+    every block, so the law is compiled with them bound (_compile): a
+    subterm that mentions only grid variables is evaluated once per search,
+    while compiling, and only the subterms that mention a walked variable
+    are evaluated per block.  The hypotheses are ANDed into a mask, which
+    keeps the grid a grid.  Sampling walks the seeded draws of _draws in
+    order, as rows of at most BLOCK assignments, binds nothing at compile
+    time, and drops the rows that fail a hypothesis before the next one is
+    evaluated.  The hypotheses are compiled at the first block; the
+    conclusions at the first block where some assignment passes every
+    hypothesis, and they are computed only in such blocks, so a guard that
+    holds nowhere costs no conclusion work.  Returns how many
     assignments were tested, up to and including the counterexample, and
     the counterexample as {variable: element}, or None.
 
@@ -370,27 +386,34 @@ def search(
         blocks = _grids(pools)
     else:
         blocks = _draws(m.sample_pool(), len(names), strategy)
-    hyps = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.hypotheses]
-    concls = [(_compile(l, m), op, _compile(r, m)) for l, op, r in law.conclusions]
+    bound, hyps, concls = {}, None, None
     tested = 0
     for values, shape in blocks:
+        if hyps is None:
+            if grid:  # the trailing values are the grid's axes
+                lead = len(names) - len(shape)
+                bound = dict(zip(names[lead:], values[lead:]))
+            hyps = _compile_relations(law.hypotheses, m, bound)
         env = dict(zip(names, values))
-        live = np.ones(shape, dtype=bool)
-        at = np.arange(live.size)  # block position of each entry of live
+        live = None  # on a grid, the mask of the hypotheses so far
+        at = None  # in a sample, the block position of each row left
         for fl, op, fr in hyps:
-            ok = _holds(m, fl, op, fr, env, live.shape)
+            ok = _holds(m, fl, op, fr, env, shape if at is None else at.shape)
             if grid:
-                live &= ok
+                live = ok if live is None else live & ok
             else:
-                live, at = live[ok], at[ok]
+                at = np.flatnonzero(ok) if at is None else at[ok]
                 env = {k: v[ok] for k, v in env.items()}
-        if live.any():
-            bad = np.zeros(live.shape, dtype=bool)
+        if (live is None or live.any()) and (at is None or at.size):
+            if concls is None:
+                concls = _compile_relations(law.conclusions, m, bound)
+            bad = None
             for fl, op, fr in concls:
-                bad |= ~_holds(m, fl, op, fr, env, live.shape)
-            hit = np.flatnonzero(live & bad)
+                ok = _holds(m, fl, op, fr, env, shape if at is None else at.shape)
+                bad = ~ok if bad is None else bad | ~ok
+            hit = np.flatnonzero(bad if live is None else live & bad)
             if hit.size:
-                i = int(at[hit[0]])
+                i = int(hit[0] if at is None else at[hit[0]])
                 found = {k: _entry(v, shape, i) for k, v in zip(names, values)}
                 if not rerun_counterexample(m, law, found):
                     shown = {k: m.format_element(v) for k, v in found.items()}
@@ -400,6 +423,11 @@ def search(
                 return tested + i + 1, found
         tested += math.prod(shape)
     return tested, None
+
+
+def _compile_relations(relations, m: ModelHandle, bound) -> list:
+    """Each relation (lhs, op, rhs) as (compiled lhs, op, compiled rhs)."""
+    return [(_compile(l, m, bound), op, _compile(r, m, bound)) for l, op, r in relations]
 
 
 def verdicts(

@@ -68,10 +68,12 @@ def test_eval_on_structure_file(capsys, re2_file):
     assert out.strip() == "e0+a+a~+e3"
 
 
-@pytest.mark.parametrize("header", ["identity=0 converse=1,0", "identity=1 converse=1,0"])
+@pytest.mark.parametrize(
+    "header", ["atoms=3 identity=0 converse=0,2,1", "atoms=3 identity=2 converse=1,0,2"]
+)
 def test_eval_prints_the_identity_atom_by_its_name(capsys, tmp_path, header):
-    path = tmp_path / "pair.ra"
-    path.write_text(f"atoms=2 {header}\n")
+    path = tmp_path / "triple.ra"
+    path.write_text(f"{header}\n")
     assert run(capsys, ["eval", "id", "--model", str(path)]) == (0, "1'\n", "")
 
 
@@ -486,6 +488,11 @@ BAD_ARGUMENTS = {
     "nul-in-out-path": ["enumerate", "1'a", "--out", "bad\x00.txt"],
     "tsv-of-structure-file": ["check-jlm", "{re2}", "--tsv", "{tmp}/row.tsv"],
     "thirteen-atoms": ["check-jlm", "{thirteen}", "--elements"],
+    # an identity atom whose converse is a diversity atom: AtomStructureError
+    "swapped-identity-law": [
+        "check-law", "p5", "--model", "{swapped}", "--strategy", "exhaustive"
+    ],
+    "swapped-identity-jlm": ["check-jlm", "{swapped}"],
 }
 
 # thirteen identity atoms: a legal structure one atom past the dense tables
@@ -500,9 +507,12 @@ THIRTEEN_ATOMS = (
 def test_bad_arguments_are_usage_errors(capsys, tmp_path, re2_file, case):
     thirteen = tmp_path / "thirteen.ra"
     thirteen.write_text(THIRTEEN_ATOMS)
+    swapped = tmp_path / "swapped.ra"
+    swapped.write_text("atoms=2 identity=0 converse=1,0\n")
     paths = {
         "missing": tmp_path / "missing",
         "re2": re2_file,
+        "swapped": swapped,
         "thirteen": thirteen,
         "tmp": tmp_path,
     }

@@ -287,9 +287,24 @@ def test_parse_structure_applies_cycle_closure():
 
 
 def test_identity_atoms_keep_their_names_in_either_index_order():
-    # an identity atom whose converse is a diversity atom is still named 1'
-    assert parse_structure("atoms=2 identity=0 converse=1,0\n").atom_names == ("1'", "a")
-    assert parse_structure("atoms=2 identity=1 converse=1,0\n").atom_names == ("a", "1'")
+    got = parse_structure("atoms=3 identity=0 converse=0,2,1\n").atom_names
+    assert got == ("1'", "a", "a~")
+    got = parse_structure("atoms=3 identity=2 converse=1,0,2\n").atom_names
+    assert got == ("a", "a~", "1'")
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "atoms=2 identity=0 converse=1,0",
+        "atoms=2 identity=1 converse=1,0",
+        "atoms=3 identity=0,1 converse=1,0,2",
+    ],
+)
+def test_an_identity_atom_is_its_own_converse(header):
+    # a subidentity is symmetric, so no identity atom has a diversity converse
+    with pytest.raises(AtomStructureError, match="is not its own converse"):
+        parse_structure(header + "\n")
 
 
 def test_parse_structure_errors():
@@ -358,6 +373,27 @@ def test_handle_builds_the_tables_on_the_first_composition():
     # the pair atoms p00 = 1 and p01 = 2: conv(p00);p01 = p01
     assert model.eval_term(m, parse_term("conv(x);y"), {"x": 1, "y": 2}) == 2
     assert "tables" in s.__dict__
+
+
+@pytest.mark.parametrize("row", [*SIGNATURES, "1'abcc~", "1'abcd", "Re(2)", "Re(3)"])
+def test_the_flat_gather_is_the_table_gather(row):
+    # comp takes (x << n) | y from the flattened table, and conv takes x from
+    # the converse table: the 2-D gathers they replace are the reference
+    if row.startswith("Re("):
+        structures = [make_proper_ra(int(row[3]))]
+    else:
+        structures = enumerate_integral(row, stretch=row in STRETCH_SIGNATURES)
+    for k, s in enumerate(structures):
+        m, (comp, conv) = s.handle(), s.tables
+        xs = np.arange(s.n_elements)
+        assert np.array_equal(m.comp(xs[:, None], xs), comp[xs[:, None], xs])
+        assert np.array_equal(m.comp(xs[:, None, None], xs[None, :, None]), comp[:, :, None])
+        assert np.array_equal(m.conv(xs), conv[xs])
+        if k in (0, len(structures) - 1):  # scalars on the first and last class
+            pairs = [m.comp(x, y) for x in xs.tolist() for y in xs.tolist()]
+            assert pairs == comp.ravel().tolist()
+            assert [m.conv(x) for x in xs.tolist()] == conv.tolist()
+            assert type(pairs[-1]) is int and type(m.conv(s.top)) is int
 
 
 def test_signature_normalization():

@@ -1,6 +1,6 @@
 import pytest
 
-from branchalg import laws, model
+from branchalg import cli, laws, model
 from branchalg.finra import check_jlm
 from branchalg.finra.atoms import from_cycles
 from branchalg.finra.jlm import FORMULAS, profile_structures
@@ -241,3 +241,15 @@ def test_reduced_and_full_quantification_agree_on_four_atoms(enumerated):
     # J and L only: full quantification of M takes 16**7 assignments each
     structures = enumerated("1'abb~") + enumerated("1'abc")
     _assert_reduction_agrees(structures, ("J", "L"))
+
+
+@pytest.mark.slow
+def test_stretch_row_profile_is_pinned(capsys):
+    # Computed by this program, not published: the paper gives no profile
+    # for 1'abcc~.  On five atoms M's search walks u and v outside a grid
+    # of 5**5 atom assignments, in 25 blocks, on each of the 1,316 classes.
+    assert cli.main(["check-jlm", "1'abcc~", "--stretch"]) == 0
+    assert capsys.readouterr().out == (
+        "total=1316\nfail:JLM=369 fail:JL=76 fail:JM=127 fail:LM=16 "
+        "fail:J=37 fail:L=0 fail:M=132 fail:none=559\n"
+    )

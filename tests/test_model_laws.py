@@ -472,8 +472,9 @@ def _product_walk(m, law, pools):
 
 
 def _grid_search(monkeypatch, m, law, atom_vars):
-    """search's answer and the shapes of the grids it evaluated."""
-    shapes = []
+    """search's answer, the shapes of the grids it evaluated and the number
+    of entries of each value its handle operations returned."""
+    shapes, sizes = [], []
     grids = model._grids
 
     def recording(pools):
@@ -481,8 +482,18 @@ def _grid_search(monkeypatch, m, law, atom_vars):
             shapes.append(shape)
             yield values, shape
 
+    def sized(op):
+        def recorded(*args):
+            out = op(*args)
+            sizes.append(np.size(out))
+            return out
+
+        return recorded
+
+    ops = ("meet", "comp", "conv", "join", "compl", "equal", "leq")
+    m = dataclasses.replace(m, **{f: sized(getattr(m, f)) for f in ops})
     monkeypatch.setattr(model, "_grids", recording)
-    return model.search(m, law, Exhaustive(), atom_vars), shapes
+    return model.search(m, law, Exhaustive(), atom_vars), shapes, sizes
 
 
 def _pools(m, law, atom_vars):
@@ -503,6 +514,35 @@ LATE_GRID_LAW = model.Law(
 )
 
 
+# Six variables on a 3-atom structure: w x y z form the grid, and u and v
+# are walked in 64 blocks.  The hypotheses hold only where u = v = 1, in the
+# last block, so the conclusion, which meets u with grid-only subterms, is
+# first computed there; it holds on every structure of 1'ab
+SIX_GRID_LAW = model.Law(
+    id="six-grid",
+    variables=("u", "v", "w", "x", "y", "z"),
+    hypotheses=(
+        (parse_term("1"), "<=", parse_term("u")),
+        (parse_term("1"), "<=", parse_term("v")),
+    ),
+    conclusions=(
+        (parse_term("w;x & y;z & u"), "<=", parse_term("w;(conv(w);y & x;conv(z));z")),
+    ),
+)
+
+# Six variables on a 3-atom structure that first fails at u = 0, v = 1,
+# w = x = 1' and y = z = a, in block 8 of 64: the hypothesis mentions only
+# walked variables and the conclusion only grid variables
+LATE_SIX_LAW = model.Law(
+    id="late-six",
+    variables=("u", "v", "w", "x", "y", "z"),
+    hypotheses=((parse_term("1"), "<=", parse_term("u + v")),),
+    conclusions=((parse_term("w;x & y;z"), "<=", parse_term("(w & y);(x & z)")),),
+)
+
+GRID_LAWS = {law.id: law for law in (LATE_GRID_LAW, SIX_GRID_LAW, LATE_SIX_LAW)}
+
+
 @pytest.mark.parametrize(
     "index, law_id, atom_vars, tested",
     [
@@ -510,19 +550,65 @@ LATE_GRID_LAW = model.Law(
         (15, "M", "u v w p q r s", 10240),  # fails in the third outer step
         (26, "J", "u v x y", 48675),  # a, b over elements: two outer variables
         (0, "late-grid", "", 1 * 16**3 + 15 * 16**2 + 1 * 16 + 1 + 1),
+        (3, "six-grid", "", 8**6),  # 1'ab: passes in 64 blocks
+        # 1'ab: fails in block 8, past the first
+        (3, "late-six", "", 7 * 8**4 + 1 * 8**3 + 1 * 8**2 + 2 * 8 + 2 + 1),
     ],
 )
 def test_grid_search_matches_the_product_walk(
     enumerated, monkeypatch, index, law_id, atom_vars, tested
 ):
-    m = enumerated("1'abb~")[index].handle()
-    law = LATE_GRID_LAW if law_id == "late-grid" else laws.law_by_id(law_id)
+    law = GRID_LAWS.get(law_id) or laws.law_by_id(law_id)
+    m = enumerated("1'ab" if len(law.variables) == 6 else "1'abb~")[index].handle()
     atom_vars = frozenset(atom_vars.split())
-    got, shapes = _grid_search(monkeypatch, m, law, atom_vars)
+    got, shapes, sizes = _grid_search(monkeypatch, m, law, atom_vars)
     assert got == _product_walk(m, law, _pools(m, law, atom_vars))
     assert got[0] == tested
     assert len(shapes) > 1  # some variable is walked outside the grid
     assert all(math.prod(shape) <= model.BLOCK for shape in shapes)
+    # compiling folds grid-only subterms, one block's work at most
+    assert sizes and max(sizes) <= model.BLOCK
+
+
+def test_a_grid_only_subterm_is_composed_once_per_search(enumerated):
+    # M's grid is v w p q r s and u is walked in four blocks, so the
+    # composition (v & w;p);(q & r;s) is folded while compiling
+    m = enumerated("1'abb~")[0].handle()
+    law = laws.law_by_id("M")
+    shapes = Counter()
+
+    def counting(x, y):
+        shapes[np.shape(x), np.shape(y)] += 1
+        return m.comp(x, y)
+
+    counted = dataclasses.replace(m, comp=counting)
+    got = model.search(counted, law, Exhaustive(), frozenset(law.variables))
+    assert got == (4**7, None)
+    assert shapes[(4, 4, 4, 1, 1, 1), (1, 1, 1, 4, 4, 4)] == 1
+
+
+def test_a_guard_that_holds_nowhere_costs_no_conclusion_work(enumerated):
+    # x is walked in 16 blocks over a grid of y z w; the conclusion mentions
+    # only grid variables, yet no block passes the hypotheses to need it
+    m = enumerated("1'abb~")[0].handle()
+    law = model.Law(
+        id="never",
+        variables=("x", "y", "z", "w"),
+        hypotheses=(
+            (parse_term("x"), "<=", parse_term("0")),
+            (parse_term("1"), "<=", parse_term("x")),
+        ),
+        conclusions=((parse_term("y;z"), "=", parse_term("z;w")),),
+    )
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return m.comp(x, y)
+
+    counted = dataclasses.replace(m, comp=counting)
+    assert model.search(counted, law, Exhaustive()) == (16**4, None)
+    assert calls == []
 
 
 def test_grids_cover_the_product_in_order():

@@ -59,7 +59,8 @@ def test_exactly_one_two_atom_structure_is_tabular():
 def _random_structures(count):
     """Seeded random cycle-closed structures on one to five atoms, with a
     random involutive converse, a random nonempty set of identity atoms and
-    the cycle orbits of random triples."""
+    the cycle orbits of random triples.  An identity atom is its own
+    converse, so a converse pair that holds one is split."""
     out = []
     for seed in range(count):
         rng = random.Random(seed)
@@ -70,6 +71,8 @@ def _random_structures(count):
             i, j = unpaired.pop(), unpaired.pop()
             conv[i], conv[j] = j, i
         identity = rng.sample(range(n), rng.randint(1, n))
+        for e in identity:
+            conv[conv[e]], conv[e] = conv[e], e
         cycles = [
             tuple(rng.randrange(n) for _ in range(3))
             for _ in range(rng.randint(0, n * n))
@@ -92,7 +95,7 @@ def test_is_tabular_matches_the_pairwise_definition(enumerated):
         assert s.functional_table[0].tolist() == oracles.functional_brute(s), s.label
         verdicts[is_tabular(s)] += 1
         assert is_tabular(s) == oracles.is_tabular_pairwise(s), s.label
-    assert verdicts == {True: 90, False: 561}
+    assert verdicts == {True: 88, False: 563}
 
 
 def _witness_or_error(witness, s, v, w):
